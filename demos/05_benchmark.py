@@ -1,4 +1,4 @@
-"""Scaling of the two evaluation routes: 4^N contraction vs N^3 determinant."""
+"""Scaling of the two evaluation routes: O(N^2 2^N) contraction vs O(N^3) determinant."""
 
 import time
 import warnings

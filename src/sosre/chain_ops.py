@@ -3,6 +3,15 @@
 Operators live on aux (x) chain with the auxiliary space as the slowest
 tensor factor; chain site i sits at tensor position i.  Products follow
 print order: the leftmost factor is applied last.
+
+No operator is multiplied out.  Each monodromy is applied to an array factor
+by factor with `weights.apply_pair`; an explicit matrix is that application
+to an identity.  The double-row monodromy bulk @ K @ hat acts in this order:
+the return path, site 1 first (R(lam + xi_k) with legs (site, aux)), then K
+on the auxiliary space, then the bulk, site N first (R(lam - xi_k) with legs
+(aux, site)).  Every factor at site k is height-shifted by the spins of the
+sites after k.  B(lam) sends a chain vector into the aux-down half and keeps
+the aux-up half of the image.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ class ChainSpace:
 
     def spin(self, state, site):
         """Spin (+1/-1) at 1-based `site` of basis index `state`."""
-        return weights.spin_of(state, site - 1, self.n_sites)
+        return 1 - 2 * ((state >> (self.n_sites - site)) & 1)
 
     def magnetization(self, state):
         """Total spin of basis index `state`."""
@@ -91,42 +100,60 @@ def embed_site_r(i, x, theta, eta, side=AUX_FIRST, n=None, guard_tol=None):
         raise ValueError("chain length n is required")
     if not 1 <= i <= n:
         raise ValueError(f"site index {i} outside 1..{n}")
-    shift = tuple(range(i + 1, n + 1))
-    if side == AUX_FIRST:
-        pa, pb = 0, i
-    elif side == AUX_SECOND:
-        pa, pb = i, 0
-    else:
+    if side not in (AUX_FIRST, AUX_SECOND):
         raise ValueError(f"side must be {AUX_FIRST!r} or {AUX_SECOND!r}")
-    return weights.embed_pair(n + 1, pa, pb, shift, x, theta, eta, guard_tol)
+    legs = (0, i) if side == AUX_FIRST else (i, 0)
+    return weights.embed_pair(n + 1, *legs, tuple(range(i + 1, n + 1)), x, theta, eta, guard_tol)
 
 
-def _bulk_full_at(n, aux, sites, extra_shift, lam, xis, theta, eta, guard_tol=None):
-    """Bulk monodromy carrier: aux couples to each site left to right, the
-    factor for sites[k] shifted by the spins of the later sites plus
-    `extra_shift` positions."""
-    T = np.eye(1 << n, dtype=complex)
-    for k, site in enumerate(sites):
-        shift = tuple(sites[k + 1 :]) + tuple(extra_shift)
-        T = T @ weights.embed_pair(n, aux, site, shift, lam - xis[k], theta, eta, guard_tol)
-    return T
+def _apply_bulk(x, aux, lam, p, extra=(), guard_tol=None):
+    """Apply the bulk monodromy R(aux, site 1) ... R(aux, site N) to the
+    leading axis of `x`, site N first.  The chain sites are the last N tensor
+    positions; each factor is height-shifted by the spins of the later sites
+    plus the `extra` positions."""
+    n = x.shape[0].bit_length() - 1
+    for k in range(p.n - 1, -1, -1):
+        site = n - p.n + k
+        shift = tuple(range(site + 1, n)) + extra
+        x = weights.apply_pair(x, n, aux, site, shift, lam - p.xis[k], p.theta, p.eta, guard_tol)
+    return x
 
 
-def _hat_full_at(n, aux, sites, extra_shift, lam, xis, theta, eta, guard_tol=None):
-    """Return-path monodromy carrier: leg order swapped, reversed site order,
+def _apply_hat(x, aux, lam, p, guard_tol=None):
+    """Apply the return-path monodromy: legs swapped, site 1 first,
     spectral arguments lam + xi_k, same shift rule."""
-    T = np.eye(1 << n, dtype=complex)
-    for k in range(len(sites) - 1, -1, -1):
-        shift = tuple(sites[k + 1 :]) + tuple(extra_shift)
-        T = T @ weights.embed_pair(n, sites[k], aux, shift, lam + xis[k], theta, eta, guard_tol)
-    return T
+    n = x.shape[0].bit_length() - 1
+    for k in range(p.n):
+        site = n - p.n + k
+        shift = tuple(range(site + 1, n))
+        x = weights.apply_pair(x, n, site, aux, shift, lam + p.xis[k], p.theta, p.eta, guard_tol)
+    return x
+
+
+def _apply_double_row(x, aux, lam, p, guard_tol=None):
+    """Apply bulk @ K @ hat.  K is guarded first and the R factors meet
+    their heights in the same order as when the product is built left to
+    right, so the first NearSingular raised is the one the explicit product
+    would raise."""
+    k = weights.k_matrix(lam, p.theta, p.zeta, guard_tol).diagonal()
+    x = _apply_hat(x, aux, lam, p, guard_tol)
+    x = (x.reshape((1 << aux, 2, -1)) * k[:, None]).reshape(x.shape)
+    return _apply_bulk(x, aux, lam, p, guard_tol=guard_tol)
+
+
+def apply_b(v, lam, p, guard_tol=None):
+    """B(lam) applied to the leading axis of `v` (length 2^N): `v` enters the
+    aux-down half of aux (x) chain and the aux-up half of its double-row
+    image is kept."""
+    h = v.shape[0]
+    x = np.zeros((2 * h,) + v.shape[1:], dtype=complex)
+    x[h:] = v
+    return _apply_double_row(x, 0, lam, p, guard_tol)[:h]
 
 
 def bulk_full(lam, p, guard_tol=None):
     """Bulk monodromy as the full 2^(N+1) aux (x) chain operator."""
-    return _bulk_full_at(
-        p.n + 1, 0, range(1, p.n + 1), (), lam, p.xis, p.theta, p.eta, guard_tol
-    )
+    return _apply_bulk(np.eye(2 << p.n), 0, lam, p, guard_tol=guard_tol)
 
 
 def bulk_monodromy(lam, p, guard_tol=None):
@@ -136,15 +163,12 @@ def bulk_monodromy(lam, p, guard_tol=None):
 
 def hat_monodromy(lam, p, guard_tol=None):
     """Return-path monodromy as the full aux (x) chain operator."""
-    return _hat_full_at(
-        p.n + 1, 0, range(1, p.n + 1), (), lam, p.xis, p.theta, p.eta, guard_tol
-    )
+    return _apply_hat(np.eye(2 << p.n), 0, lam, p, guard_tol)
 
 
 def double_row_full(lam, p, guard_tol=None):
     """Double-row monodromy: bulk, boundary K on the auxiliary space, return path."""
-    K = weights.embed_boundary(p.n + 1, 0, lam, p.theta, p.zeta, guard_tol)
-    return bulk_full(lam, p, guard_tol) @ K @ hat_monodromy(lam, p, guard_tol)
+    return _apply_double_row(np.eye(2 << p.n), 0, lam, p, guard_tol)
 
 
 def double_row(lam, p, guard_tol=None):
@@ -154,8 +178,8 @@ def double_row(lam, p, guard_tol=None):
 
 def b_operator(lam, p, guard_tol=None):
     """The creation-like block of the double-row monodromy (lowers chain
-    magnetization by 2)."""
-    return double_row(lam, p, guard_tol).B
+    magnetization by 2), as an explicit 2^N matrix."""
+    return apply_b(np.eye(1 << p.n), lam, p, guard_tol)
 
 
 def gamma_hat(lam, p):
@@ -181,11 +205,7 @@ def crossing_scalar(lam, theta, eta, zeta, guard_tol=None):
 
 def grading_residual(op):
     """Max |entry| violating total-magnetization conservation; zero structurally."""
-    dim = op.shape[0]
-    n = dim.bit_length() - 1
-    mags = n - 2 * _popcounts(dim)
-    mask = mags[:, None] != mags[None, :]
-    return float(np.max(np.abs(np.where(mask, op, 0.0))))
+    return block_grading_residual(op, 0)
 
 
 def block_grading_residual(block, delta):
@@ -214,11 +234,12 @@ def check_exchange_algebra(l1, l2, p, tol=1e-9, guard_tol=None, seed=None):
     """
     l1, l2 = complex(l1), complex(l2)
     n = p.n + 2
-    sites = tuple(range(2, p.n + 2))
-    T1 = lambda lam, extra: _bulk_full_at(n, 0, sites, extra, lam, p.xis, p.theta, p.eta, guard_tol)
-    T2 = lambda lam, extra: _bulk_full_at(n, 1, sites, extra, lam, p.xis, p.theta, p.eta, guard_tol)
-    lhs = weights.embed_pair(n, 0, 1, sites, l1 - l2, p.theta, p.eta, guard_tol) @ T1(l1, ()) @ T2(l2, (0,))
-    rhs = T2(l2, ()) @ T1(l1, (1,)) @ weights.embed_pair(n, 0, 1, (), l1 - l2, p.theta, p.eta, guard_tol)
+    R12 = lambda x, shift: weights.apply_pair(x, n, 0, 1, shift, l1 - l2, p.theta, p.eta, guard_tol)
+    T1 = lambda x, extra: _apply_bulk(x, 0, l1, p, extra, guard_tol)
+    T2 = lambda x, extra: _apply_bulk(x, 1, l2, p, extra, guard_tol)
+    eye = np.eye(1 << n)
+    lhs = R12(T1(T2(eye, (0,)), ()), tuple(range(2, n)))
+    rhs = T2(T1(R12(eye, ()), (1,)), ())
     res = np.max(np.abs(lhs - rhs))
     return weights._report("exchange_algebra", res, tol, seed, _params_dict(p, l1=l1, l2=l2))
 
@@ -228,39 +249,30 @@ def check_double_row_reflection(l1, l2, p, tol=1e-9, guard_tol=None, seed=None):
     carrier; all four intertwining R factors carry the total chain spin."""
     l1, l2 = complex(l1), complex(l2)
     n = p.n + 2
-    sites = tuple(range(2, p.n + 2))
-
-    def dr(aux, lam):
-        K = weights.embed_boundary(n, aux, lam, p.theta, p.zeta, guard_tol)
-        return (
-            _bulk_full_at(n, aux, sites, (), lam, p.xis, p.theta, p.eta, guard_tol)
-            @ K
-            @ _hat_full_at(n, aux, sites, (), lam, p.xis, p.theta, p.eta, guard_tol)
-        )
-
-    R12 = lambda x: weights.embed_pair(n, 0, 1, sites, x, p.theta, p.eta, guard_tol)
-    R21 = lambda x: weights.embed_pair(n, 1, 0, sites, x, p.theta, p.eta, guard_tol)
-    D1, D2 = dr(0, l1), dr(1, l2)
-    lhs = R12(l1 - l2) @ D1 @ R21(l1 + l2) @ D2
-    rhs = D2 @ R12(l1 + l2) @ D1 @ R21(l1 - l2)
+    sites = tuple(range(2, n))
+    R = lambda x, a, b, lam: weights.apply_pair(x, n, a, b, sites, lam, p.theta, p.eta, guard_tol)
+    D1 = lambda x: _apply_double_row(x, 0, l1, p, guard_tol)
+    D2 = lambda x: _apply_double_row(x, 1, l2, p, guard_tol)
+    eye = np.eye(1 << n)
+    lhs = R(D1(R(D2(eye), 1, 0, l1 + l2)), 0, 1, l1 - l2)
+    rhs = D2(R(D1(R(eye, 1, 0, l1 - l2)), 0, 1, l1 + l2))
     res = np.max(np.abs(lhs - rhs))
     return weights._report("double_row_reflection", res, tol, seed, _params_dict(p, l1=l1, l2=l2))
 
 
 def check_b_commutation(l1, l2, p, tol=1e-10, guard_tol=None, seed=None):
     """B operators at different spectral parameters commute."""
-    B1 = b_operator(l1, p, guard_tol)
-    B2 = b_operator(l2, p, guard_tol)
-    res = np.max(np.abs(B1 @ B2 - B2 @ B1))
+    B = lambda x, lam: apply_b(x, lam, p, guard_tol)
+    eye = np.eye(1 << p.n)
+    res = np.max(np.abs(B(B(eye, l2), l1) - B(B(eye, l1), l2)))
     return weights._report("b_commutation", res, tol, seed, _params_dict(p, l1=complex(l1), l2=complex(l2)))
 
 
 def check_monodromy_inverse(lam, p, tol=1e-10, guard_tol=None, seed=None):
     """hat(T)(lam) T(-lam) is gamma_hat(lam) times the identity."""
     lam = complex(lam)
-    Th = hat_monodromy(lam, p, guard_tol)
-    T = bulk_full(-lam, p, guard_tol)
-    res = np.max(np.abs(Th @ T - gamma_hat(lam, p) * np.eye(Th.shape[0])))
+    prod = _apply_hat(bulk_full(-lam, p, guard_tol), 0, lam, p, guard_tol)
+    res = np.max(np.abs(prod - gamma_hat(lam, p) * np.eye(2 << p.n)))
     return weights._report("monodromy_inverse", res, tol, seed, _params_dict(p, l=lam))
 
 

@@ -249,6 +249,11 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads "--from -0.3,0.1" as two flags; attach: "--from=-0.3,0.1"
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in ("--from", "--to"):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         if args.command == "compute":

@@ -22,6 +22,7 @@ from .params import (
     CapExceeded,
     IllConditionedWarning,
     InvariantViolation,
+    ModelParams,
     require_all_nonsingular,
     require_nonsingular,
 )
@@ -66,8 +67,9 @@ def z_bruteforce(p, cap=BRUTE_CAP_DEFAULT, guard_tol=None):
     """Z as the all-down/all-up matrix element of the product of B operators.
 
     The product runs over the spectral parameters in order, rightmost factor
-    applied first.  Cost grows as 4^N per factor; refuses N beyond `cap`
-    (hard max 12).
+    applied first.  Each B is applied to the vector factor by factor, never
+    multiplied out, so Z costs O(N^2 2^N); refuses N beyond `cap` (hard
+    max 12).
     """
     effective_cap = min(int(cap), BRUTE_CAP_HARD_MAX)
     if p.n > effective_cap:
@@ -75,12 +77,11 @@ def z_bruteforce(p, cap=BRUTE_CAP_DEFAULT, guard_tol=None):
             f"brute-force contraction needs N <= {effective_cap}, got N = {p.n}"
         )
     t0 = time.perf_counter()
-    h = 1 << p.n
-    v = np.zeros(h, dtype=complex)
+    v = np.zeros(1 << p.n, dtype=complex)
     v[0] = 1.0
     for lam in reversed(p.lambdas):
-        v = chain_ops.b_operator(lam, p, guard_tol) @ v
-    value = complex(v[h - 1])
+        v = chain_ops.apply_b(v, lam, p, guard_tol)
+    value = complex(v[-1])
     return PartitionResult(value, METHOD_BRUTE, time.perf_counter() - t0, p.n)
 
 
@@ -101,18 +102,9 @@ def z_n1_closed(lam, xi, theta, eta, zeta, guard_tol=None):
     )
 
 
-def _m_entry_guards(li, xj, theta, zeta, eta, guard_tol):
-    require_nonsingular("lambda_i-xi_j+eta", li - xj + eta, guard_tol)
-    require_nonsingular("lambda_i+xi_j+eta", li + xj + eta, guard_tol)
-    require_nonsingular("lambda_i-xi_j", li - xj, guard_tol)
-    require_nonsingular("lambda_i+xi_j", li + xj, guard_tol)
-    require_nonsingular("theta", theta, guard_tol)
-    require_nonsingular("theta+zeta+lambda_i", theta + zeta + li, guard_tol)
-    require_nonsingular("zeta+lambda_i", zeta + li, guard_tol)
-
-
 def m_entry(i, j, p, form=PRODUCT_FORM, guard_tol=None):
-    """Kernel entry M[i, j] (0-based indices into lambdas / xis).
+    """Kernel entry M[i, j] (0-based indices into lambdas / xis): the 1 x 1
+    kernel of lambda_i against xi_j, guarded by name.
 
     The sum form splits into two boundary-weighted terms; the product form is
     a single product of sinh ratios.  The two agree at generic points.
@@ -120,26 +112,14 @@ def m_entry(i, j, p, form=PRODUCT_FORM, guard_tol=None):
     li = complex(p.lambdas[i])
     xj = complex(p.xis[j])
     theta, eta, zeta = p.theta, p.eta, p.zeta
-    _m_entry_guards(li, xj, theta, zeta, eta, guard_tol)
-    if form == PRODUCT_FORM:
-        return complex(
-            sh(theta + zeta + xj) / sh(theta + zeta + li)
-            * sh(zeta - xj) / sh(zeta + li)
-            * sh(2 * li) * sh(eta)
-            / (sh(li - xj + eta) * sh(li + xj + eta) * sh(li - xj) * sh(li + xj))
-        )
-    if form == SUM_FORM:
-        mp = (1 / sh(li - xj + eta)) * (
-            1 / sh(li + xj) - sh(theta - eta) / (sh(theta) * sh(li + xj + eta))
-        )
-        mm = (1 / sh(li + xj + eta)) * (
-            1 / sh(li - xj) - sh(theta + eta) / (sh(theta) * sh(li - xj + eta))
-        )
-        return complex(
-            sh(theta + zeta - li) / sh(theta + zeta + li) * mp
-            + sh(zeta - li) / sh(zeta + li) * mm
-        )
-    raise ValueError(f"form must be {SUM_FORM!r} or {PRODUCT_FORM!r}")
+    require_nonsingular("lambda_i-xi_j+eta", li - xj + eta, guard_tol)
+    require_nonsingular("lambda_i+xi_j+eta", li + xj + eta, guard_tol)
+    require_nonsingular("lambda_i-xi_j", li - xj, guard_tol)
+    require_nonsingular("lambda_i+xi_j", li + xj, guard_tol)
+    require_nonsingular("theta", theta, guard_tol)
+    require_nonsingular("theta+zeta+lambda_i", theta + zeta + li, guard_tol)
+    require_nonsingular("zeta+lambda_i", zeta + li, guard_tol)
+    return complex(_m_matrix_entries(ModelParams(eta, zeta, theta, (li,), (xj,)), form)[0, 0])
 
 
 def _m_matrix_entries(p, form):

@@ -104,47 +104,48 @@ def k_matrix(lam, theta, zeta, guard_tol=None):
     )
 
 
-# The 4x4 swap P and the embedding helpers below are the only places that
-# touch bit layout; everything chain-shaped in this package is built on them.
+# Bit layout: tensor position pos of n is bit n-1-pos of a basis index, so
+# position 0 varies slowest.  Every chain operator is built on the pair
+# kernel below.
 
 SWAP_4 = np.zeros((4, 4))
 SWAP_4[0, 0] = SWAP_4[1, 2] = SWAP_4[2, 1] = SWAP_4[3, 3] = 1.0
 
 
-def spin_of(state, pos, n):
-    """Spin (+1 up / -1 down) at tensor position `pos` of an n-fold basis index."""
-    return 1 - 2 * ((state >> (n - 1 - pos)) & 1)
+def apply_pair(x, n, pos_a, pos_b, shift, lam, theta, eta, guard_tol=None):
+    """Apply R(lam; theta - eta*m) on tensor positions (pos_a, pos_b) of n
+    two-level spaces, identity elsewhere, to the leading axis of `x` (length
+    2^n; any trailing axes are carried along, so `x` may be a stack of
+    columns).  `m` is the total spin over the positions in `shift`, read off
+    each basis state, so the operator is block diagonal in the shift-set
+    magnetization.
+    """
+    if set(shift) & {pos_a, pos_b}:
+        raise ValueError(f"shift {tuple(shift)} overlaps the R legs ({pos_a}, {pos_b})")
+    rest = x.shape[1:]
+    s = len(shift)
+    # the weights of R at each reachable height, highest m (all up) first
+    fs = [face_weights(lam, theta - eta * m, eta, guard_tol) for m in range(s, -s - 1, -2)]
+    w = np.array([(f.a, f.b_plus, f.c_plus, f.c_minus, f.b_minus) for f in fs])
+    # down spins in the shift set, per basis state of the other n - 2 positions
+    others = [k for k in range(n) if k not in (pos_a, pos_b)]
+    mask = sum(1 << (n - 3 - others.index(k)) for k in shift)
+    down = np.bitwise_count(np.arange(1 << (n - 2)) & mask)
+    a, b_plus, c_plus, c_minus, b_minus = w[down].T.reshape((5,) + (2,) * (n - 2) + (1,) * len(rest))
+    # views with the R legs in front: [spin at pos_a, spin at pos_b, others..., rest...]
+    t = np.moveaxis(np.reshape(x, (2,) * n + rest), (pos_a, pos_b), (0, 1))
+    out = np.empty(x.shape, dtype=np.result_type(x, complex))
+    o = np.moveaxis(out.reshape((2,) * n + rest), (pos_a, pos_b), (0, 1))
+    o[0, 0] = a * t[0, 0]
+    o[1, 1] = a * t[1, 1]
+    o[0, 1] = b_plus * t[0, 1] + c_plus * t[1, 0]
+    o[1, 0] = c_minus * t[0, 1] + b_minus * t[1, 0]
+    return out
 
 
 def embed_pair(n, pos_a, pos_b, shift, lam, theta, eta, guard_tol=None):
-    """R(lam; theta - eta*m) on tensor positions (pos_a, pos_b) of n two-level
-    spaces, identity elsewhere.  `m` is the total spin over the positions in
-    `shift`, read off each basis column, so the operator is block diagonal in
-    the shift-set magnetization.
-    """
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=complex)
-    cache = {}
-    ba = n - 1 - pos_a
-    bb = n - 1 - pos_b
-    clear = ~((1 << ba) | (1 << bb))
-    for col in range(dim):
-        m = 0
-        for k in shift:
-            m += 1 - 2 * ((col >> (n - 1 - k)) & 1)
-        R = cache.get(m)
-        if R is None:
-            R = cache[m] = r_matrix(lam, theta - eta * m, eta, guard_tol)
-        ia = (col >> ba) & 1
-        ib = (col >> bb) & 1
-        cin = 2 * ia + ib
-        base = col & clear
-        for ra in (0, 1):
-            for rb in (0, 1):
-                val = R[2 * ra + rb, cin]
-                if val != 0:
-                    out[base | (ra << ba) | (rb << bb), col] = val
-    return out
+    """`apply_pair` as an explicit 2^n matrix."""
+    return apply_pair(np.eye(1 << n), n, pos_a, pos_b, shift, lam, theta, eta, guard_tol)
 
 
 def embed_boundary(n, pos, lam, theta, zeta, guard_tol=None):

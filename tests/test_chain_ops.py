@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sosre import chain_ops, verify, weights
-from sosre.params import ModelParams
+from sosre import chain_ops, partition, verify, weights
+from sosre.params import ModelParams, NearSingular
 
 CFG = verify.SuiteConfig()
 
@@ -198,3 +198,53 @@ def test_crossing_scalar_involution():
 def test_crossing_scalar_guards():
     with pytest.raises(Exception, match=r"2\*lambda"):
         chain_ops.crossing_scalar(1e-9, 0.9, 0.7, 1.1)
+
+
+def dense_b(lam, p):
+    # B as the explicit product bulk @ K @ hat of embedded factors, K built first
+    n = p.n + 1
+    E = lambda a, b, k, x: weights.embed_pair(n, a, b, tuple(range(k + 2, n)), x, p.theta, p.eta)
+    K = weights.embed_boundary(n, 0, lam, p.theta, p.zeta)
+    T = np.eye(1 << n, dtype=complex)
+    for k in range(p.n):
+        T = T @ E(0, k + 1, k, lam - p.xis[k])
+    T = T @ K
+    for k in range(p.n - 1, -1, -1):
+        T = T @ E(k + 1, 0, k, lam + p.xis[k])
+    h = 1 << p.n
+    return T[:h, h:]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_matrix_free_b_matches_dense_product(n):
+    rng = np.random.default_rng(70 + n)
+    for _ in range(3):
+        p = draw(n, rng)
+        lam = p.lambdas[0]
+        want = dense_b(lam, p)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(chain_ops.b_operator(lam, p) - want)) <= 1e-13 * scale
+        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        got = chain_ops.apply_b(v, lam, p)
+        assert np.max(np.abs(got - want @ v)) <= 1e-13 * np.max(np.abs(got))
+
+
+def test_b_guard_message_matches_dense_build():
+    # theta = 2 eta (up to 1e-9): the height m = 2 is reachable from N = 3
+    rng = np.random.default_rng(76)
+    p = draw(3, rng)
+    q = ModelParams(p.eta, p.zeta, 2 * p.eta + 1e-9, p.lambdas, p.xis)
+    with pytest.raises(NearSingular) as dense:
+        dense_b(q.lambdas[-1], q)
+    with pytest.raises(NearSingular) as free:
+        partition.z_bruteforce(q)
+    assert "sinh(theta)" in str(free.value)
+    assert str(free.value) == str(dense.value)
+    # with K singular as well, K's guard comes first
+    r = q.replace_lambda(q.n - 1, -q.zeta + 1e-9)
+    with pytest.raises(NearSingular) as dense:
+        dense_b(r.lambdas[-1], r)
+    with pytest.raises(NearSingular) as free:
+        partition.z_bruteforce(r)
+    assert "sinh(zeta+lambda)" in str(free.value)
+    assert str(free.value) == str(dense.value)

@@ -242,6 +242,21 @@ def test_sweep_marks_singular_points(tmp_path, capsys):
     assert lines[2].endswith(",ok")
 
 
+def test_sweep_negative_start(tmp_path, capsys):
+    # "-0.3,0.1" starts with '-', which argparse alone would read as a flag
+    path, _ = sampled_config(tmp_path, 2)
+    common = ["sweep", "--config", path, "--vary", "1", "--points", "5"]
+    assert cli.main(common + ["--from", "-0.3,0.1", "--to", "-0.1,-0.2"]) == 0
+    separate = capsys.readouterr().out
+    assert cli.main(common + ["--from=-0.3,0.1", "--to=-0.1,-0.2"]) == 0
+    assert capsys.readouterr().out == separate
+    lines = separate.strip().splitlines()
+    assert len(lines) == 6
+    first, last = lines[1].split(","), lines[-1].split(",")
+    assert (float(first[0]), float(first[1])) == (-0.3, 0.1)
+    assert abs(complex(float(last[0]), float(last[1])) - complex(-0.1, -0.2)) < 1e-15
+
+
 def test_sweep_flag_validation(tmp_path, capsys):
     path = write_config(tmp_path, FIXTURE)
     base = ["sweep", "--config", path, "--from", "0,0", "--to", "1,0"]

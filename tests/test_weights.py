@@ -178,3 +178,69 @@ def test_check_report_passed_iff_within_tol():
     assert rep.residual > 0.0 and not rep.passed
     rep2 = weights.check_unitarity(p.lambdas[0], p.theta, p.eta, tol=1.0)
     assert rep2.passed == (rep2.residual <= rep2.tol)
+
+
+def loop_embed_pair(n, pos_a, pos_b, shift, lam, theta, eta):
+    # entry-by-entry reference: column by column, read m off the column and
+    # scatter the R column into the rows that differ only at (pos_a, pos_b)
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    bit = lambda state, pos: (state >> (n - 1 - pos)) & 1
+    for col in range(1 << n):
+        m = sum(1 - 2 * bit(col, k) for k in shift)
+        R = weights.r_matrix(lam, theta - eta * m, eta)
+        base = col & ~((1 << (n - 1 - pos_a)) | (1 << (n - 1 - pos_b)))
+        for ra in (0, 1):
+            for rb in (0, 1):
+                row = base | (ra << (n - 1 - pos_a)) | (rb << (n - 1 - pos_b))
+                out[row, col] = R[2 * ra + rb, 2 * bit(col, pos_a) + bit(col, pos_b)]
+    return out
+
+
+def embedding_patterns():
+    """Every (n, pos_a, pos_b, shift) the package embeds an R with."""
+    pats = [(3, 0, 1, (2,)), (3, 0, 2, ()), (3, 1, 2, (0,)), (3, 1, 2, ()),
+            (3, 0, 2, (1,)), (3, 0, 1, ()), (2, 0, 1, ()), (2, 1, 0, ())]
+    for n_sites in (1, 2, 3):
+        n = n_sites + 1  # one auxiliary space, bulk and return-path factors
+        for site in range(1, n):
+            later = tuple(range(site + 1, n))
+            pats += [(n, 0, site, later), (n, site, 0, later)]
+        n = n_sites + 2  # two auxiliary spaces: exchange and reflection carriers
+        sites = tuple(range(2, n))
+        for k, site in enumerate(sites):
+            later = sites[k + 1 :]
+            pats += [(n, aux, site, later + extra)
+                     for aux, extra in ((0, ()), (0, (1,)), (1, ()), (1, (0,)))]
+            pats += [(n, site, 0, later), (n, site, 1, later)]
+        pats += [(n, 0, 1, sites), (n, 1, 0, sites), (n, 0, 1, ())]
+    return pats
+
+
+def test_apply_pair_on_identity_is_the_loop_embedding():
+    rng = np.random.default_rng(18)
+    p = draw(1, rng)
+    lam, theta, eta = p.lambdas[0], p.theta, p.eta
+    for n, a, b, shift in embedding_patterns():
+        want = loop_embed_pair(n, a, b, shift, lam, theta, eta)
+        got = weights.apply_pair(np.eye(1 << n), n, a, b, shift, lam, theta, eta)
+        assert np.array_equal(got, want), (n, a, b, shift)
+        assert np.array_equal(weights.embed_pair(n, a, b, shift, lam, theta, eta), want)
+
+
+def test_apply_pair_columns_and_vectors_agree():
+    rng = np.random.default_rng(19)
+    p = draw(1, rng)
+    x = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
+    args = (4, 2, 0, (3, 1), p.lambdas[0], p.theta, p.eta)
+    stacked = weights.apply_pair(x, *args)
+    for j in range(3):
+        assert np.array_equal(weights.apply_pair(x[:, j], *args), stacked[:, j])
+    dense = weights.embed_pair(*args)
+    assert np.max(np.abs(stacked - dense @ x)) <= 1e-14 * np.max(np.abs(stacked))
+
+
+def test_apply_pair_rejects_shift_on_its_legs():
+    with pytest.raises(ValueError, match="overlaps"):
+        weights.apply_pair(np.eye(8), 3, 0, 1, (1, 2), 0.3, 1.1, 0.7)
+    with pytest.raises(ValueError, match="overlaps"):
+        weights.embed_pair(3, 2, 0, (0,), 0.3, 1.1, 0.7)
