@@ -233,11 +233,14 @@ def require_nonsingular(label, value, guard_tol=None):
 
 
 def require_all_nonsingular(label_fn, values, guard_tol=None):
-    """Vectorised guard: values is an ndarray, label_fn maps flat index to name."""
+    """Vectorised guard: values is an ndarray, label_fn maps flat index to name.
+    Returns sinh(values), so a caller that needs them evaluates them once."""
     tol = guard_tol_default() if guard_tol is None else guard_tol
-    mags = np.abs(np.sinh(np.asarray(values, dtype=complex)))
+    s = np.sinh(np.asarray(values, dtype=complex))
+    mags = np.abs(s)
     if mags.size and mags.min() <= tol:
         k = int(np.argmin(mags.ravel()))
         raise NearSingular(
             f"denominator sinh({label_fn(k)}) has |sinh| = {mags.ravel()[k]:.3e} <= {tol:g}"
         )
+    return s

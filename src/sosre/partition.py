@@ -3,14 +3,15 @@ form, and a single N x N determinant; plus the scalar factors entering the
 crossing and recursion identities and the polynomial normalization.
 
 The determinant path works in log space throughout (the determinant itself
-via the log of each pivot, the prefactor as a sum of log-sinh terms), so the
-reported `log_value` stays finite even when the value over- or underflows a
-double.  Since exp is 2*pi*i periodic, branch cuts in the individual logs do
-not affect the exponentiated result.
+via the log of each pivot, the prefactor as a sum of log|sinh| and arg sinh
+terms), so the reported `log_value` stays finite even when the value over- or
+underflows a double.  Since exp is 2*pi*i periodic, the branch of each
+argument does not affect the exponentiated result.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 import warnings
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ sh = np.sinh
 BRUTE_CAP_DEFAULT = 8
 BRUTE_CAP_HARD_MAX = 12
 ILL_CONDITIONED_PIVOT = 1e-10
+LU_PANEL = 64
 
 SUM_FORM = "sum"
 PRODUCT_FORM = "product"
@@ -119,11 +121,14 @@ def m_entry(i, j, p, form=PRODUCT_FORM, guard_tol=None):
     require_nonsingular("theta", theta, guard_tol)
     require_nonsingular("theta+zeta+lambda_i", theta + zeta + li, guard_tol)
     require_nonsingular("zeta+lambda_i", zeta + li, guard_tol)
-    return complex(_m_matrix_entries(ModelParams(eta, zeta, theta, (li,), (xj,)), form)[0, 0])
+    q = ModelParams(eta, zeta, theta, (li,), (xj,))
+    return complex(_m_matrix_entries(q, form, _det_guards(q, form, guard_tol)[0])[0, 0])
 
 
-def _m_matrix_entries(p, form):
-    """Vectorised kernel matrix (no guards; callers guard first)."""
+def _m_matrix_entries(p, form, grids):
+    """Vectorised kernel matrix from the sinh grids `_det_guards` returns
+    (no guards; callers guard first)."""
+    s_mx, s_px, s_mxe, s_pxe = grids
     L = p.lambdas_array()[:, None]
     X = p.xis_array()[None, :]
     theta, eta, zeta = p.theta, p.eta, p.zeta
@@ -132,15 +137,11 @@ def _m_matrix_entries(p, form):
             sh(theta + zeta + X) / sh(theta + zeta + L)
             * sh(zeta - X) / sh(zeta + L)
             * sh(2 * L) * sh(eta)
-            / (sh(L - X + eta) * sh(L + X + eta) * sh(L - X) * sh(L + X))
+            / (s_mxe * s_pxe * s_mx * s_px)
         )
     if form == SUM_FORM:
-        mp = (1 / sh(L - X + eta)) * (
-            1 / sh(L + X) - sh(theta - eta) / (sh(theta) * sh(L + X + eta))
-        )
-        mm = (1 / sh(L + X + eta)) * (
-            1 / sh(L - X) - sh(theta + eta) / (sh(theta) * sh(L - X + eta))
-        )
+        mp = (1 / s_mxe) * (1 / s_px - sh(theta - eta) / (sh(theta) * s_pxe))
+        mm = (1 / s_pxe) * (1 / s_mx - sh(theta + eta) / (sh(theta) * s_mxe))
         return (
             sh(theta + zeta - L) / sh(theta + zeta + L) * mp
             + sh(zeta - L) / sh(zeta + L) * mm
@@ -150,33 +151,47 @@ def _m_matrix_entries(p, form):
 
 def m_matrix(p, form=PRODUCT_FORM, guard_tol=None):
     """Full kernel matrix with guards applied."""
-    _det_guards(p, form, guard_tol)
-    return MMatrix(_m_matrix_entries(p, form), form)
+    return MMatrix(_m_matrix_entries(p, form, _det_guards(p, form, guard_tol)[0]), form)
 
 
 def logdet_partial_pivot(mat):
-    """(log det, smallest pivot modulus) by Gaussian elimination with partial
-    pivoting on the modulus.  Log accumulation keeps huge/tiny determinants
-    representable; a row swap contributes i*pi to the log."""
+    """(log det, smallest pivot modulus) by blocked right-looking Gaussian
+    elimination with partial pivoting on the modulus.  Each panel of LU_PANEL
+    columns is eliminated column by column, multipliers stored in place; its
+    row swaps then reach the trailing columns, its block row of U comes from a
+    unit-lower triangular solve and the trailing update is one matmul.  For
+    n <= LU_PANEL (one panel) the result is that of the unblocked loop, bit for
+    bit.  Log accumulation keeps huge/tiny determinants representable; a row
+    swap contributes i*pi to the log."""
     a = np.array(mat, dtype=complex)
     n = a.shape[0]
     logdet = 0.0 + 0.0j
     swaps = 0
     min_piv = np.inf
-    for k in range(n):
-        rel = int(np.argmax(np.abs(a[k:, k])))
-        if rel:
-            a[[k, k + rel], k:] = a[[k + rel, k], k:]
-            swaps += 1
-        piv = a[k, k]
-        apiv = abs(piv)
-        if apiv < min_piv:
-            min_piv = apiv
-        if apiv == 0.0:
-            return complex(-np.inf), 0.0
-        logdet += np.log(piv)
-        if k + 1 < n:
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / piv, a[k, k + 1 :])
+    for k0 in range(0, n, LU_PANEL):
+        k1 = min(k0 + LU_PANEL, n)
+        panel_swaps = []
+        for k in range(k0, k1):
+            rel = int(np.argmax(np.abs(a[k:, k])))
+            if rel:
+                a[[k, k + rel], k0:k1] = a[[k + rel, k], k0:k1]
+                panel_swaps.append((k, k + rel))
+            piv = a[k, k]
+            apiv = abs(piv)
+            if apiv < min_piv:
+                min_piv = apiv
+            if apiv == 0.0:
+                return complex(-np.inf), 0.0
+            logdet += np.log(piv)
+            a[k + 1 :, k] /= piv
+            a[k + 1 :, k + 1 : k1] -= np.outer(a[k + 1 :, k], a[k, k + 1 : k1])
+        swaps += len(panel_swaps)
+        if k1 < n:
+            for k, r in panel_swaps:
+                a[[k, r], k1:] = a[[r, k], k1:]
+            for i in range(k0 + 1, k1):
+                a[i, k1:] -= a[i, k0:i] @ a[k0:i, k1:]
+            a[k1:, k1:] -= a[k1:, k0:k1] @ a[k0:k1, k1:]
     if swaps % 2:
         logdet += 1j * np.pi
     return complex(logdet), float(min_piv)
@@ -194,54 +209,58 @@ def _height_prefactor_log(n, theta, eta, guard_tol=None):
 
 
 def _det_guards(p, form, guard_tol):
-    """Every denominator the determinant formula divides by, vectorised."""
+    """Every denominator the determinant formula divides by, vectorised.
+    Returns the sinh it guards, each evaluated once: the N x N grids at
+    lambda_i -+ xi_j and lambda_i -+ xi_j + eta, and over i < j the pair
+    vectors at xi_j -+ xi_i, lambda_j - lambda_i, lambda_j + lambda_i + eta."""
     n = p.n
     lam = p.lambdas_array()
     xi = p.xis_array()
     L = lam[:, None]
     X = xi[None, :]
-    require_all_nonsingular(
-        lambda k: f"lambda[{k // n}]-xi[{k % n}]", L - X, guard_tol)
-    require_all_nonsingular(
-        lambda k: f"lambda[{k // n}]+xi[{k % n}]", L + X, guard_tol)
-    require_all_nonsingular(
-        lambda k: f"lambda[{k // n}]-xi[{k % n}]+eta", L - X + p.eta, guard_tol)
-    require_all_nonsingular(
-        lambda k: f"lambda[{k // n}]+xi[{k % n}]+eta", L + X + p.eta, guard_tol)
+    grids = tuple(
+        require_all_nonsingular(
+            lambda k, op=op, shift=shift: f"lambda[{k // n}]{op}xi[{k % n}]{shift}",
+            args, guard_tol)
+        for op, shift, args in (("-", "", L - X), ("+", "", L + X),
+                                ("-", "+eta", L - X + p.eta), ("+", "+eta", L + X + p.eta))
+    )
     require_all_nonsingular(
         lambda k: f"theta+zeta+lambda[{k}]", p.theta + p.zeta + lam, guard_tol)
     require_all_nonsingular(
         lambda k: f"zeta+lambda[{k}]", p.zeta + lam, guard_tol)
     if form == SUM_FORM:
         require_nonsingular("theta", p.theta, guard_tol)
-    if n > 1:
-        iu, ju = np.triu_indices(n, 1)
-        require_all_nonsingular(
-            lambda k: f"xi[{ju[k]}]-xi[{iu[k]}]", xi[ju] - xi[iu], guard_tol)
-        require_all_nonsingular(
-            lambda k: f"xi[{ju[k]}]+xi[{iu[k]}]", xi[ju] + xi[iu], guard_tol)
-        require_all_nonsingular(
-            lambda k: f"lambda[{ju[k]}]-lambda[{iu[k]}]", lam[ju] - lam[iu], guard_tol)
-        require_all_nonsingular(
-            lambda k: f"lambda[{ju[k]}]+lambda[{iu[k]}]+eta", lam[ju] + lam[iu] + p.eta, guard_tol)
+    iu, ju = np.triu_indices(n, 1)
+    pairs = tuple(
+        require_all_nonsingular(lambda k, f=f: f.format(ju[k], iu[k]), args, guard_tol)
+        for f, args in (("xi[{}]-xi[{}]", xi[ju] - xi[iu]), ("xi[{}]+xi[{}]", xi[ju] + xi[iu]),
+                        ("lambda[{}]-lambda[{}]", lam[ju] - lam[iu]),
+                        ("lambda[{}]+lambda[{}]+eta", lam[ju] + lam[iu] + p.eta))
+    )
+    return grids, pairs
+
+
+def _log_sinh_sum(sinhs):
+    """Sum of log s over the arrays `sinhs`, as sum log|s| + i sum arg s."""
+    return complex(sum(np.sum(np.log(np.abs(s))) for s in sinhs),
+                   sum(np.sum(np.angle(s)) for s in sinhs))
 
 
 def z_determinant(p, form=PRODUCT_FORM, guard_tol=None):
     """Z as a scalar prefactor times an N x N determinant; O(N^3).
 
-    Warns IllConditionedWarning when the smallest elimination pivot drops
-    below 1e-10, which at large N is expected: the kernel is Cauchy-like and
-    its pivots decay geometrically, so trust `log_value` over `value` there.
+    Every sinh is evaluated once, in `_det_guards`, and feeds both the
+    kernel and the log prefactor; `cond_hint` is the smallest pivot modulus
+    of the blocked LU.  Warns IllConditionedWarning when it drops below 1e-10,
+    which at large N is expected: the kernel is Cauchy-like and its pivots
+    decay geometrically, so trust `log_value` over `value` there.  Below about
+    1e-12 the value has no reliable digits (LU orderings disagree widely).
     """
     t0 = time.perf_counter()
     n = p.n
-    _det_guards(p, form, guard_tol)
-    lam = p.lambdas_array()
-    xi = p.xis_array()
-    L = lam[:, None]
-    X = xi[None, :]
-
-    logdet, min_piv = logdet_partial_pivot(_m_matrix_entries(p, form))
+    grids, pairs = _det_guards(p, form, guard_tol)
+    logdet, min_piv = logdet_partial_pivot(_m_matrix_entries(p, form, grids))
     if min_piv < ILL_CONDITIONED_PIVOT:
         warnings.warn(
             f"smallest elimination pivot {min_piv:.2e}; determinant digits "
@@ -250,21 +269,7 @@ def z_determinant(p, form=PRODUCT_FORM, guard_tol=None):
             stacklevel=2,
         )
 
-    log_pref = (
-        np.sum(np.log(sh(L + X)))
-        + np.sum(np.log(sh(L - X)))
-        + np.sum(np.log(sh(L + X + p.eta)))
-        + np.sum(np.log(sh(L - X + p.eta)))
-    )
-    if n > 1:
-        iu, ju = np.triu_indices(n, 1)
-        log_pref -= (
-            np.sum(np.log(sh(xi[ju] + xi[iu])))
-            + np.sum(np.log(sh(xi[ju] - xi[iu])))
-            + np.sum(np.log(sh(lam[ju] - lam[iu])))
-            + np.sum(np.log(sh(lam[ju] + lam[iu] + p.eta)))
-        )
-
+    log_pref = _log_sinh_sum(grids) - _log_sinh_sum(pairs)
     log_value = logdet + log_pref + _height_prefactor_log(n, p.theta, p.eta, guard_tol)
     value = complex(np.exp(log_value))
     return PartitionResult(
@@ -284,57 +289,47 @@ def crossing_factor(lambda_i, p, guard_tol=None):
     )
 
 
-def recursion_rhs_lower(p, z_prev, guard_tol=None):
-    """Right-hand side of the recursion at the coincidence lambda_1 = xi_1.
-
-    `z_prev` is Z of the (N-1)-site instance on lambdas[1:], xis[1:]; the
-    empty chain has Z = 1.
-    """
-    if p.lambdas[0] != p.xis[0]:
+def _recursion_rhs(p, z_prev, side, guard_tol):
+    """Right-hand side of the recursion at a coincidence: side "lower" pins
+    lambda_1 = xi_1, "upper" pins lambda_N = -xi_1.  The upper product is the
+    lower one with every xi negated, factor for factor in the same order."""
+    lower = side == "lower"
+    k, name, c, cname = (0, "lambda[0]", p.zeta, "zeta") if lower else (
+        -1, "lambda[N-1]", p.theta + p.zeta, "theta+zeta")
+    flip = operator.pos if lower else operator.neg
+    x = flip(p.xis[0])
+    lp = p.lambdas[k]
+    if lp != x:
         raise InvariantViolation(
-            "lower recursion needs lambda[0] == xi[0] exactly, got "
-            f"{p.lambdas[0]} and {p.xis[0]}"
+            f"{side} recursion needs {name} == {'' if lower else '-'}xi[0] exactly, "
+            f"got {lp} and {x}"
         )
     n = p.n
-    theta, eta, zeta = p.theta, p.eta, p.zeta
-    l1 = p.lambdas[0]
-    require_nonsingular("zeta+lambda[0]", zeta + l1, guard_tol)
-    val = sh(eta) * sh(zeta - l1) / sh(zeta + l1)
+    theta, eta = p.theta, p.eta
+    require_nonsingular(f"{cname}+{name}", c + lp, guard_tol)
+    val = sh(eta) * sh(c - lp) / sh(c + lp)
     for i in range(1, n + 1):
         require_nonsingular(
             f"theta+{n - 2 * i + 1}*eta", theta + (n - 2 * i + 1) * eta, guard_tol)
-        val = val * sh(p.lambdas[i - 1] + p.xis[0]) \
+        val = val * sh(p.lambdas[i - 1] + x) \
             * sh(theta + (n - 2 * i) * eta) / sh(theta + (n - 2 * i + 1) * eta)
-    for i in range(2, n + 1):
-        val = val * sh(l1 - p.xis[i - 1] + eta) * sh(l1 + p.xis[i - 1] + eta) \
-            * sh(p.lambdas[i - 1] - p.xis[0] + eta)
+    others = p.lambdas[1:] if lower else p.lambdas[:-1]
+    for xi_i, lam_i in zip(p.xis[1:], others):
+        y = flip(xi_i)
+        val = val * sh(lp - y + eta) * sh(lp + y + eta) * sh(lam_i - x + eta)
     return complex(val * z_prev)
+
+
+def recursion_rhs_lower(p, z_prev, guard_tol=None):
+    """Recursion right-hand side at lambda_1 = xi_1; `z_prev` is Z on
+    lambdas[1:], xis[1:] (the empty chain has Z = 1)."""
+    return _recursion_rhs(p, z_prev, "lower", guard_tol)
 
 
 def recursion_rhs_upper(p, z_prev, guard_tol=None):
-    """Right-hand side of the recursion at the coincidence lambda_N = -xi_1.
-
-    `z_prev` is Z of the (N-1)-site instance on lambdas[:-1], xis[1:].
-    """
-    if p.lambdas[-1] != -p.xis[0]:
-        raise InvariantViolation(
-            "upper recursion needs lambda[N-1] == -xi[0] exactly, got "
-            f"{p.lambdas[-1]} and {-p.xis[0]}"
-        )
-    n = p.n
-    theta, eta, zeta = p.theta, p.eta, p.zeta
-    lN = p.lambdas[-1]
-    require_nonsingular("theta+zeta+lambda[N-1]", theta + zeta + lN, guard_tol)
-    val = sh(eta) * sh(theta + zeta - lN) / sh(theta + zeta + lN)
-    for i in range(1, n + 1):
-        require_nonsingular(
-            f"theta+{n - 2 * i + 1}*eta", theta + (n - 2 * i + 1) * eta, guard_tol)
-        val = val * sh(p.lambdas[i - 1] - p.xis[0]) \
-            * sh(theta + (n - 2 * i) * eta) / sh(theta + (n - 2 * i + 1) * eta)
-    for i in range(2, n + 1):
-        val = val * sh(lN + p.xis[i - 1] + eta) * sh(lN - p.xis[i - 1] + eta) \
-            * sh(p.lambdas[i - 2] + p.xis[0] + eta)
-    return complex(val * z_prev)
+    """Recursion right-hand side at lambda_N = -xi_1; `z_prev` is Z on
+    lambdas[:-1], xis[1:]."""
+    return _recursion_rhs(p, z_prev, "upper", guard_tol)
 
 
 def normalized_z(p, i, z, second_factor="zeta"):
