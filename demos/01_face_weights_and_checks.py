@@ -30,4 +30,4 @@ for _ in range(5):
     dybe = weights.check_dybe((p.lambdas[0], p.lambdas[1], p.eta / 3), p.theta, p.eta)
     unit = weights.check_unitarity(p.lambdas[0], p.theta, p.eta)
     refl = weights.check_reflection_equation(p.lambdas[0], p.lambdas[1], p.theta, p.eta, p.zeta)
-    print(f"  dybe {dybe.residual:.2e}  unitarity {unit.residual:.2e}  reflection {refl.residual:.2e}")
+    print(f"  dybe {dybe:.2e}  unitarity {unit:.2e}  reflection {refl:.2e}")

@@ -18,14 +18,14 @@ print("  C:", chain_ops.block_grading_residual(blocks.C, +2))
 print("  D:", chain_ops.block_grading_residual(blocks.D, 0))
 
 print("\noperator identities:")
-print("  exchange algebra      :", chain_ops.check_exchange_algebra(lam1, lam2, p).residual)
-print("  double-row reflection :", chain_ops.check_double_row_reflection(lam1, lam2, p).residual)
-print("  B commutation         :", chain_ops.check_b_commutation(lam1, lam2, p).residual)
-print("  inverse identity      :", chain_ops.check_monodromy_inverse(lam1, p).residual)
+print("  exchange algebra      :", chain_ops.check_exchange_algebra(lam1, lam2, p))
+print("  double-row reflection :", chain_ops.check_double_row_reflection(lam1, lam2, p))
+print("  B commutation         :", chain_ops.check_b_commutation(lam1, lam2, p))
+print("  inverse identity      :", chain_ops.check_monodromy_inverse(lam1, p))
 
 # the crossing identity needs the image point -lambda-eta to be generic too
 pc = verify.sample_params(cfg, 2, rng, extra_guards=verify._crossing_extra(0))
-print("  B crossing            :", chain_ops.check_b_crossing(pc.lambdas[0], pc).residual)
+print("  B crossing            :", chain_ops.check_b_crossing(pc.lambdas[0], pc))
 
 factor = chain_ops.crossing_scalar(pc.lambdas[0], pc.theta, pc.eta, pc.zeta)
 back = chain_ops.crossing_scalar(-pc.lambdas[0] - pc.eta, pc.theta, pc.eta, pc.zeta)

@@ -16,7 +16,6 @@ from .params import (
     validate_params,
 )
 from .weights import (
-    CheckReport,
     FaceWeightSet,
     check_dybe,
     check_reflection_equation,
@@ -60,6 +59,7 @@ from .partition import (
     z_n1_closed,
 )
 from .verify import (
+    CheckReport,
     SuiteConfig,
     SuiteReport,
     degree_bound_residual,

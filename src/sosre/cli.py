@@ -133,14 +133,12 @@ def cmd_compute(p, method, cap=partition.BRUTE_CAP_DEFAULT, output=None):
 
 def cmd_verify(suite, seed, samples, max_n, output=None):
     """Run a verification suite; exit 0 only if every check passed."""
-    cfg = verify.SuiteConfig(seed=seed, samples_per_case=samples)
+    n_values = verify.SuiteConfig.n_values
     if max_n is not None:
-        kept = tuple(n for n in cfg.n_values if n <= max_n)
-        if not kept:
+        n_values = tuple(n for n in n_values if n <= max_n)
+        if not n_values:
             raise ParseError(f"--max-n {max_n} leaves no chain sizes to test")
-        cfg = verify.SuiteConfig(
-            seed=seed, samples_per_case=samples, n_values=kept
-        )
+    cfg = verify.SuiteConfig(seed=seed, samples_per_case=samples, n_values=n_values)
     report = verify.run_suite(suite, cfg)
     _emit(report.to_json(), output)
     return 0 if report.summary["failed"] == 0 else 1

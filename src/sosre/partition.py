@@ -109,7 +109,8 @@ def m_entry(i, j, p, form=PRODUCT_FORM, guard_tol=None):
     kernel of lambda_i against xi_j, guarded by name.
 
     The sum form splits into two boundary-weighted terms; the product form is
-    a single product of sinh ratios.  The two agree at generic points.
+    a single product of sinh ratios.  The two agree at generic points.  Only
+    the sum form divides by sinh(theta) (guarded in `_det_guards`).
     """
     li = complex(p.lambdas[i])
     xj = complex(p.xis[j])
@@ -118,7 +119,6 @@ def m_entry(i, j, p, form=PRODUCT_FORM, guard_tol=None):
     require_nonsingular("lambda_i+xi_j+eta", li + xj + eta, guard_tol)
     require_nonsingular("lambda_i-xi_j", li - xj, guard_tol)
     require_nonsingular("lambda_i+xi_j", li + xj, guard_tol)
-    require_nonsingular("theta", theta, guard_tol)
     require_nonsingular("theta+zeta+lambda_i", theta + zeta + li, guard_tol)
     require_nonsingular("zeta+lambda_i", zeta + li, guard_tol)
     q = ModelParams(eta, zeta, theta, (li,), (xj,))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class SuiteConfig:
     guard_tol: float = 0.10
     ratio_guard_tol: float = 0.35
     domain: tuple = ((-0.8, 0.8), (-0.8, 0.8))
-    brute_cap: int = 8
     max_attempts: int = 5000
 
     def __post_init__(self):
@@ -200,6 +199,18 @@ def degree_bound_residual(p, i, rng, second_factor="zeta", radius=1.25):
 
 
 @dataclass(frozen=True)
+class CheckReport:
+    """One verified case: its max-entry residual judged against a tolerance.
+    `n` is the chain size (0 for weight-level cases)."""
+
+    name: str
+    n: int
+    residual: float
+    tol: float
+    passed: bool
+
+
+@dataclass(frozen=True)
 class SuiteReport:
     suite: str
     seed: int
@@ -212,16 +223,7 @@ class SuiteReport:
         doc = {
             "suite": self.suite,
             "seed": self.seed,
-            "cases": [
-                {
-                    "name": c.name,
-                    "n": int(c.params.get("n", 0)),
-                    "residual": c.residual,
-                    "tol": c.tol,
-                    "passed": c.passed,
-                }
-                for c in self.cases
-            ],
+            "cases": [asdict(c) for c in self.cases],
             "summary": self.summary,
         }
         return json.dumps(doc, indent=2)
@@ -240,96 +242,76 @@ def _roll(seq):
 
 
 # ---------------------------------------------------------------------------
-# Case runners.  Each takes (cfg, n, rng) and returns (residual, params_dict).
+# Case runners.  Each takes (cfg, n, rng) and returns the residual.
 
 
 def _run_dybe(cfg, n, rng):
     p = sample_params(cfg, 3, rng)
-    rep = weights.check_dybe(p.lambdas, p.theta, p.eta)
-    return rep.residual, rep.params
+    return weights.check_dybe(p.lambdas, p.theta, p.eta)
 
 
-def _run_unitarity(cfg, n, rng):
-    p = sample_params(cfg, 1, rng)
-    rep = weights.check_unitarity(p.lambdas[0], p.theta, p.eta)
-    return rep.residual, rep.params
+def _single_site_runner(check):
+    """Runner for a check of R at one spectral parameter."""
+
+    def run(cfg, n, rng):
+        p = sample_params(cfg, 1, rng)
+        return check(p.lambdas[0], p.theta, p.eta)
+
+    return run
 
 
 def _run_reflection(cfg, n, rng):
     p = sample_params(cfg, 2, rng)
-    rep = weights.check_reflection_equation(
+    return weights.check_reflection_equation(
         p.lambdas[0], p.lambdas[1], p.theta, p.eta, p.zeta
     )
-    return rep.residual, rep.params
 
 
-def _run_ice_rule(cfg, n, rng):
-    p = sample_params(cfg, 1, rng)
-    res = weights.ice_rule_residual(p.lambdas[0], p.theta, p.eta)
-    return res, {"lambda": p.lambdas[0], "theta": p.theta, "eta": p.eta}
+def _chain_pair_runner(check):
+    """Runner for a chain identity at two spectral parameters."""
 
+    def run(cfg, n, rng):
+        p = sample_params(cfg, max(n, 2), rng)
+        return check(p.lambdas[0], p.lambdas[1], _trimmed(p, n))
 
-def _run_ice_rule_transposed(cfg, n, rng):
-    p = sample_params(cfg, 1, rng)
-    res = weights.transposed_ice_rule_residual(p.lambdas[0], p.theta, p.eta)
-    return res, {"lambda": p.lambdas[0], "theta": p.theta, "eta": p.eta}
-
-
-def _chain_pair(cfg, n, rng):
-    p = sample_params(cfg, max(n, 2), rng)
-    return p.lambdas[0], p.lambdas[1], _trimmed(p, n)
-
-
-def _run_exchange_algebra(cfg, n, rng):
-    l1, l2, q = _chain_pair(cfg, n, rng)
-    rep = chain_ops.check_exchange_algebra(l1, l2, q)
-    return rep.residual, rep.params
-
-
-def _run_double_row_reflection(cfg, n, rng):
-    l1, l2, q = _chain_pair(cfg, n, rng)
-    rep = chain_ops.check_double_row_reflection(l1, l2, q)
-    return rep.residual, rep.params
-
-
-def _run_b_commutation(cfg, n, rng):
-    l1, l2, q = _chain_pair(cfg, n, rng)
-    rep = chain_ops.check_b_commutation(l1, l2, q)
-    return rep.residual, rep.params
+    return run
 
 
 def _run_monodromy_inverse(cfg, n, rng):
     p = sample_params(cfg, n, rng)
-    rep = chain_ops.check_monodromy_inverse(p.lambdas[0], p)
-    return rep.residual, rep.params
+    return chain_ops.check_monodromy_inverse(p.lambdas[0], p)
 
 
 def _run_b_crossing(cfg, n, rng):
     p = sample_params(cfg, n, rng, extra_guards=_crossing_extra(0))
-    rep = chain_ops.check_b_crossing(p.lambdas[0], p)
-    return rep.residual, rep.params
+    return chain_ops.check_b_crossing(p.lambdas[0], p)
 
 
 def _run_closed_form_n1(cfg, n, rng):
     p = sample_params(cfg, 1, rng)
-    zb = partition.z_bruteforce(p, cap=cfg.brute_cap).value
+    zb = partition.z_bruteforce(p).value
     zc = partition.z_n1_closed(p.lambdas[0], p.xis[0], p.theta, p.eta, p.zeta)
-    return rel_diff(zb, zc), _pdict(p)
+    return rel_diff(zb, zc)
 
 
 def _run_det_vs_brute(cfg, n, rng):
     p = sample_params(cfg, n, rng)
     zd = partition.z_determinant(p).value
-    zb = partition.z_bruteforce(p, cap=cfg.brute_cap).value
-    return rel_diff(zd, zb), _pdict(p)
+    zb = partition.z_bruteforce(p).value
+    return rel_diff(zd, zb)
 
 
 def _run_m_form_equivalence(cfg, n, rng):
     p = sample_params(cfg, n, rng)
     ms = partition.m_matrix(p, partition.SUM_FORM).entries
     mp = partition.m_matrix(p, partition.PRODUCT_FORM).entries
-    worst = max(rel_diff(a, b) for a, b in zip(ms.ravel(), mp.ravel()))
-    return worst, _pdict(p)
+    return max(rel_diff(a, b) for a, b in zip(ms.ravel(), mp.ravel()))
+
+
+def _z(method):
+    """Z by one route: "brute" (contraction) or "det" (determinant)."""
+    z = partition.z_bruteforce if method == "brute" else partition.z_determinant
+    return lambda p: z(p).value
 
 
 def _perm_runner(attr, method):
@@ -339,13 +321,8 @@ def _perm_runner(attr, method):
             q = ModelParams(p.eta, p.zeta, p.theta, _roll(p.lambdas), p.xis)
         else:
             q = ModelParams(p.eta, p.zeta, p.theta, p.lambdas, _roll(p.xis))
-        if method == "brute":
-            za = partition.z_bruteforce(p, cap=cfg.brute_cap).value
-            zb = partition.z_bruteforce(q, cap=cfg.brute_cap).value
-        else:
-            za = partition.z_determinant(p).value
-            zb = partition.z_determinant(q).value
-        return rel_diff(za, zb), _pdict(p)
+        z = _z(method)
+        return rel_diff(z(p), z(q))
 
     return run
 
@@ -356,76 +333,55 @@ def _crossing_runner(method):
         p = sample_params(cfg, n, rng, extra_guards=_crossing_extra(i))
         q = p.replace_lambda(i, -p.lambdas[i] - p.eta)
         factor = partition.crossing_factor(p.lambdas[i], p)
-        if method == "brute":
-            za = partition.z_bruteforce(p, cap=cfg.brute_cap).value
-            zb = partition.z_bruteforce(q, cap=cfg.brute_cap).value
-        else:
-            za = partition.z_determinant(p).value
-            zb = partition.z_determinant(q).value
-        return rel_diff(zb, factor * za), _pdict(p, i=i)
+        z = _z(method)
+        za, zb = z(p), z(q)
+        return rel_diff(zb, factor * za)
 
     return run
 
 
-def _run_recursion_lower(cfg, n, rng):
-    pdeg = _sample_degenerate(
-        cfg, n, rng,
-        pin=lambda p: (p.replace_lambda(0, p.xis[0]), {"lambda[0]-xi[0]"}),
-    )
-    if n == 1:
-        z_prev = 1.0
-    else:
-        z_prev = partition.z_determinant(pdeg.drop_site(0)).value
-    zb = partition.z_bruteforce(pdeg, cap=cfg.brute_cap).value
-    rhs = partition.recursion_rhs_lower(pdeg, z_prev)
-    return rel_diff(zb, rhs), _pdict(pdeg)
+def _recursion_runner(side):
+    """Runner comparing contraction with the recursion right-hand side at the
+    pinned point lambda[0] = xi[0] ("lower") or lambda[N-1] = -xi[0] ("upper")."""
+    lower = side == "lower"
 
+    def pin(p):
+        if lower:
+            return p.replace_lambda(0, p.xis[0]), {"lambda[0]-xi[0]"}
+        return p.replace_lambda(p.n - 1, -p.xis[0]), {f"lambda[{p.n - 1}]+xi[0]"}
 
-def _run_recursion_upper(cfg, n, rng):
-    pdeg = _sample_degenerate(
-        cfg, n, rng,
-        pin=lambda p: (
-            p.replace_lambda(n - 1, -p.xis[0]),
-            {f"lambda[{n - 1}]+xi[0]"},
-        ),
-    )
-    if n == 1:
+    def run(cfg, n, rng):
+        pdeg = _sample_degenerate(cfg, n, rng, pin)
         z_prev = 1.0
-    else:
-        prev = ModelParams(
-            pdeg.eta, pdeg.zeta, pdeg.theta, pdeg.lambdas[:-1], pdeg.xis[1:]
-        )
-        z_prev = partition.z_determinant(prev).value
-    zb = partition.z_bruteforce(pdeg, cap=cfg.brute_cap).value
-    rhs = partition.recursion_rhs_upper(pdeg, z_prev)
-    return rel_diff(zb, rhs), _pdict(pdeg)
+        if n > 1:
+            lambdas = pdeg.lambdas[1:] if lower else pdeg.lambdas[:-1]
+            prev = ModelParams(pdeg.eta, pdeg.zeta, pdeg.theta, lambdas, pdeg.xis[1:])
+            z_prev = partition.z_determinant(prev).value
+        zb = partition.z_bruteforce(pdeg).value
+        rhs = partition.recursion_rhs_lower if lower else partition.recursion_rhs_upper
+        return rel_diff(zb, rhs(pdeg, z_prev))
+
+    return run
 
 
 def _run_degree_bound(cfg, n, rng):
     i = int(rng.integers(n))
     p = sample_params(cfg, n, rng)
-    return degree_bound_residual(p, i, rng), _pdict(p, i=i)
-
-
-def _pdict(p, **extra):
-    d = {"eta": p.eta, "zeta": p.zeta, "theta": p.theta,
-         "lambdas": p.lambdas, "xis": p.xis, "n": p.n}
-    d.update(extra)
-    return d
+    return degree_bound_residual(p, i, rng)
 
 
 _WEIGHTS_CASES = (
     ("dybe", _run_dybe),
-    ("unitarity", _run_unitarity),
+    ("unitarity", _single_site_runner(weights.check_unitarity)),
     ("reflection_equation", _run_reflection),
-    ("ice_rule", _run_ice_rule),
-    ("ice_rule_transposed", _run_ice_rule_transposed),
+    ("ice_rule", _single_site_runner(weights.ice_rule_residual)),
+    ("ice_rule_transposed", _single_site_runner(weights.transposed_ice_rule_residual)),
 )
 
 _ALGEBRA_CASES = (
-    ("exchange_algebra", _run_exchange_algebra),
-    ("double_row_reflection", _run_double_row_reflection),
-    ("b_commutation", _run_b_commutation),
+    ("exchange_algebra", _chain_pair_runner(chain_ops.check_exchange_algebra)),
+    ("double_row_reflection", _chain_pair_runner(chain_ops.check_double_row_reflection)),
+    ("b_commutation", _chain_pair_runner(chain_ops.check_b_commutation)),
     ("monodromy_inverse", _run_monodromy_inverse),
     ("b_crossing", _run_b_crossing),
 )
@@ -440,8 +396,8 @@ _PARTITION_CASES = (
     ("xi_permutation_det", _perm_runner("xis", "det")),
     ("crossing_brute", _crossing_runner("brute")),
     ("crossing_det", _crossing_runner("det")),
-    ("recursion_lower", _run_recursion_lower),
-    ("recursion_upper", _run_recursion_upper),
+    ("recursion_lower", _recursion_runner("lower")),
+    ("recursion_upper", _recursion_runner("upper")),
     ("degree_bound", _run_degree_bound),
 )
 
@@ -490,29 +446,18 @@ def run_suite(name, cfg=None):
     cases = []
     skipped = 0
     for idx, (case_name, n, runner) in enumerate(plan):
-        tol = cfg.tol(case_name)
-        residual = None
-        pdict = {"n": n}
+        tol = float(cfg.tol(case_name))
+        residual = float("inf")
         for attempt in range(8):
             rng = np.random.default_rng(
                 np.random.SeedSequence((cfg.seed, idx, attempt))
             )
             try:
-                residual, pdict = runner(cfg, n, rng)
-                pdict = dict(pdict)
-                pdict["n"] = n
+                residual = float(runner(cfg, n, rng))
                 break
             except NearSingular:
                 skipped += 1
-                continue
-        if residual is None:
-            residual = float("inf")
-        residual = float(residual)
-        cases.append(
-            weights.CheckReport(
-                case_name, residual, float(tol), residual <= tol, cfg.seed, pdict
-            )
-        )
+        cases.append(CheckReport(case_name, n, residual, tol, residual <= tol))
     summary = {
         "passed": sum(1 for c in cases if c.passed),
         "failed": sum(1 for c in cases if not c.passed),

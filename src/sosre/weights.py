@@ -31,24 +31,6 @@ class FaceWeightSet:
     c_minus: complex
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one identity check: max-entry residual against a tolerance."""
-
-    name: str
-    residual: float
-    tol: float
-    passed: bool
-    seed: int | None
-    params: dict
-
-
-def _report(name, residual, tol, seed, params):
-    residual = float(residual)
-    tol = float(tol)
-    return CheckReport(name, residual, tol, residual <= tol, seed, params)
-
-
 def _b_weight(lam, theta, eta):
     return sh(lam) * sh(theta - eta) / sh(theta)
 
@@ -172,8 +154,9 @@ def transposed_ice_rule_residual(lam, theta, eta, guard_tol=None):
     return float(np.max(np.abs(Rt1 @ M - M @ Rt1)))
 
 
-def check_dybe(lambdas, theta, eta, tol=1e-10, guard_tol=None, seed=None):
-    """Dynamical Yang-Baxter equation on three spaces.
+def check_dybe(lambdas, theta, eta, guard_tol=None):
+    """Dynamical Yang-Baxter equation on three spaces: the max |entry| of
+    lhs - rhs, as a float.
 
     Each R carries a height shifted by the spin of the spectating space on
     one side of the equation and is unshifted on the other.
@@ -189,27 +172,22 @@ def check_dybe(lambdas, theta, eta, tol=1e-10, guard_tol=None, seed=None):
         @ embed_pair(3, 0, 2, (1,), l1 - l3, theta, eta, guard_tol)
         @ embed_pair(3, 0, 1, (), l1 - l2, theta, eta, guard_tol)
     )
-    res = np.max(np.abs(lhs - rhs))
-    return _report(
-        "dybe", res, tol, seed,
-        {"lambdas": (l1, l2, l3), "theta": complex(theta), "eta": complex(eta)},
-    )
+    return float(np.max(np.abs(lhs - rhs)))
 
 
-def check_unitarity(lam, theta, eta, tol=1e-12, guard_tol=None, seed=None):
+def check_unitarity(lam, theta, eta, guard_tol=None):
     """R12(lam) R21(-lam) must equal -sinh(lam-eta) sinh(lam+eta) times the
-    identity, with R21 the swap conjugate of R12."""
+    identity, with R21 the swap conjugate of R12; returns the max |entry| of
+    the difference, as a float."""
     lam, theta, eta = complex(lam), complex(theta), complex(eta)
     R12 = r_matrix(lam, theta, eta, guard_tol)
     R21 = SWAP_4 @ r_matrix(-lam, theta, eta, guard_tol) @ SWAP_4
-    res = np.max(np.abs(R12 @ R21 + sh(lam - eta) * sh(lam + eta) * np.eye(4)))
-    return _report(
-        "unitarity", res, tol, seed, {"lambda": lam, "theta": theta, "eta": eta}
-    )
+    return float(np.max(np.abs(R12 @ R21 + sh(lam - eta) * sh(lam + eta) * np.eye(4))))
 
 
-def check_reflection_equation(l1, l2, theta, eta, zeta, tol=1e-11, guard_tol=None, seed=None):
-    """Boundary reflection equation on two spaces with K in space 1 or 2."""
+def check_reflection_equation(l1, l2, theta, eta, zeta, guard_tol=None):
+    """Boundary reflection equation on two spaces with K in space 1 or 2:
+    the max |entry| of lhs - rhs, as a float."""
     l1, l2 = complex(l1), complex(l2)
     K1 = embed_boundary(2, 0, l1, theta, zeta, guard_tol)
     K2 = embed_boundary(2, 1, l2, theta, zeta, guard_tol)
@@ -217,8 +195,4 @@ def check_reflection_equation(l1, l2, theta, eta, zeta, tol=1e-11, guard_tol=Non
     R21 = lambda x: embed_pair(2, 1, 0, (), x, theta, eta, guard_tol)
     lhs = R12(l1 - l2) @ K1 @ R21(l1 + l2) @ K2
     rhs = K2 @ R12(l1 + l2) @ K1 @ R21(l1 - l2)
-    res = np.max(np.abs(lhs - rhs))
-    return _report(
-        "reflection_equation", res, tol, seed,
-        {"l1": l1, "l2": l2, "theta": complex(theta), "eta": complex(eta), "zeta": complex(zeta)},
-    )
+    return float(np.max(np.abs(lhs - rhs)))

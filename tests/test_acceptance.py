@@ -33,7 +33,7 @@ def test_criterion_01_dybe(capsys):
     worst = 0.0
     for _ in range(100):
         p = draw(3, rng)
-        worst = max(worst, weights.check_dybe(p.lambdas, p.theta, p.eta).residual)
+        worst = max(worst, weights.check_dybe(p.lambdas, p.theta, p.eta))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 5.0
     report(capsys, 1, ok,
@@ -47,13 +47,13 @@ def test_criterion_02_unitarity_reflection(capsys):
     for _ in range(100):
         p = draw(2, rng)
         worst_u = max(
-            worst_u, weights.check_unitarity(p.lambdas[0], p.theta, p.eta).residual
+            worst_u, weights.check_unitarity(p.lambdas[0], p.theta, p.eta)
         )
         worst_r = max(
             worst_r,
             weights.check_reflection_equation(
                 p.lambdas[0], p.lambdas[1], p.theta, p.eta, p.zeta
-            ).residual,
+            ),
         )
     ok = worst_u < 1e-12 and worst_r < 1e-11
     report(capsys, 2, ok,
@@ -70,8 +70,8 @@ def test_criterion_03_exchange_and_double_row(capsys):
             q = p if n > 1 else ModelParams(p.eta, p.zeta, p.theta, p.lambdas[:1], p.xis[:1])
             worst = max(
                 worst,
-                chain_ops.check_exchange_algebra(p.lambdas[0], p.lambdas[1], q).residual,
-                chain_ops.check_double_row_reflection(p.lambdas[0], p.lambdas[1], q).residual,
+                chain_ops.check_exchange_algebra(p.lambdas[0], p.lambdas[1], q),
+                chain_ops.check_double_row_reflection(p.lambdas[0], p.lambdas[1], q),
             )
     ok = worst < 1e-9
     report(capsys, 3, ok,
@@ -86,10 +86,10 @@ def test_criterion_04_b_commutation_and_crossing(capsys):
             p = draw(max(n, 2), rng)
             q = p if n > 1 else ModelParams(p.eta, p.zeta, p.theta, p.lambdas[:1], p.xis[:1])
             worst = max(
-                worst, chain_ops.check_b_commutation(p.lambdas[0], p.lambdas[1], q).residual
+                worst, chain_ops.check_b_commutation(p.lambdas[0], p.lambdas[1], q)
             )
             pc = draw(n, rng, extra=verify._crossing_extra(0))
-            worst = max(worst, chain_ops.check_b_crossing(pc.lambdas[0], pc).residual)
+            worst = max(worst, chain_ops.check_b_crossing(pc.lambdas[0], pc))
     ok = worst < 1e-9
     report(capsys, 4, ok,
            f"B-commutation + B-crossing N=1..3, 25 each, worst {worst:.2e} < 1e-9")
@@ -102,7 +102,7 @@ def test_criterion_05_monodromy_inverse(capsys):
         for _ in range(25):
             p = draw(n, rng)
             worst = max(
-                worst, chain_ops.check_monodromy_inverse(p.lambdas[0], p).residual
+                worst, chain_ops.check_monodromy_inverse(p.lambdas[0], p)
             )
     ok = worst < 1e-10
     report(capsys, 5, ok,

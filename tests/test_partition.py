@@ -147,6 +147,21 @@ def test_m_entry_guard():
         partition.z_determinant(q)
 
 
+def test_m_entry_theta_guard_sum_form_only():
+    # only the sum form divides by sinh(theta)
+    rng = np.random.default_rng(85)
+    p = draw(2, rng)
+    q = ModelParams(p.eta, p.zeta, 1e-9, p.lambdas, p.xis)
+    M = partition.m_matrix(q).entries
+    for i in range(2):
+        for j in range(2):
+            assert rel_diff(partition.m_entry(i, j, q), M[i, j]) < 5e-15
+    with pytest.raises(NearSingular, match=r"sinh\(theta\)"):
+        partition.m_entry(0, 0, q, form=partition.SUM_FORM)
+    with pytest.raises(NearSingular, match=r"sinh\(theta\)"):
+        partition.m_matrix(q, partition.SUM_FORM)
+
+
 @pytest.mark.parametrize("method", ["brute", "det"])
 def test_permutation_symmetry(method):
     # Z is symmetric under any permutation of the lambdas and of the xis

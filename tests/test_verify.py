@@ -105,9 +105,9 @@ def test_all_suite_passes_small():
     for c in report.cases:
         if c.name in ("dybe", "unitarity", "reflection_equation", "ice_rule",
                       "ice_rule_transposed"):
-            assert c.params["n"] == 0
+            assert c.n == 0
         if "_permutation_" in c.name:
-            assert c.params["n"] >= 2
+            assert c.n >= 2
 
 
 def test_corrupted_weight_is_detected(monkeypatch):
