@@ -9,13 +9,15 @@ rng = np.random.default_rng(2)
 p = verify.sample_params(cfg, 2, rng)
 lam1, lam2 = p.lambdas
 
-blocks = chain_ops.double_row(lam1, p)
-print(f"N = {p.n}: each block is {blocks.B.shape[0]}x{blocks.B.shape[1]}")
+T = chain_ops.double_row_full(lam1, p)
+h = 1 << p.n
+blocks = {"A": T[:h, :h], "B": T[:h, h:], "C": T[h:, :h], "D": T[h:, h:]}
+mags = p.n - 2 * np.bitwise_count(np.arange(h)).astype(int)
+print(f"N = {p.n}: each block is {h}x{h}")
 print("grading residuals (A,D conserve, B lowers by 2, C raises by 2):")
-print("  A:", chain_ops.block_grading_residual(blocks.A, 0))
-print("  B:", chain_ops.block_grading_residual(blocks.B, -2))
-print("  C:", chain_ops.block_grading_residual(blocks.C, +2))
-print("  D:", chain_ops.block_grading_residual(blocks.D, 0))
+for name, delta in (("A", 0), ("B", -2), ("C", +2), ("D", 0)):
+    outside = mags[:, None] != mags[None, :] + delta
+    print(f"  {name}:", np.max(np.abs(np.where(outside, blocks[name], 0.0))))
 
 print("\noperator identities:")
 print("  exchange algebra      :", chain_ops.check_exchange_algebra(lam1, lam2, p))

@@ -27,19 +27,12 @@ from .weights import (
     transposed_ice_rule_residual,
 )
 from .chain_ops import (
-    AUX_FIRST,
-    AUX_SECOND,
-    ChainSpace,
-    MonodromyBlocks,
     b_operator,
-    bulk_monodromy,
     check_b_commutation,
     check_b_crossing,
     check_double_row_reflection,
     check_exchange_algebra,
     check_monodromy_inverse,
-    double_row,
-    embed_site_r,
     gamma_hat,
     hat_monodromy,
 )
@@ -49,7 +42,6 @@ from .partition import (
     PRODUCT_FORM,
     SUM_FORM,
     crossing_factor,
-    m_entry,
     m_matrix,
     normalized_z,
     recursion_rhs_lower,

@@ -16,94 +16,12 @@ the aux-up half of the image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import weights
 from .params import require_nonsingular
 
 sh = np.sinh
-
-AUX_FIRST = "aux-first"
-AUX_SECOND = "aux-second"
-
-
-def _popcounts(dim):
-    # bitwise_count yields uint8; widen before any signed arithmetic
-    return np.bitwise_count(np.arange(dim)).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class ChainSpace:
-    """Indexing helper for the 2^N chain basis.
-
-    Spin up sorts before spin down and site 1 is the slowest index, so the
-    all-up state is index 0 and the all-down state is index 2^N - 1.
-    """
-
-    n_sites: int
-
-    @property
-    def dim(self):
-        return 1 << self.n_sites
-
-    @property
-    def all_up(self):
-        return 0
-
-    @property
-    def all_down(self):
-        return self.dim - 1
-
-    def spin(self, state, site):
-        """Spin (+1/-1) at 1-based `site` of basis index `state`."""
-        return 1 - 2 * ((state >> (self.n_sites - site)) & 1)
-
-    def magnetization(self, state):
-        """Total spin of basis index `state`."""
-        return self.n_sites - 2 * int(state).bit_count()
-
-    def magnetizations(self):
-        """Magnetization of every basis index, as an array."""
-        return self.n_sites - 2 * _popcounts(self.dim)
-
-
-@dataclass(frozen=True)
-class MonodromyBlocks:
-    """Auxiliary-space blocks of an aux (x) chain operator: rows/cols of the
-    aux index ordered (up, down) give A = (up,up), B = (up,down),
-    C = (down,up), D = (down,down)."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-
-
-def _split_blocks(full):
-    h = full.shape[0] // 2
-    return MonodromyBlocks(
-        A=full[:h, :h], B=full[:h, h:], C=full[h:, :h], D=full[h:, h:]
-    )
-
-
-def embed_site_r(i, x, theta, eta, side=AUX_FIRST, n=None, guard_tol=None):
-    """R(x; theta - eta*m) coupling the auxiliary space with chain site i
-    (1-based) inside the full aux (x) chain space of dimension 2^(n+1).
-
-    The height shift m is the total spin of the sites to the right of i
-    (j > i), read off each basis state.  With side AUX_FIRST the auxiliary
-    space is the first R leg; AUX_SECOND swaps the legs.
-    """
-    if n is None:
-        raise ValueError("chain length n is required")
-    if not 1 <= i <= n:
-        raise ValueError(f"site index {i} outside 1..{n}")
-    if side not in (AUX_FIRST, AUX_SECOND):
-        raise ValueError(f"side must be {AUX_FIRST!r} or {AUX_SECOND!r}")
-    legs = (0, i) if side == AUX_FIRST else (i, 0)
-    return weights.embed_pair(n + 1, *legs, tuple(range(i + 1, n + 1)), x, theta, eta, guard_tol)
 
 
 def _apply_bulk(x, aux, lam, p, extra=(), guard_tol=None):
@@ -156,11 +74,6 @@ def bulk_full(lam, p, guard_tol=None):
     return _apply_bulk(np.eye(2 << p.n), 0, lam, p, guard_tol=guard_tol)
 
 
-def bulk_monodromy(lam, p, guard_tol=None):
-    """Auxiliary-space blocks A, B, C, D of the bulk monodromy."""
-    return _split_blocks(bulk_full(lam, p, guard_tol))
-
-
 def hat_monodromy(lam, p, guard_tol=None):
     """Return-path monodromy as the full aux (x) chain operator."""
     return _apply_hat(np.eye(2 << p.n), 0, lam, p, guard_tol)
@@ -169,11 +82,6 @@ def hat_monodromy(lam, p, guard_tol=None):
 def double_row_full(lam, p, guard_tol=None):
     """Double-row monodromy: bulk, boundary K on the auxiliary space, return path."""
     return _apply_double_row(np.eye(2 << p.n), 0, lam, p, guard_tol)
-
-
-def double_row(lam, p, guard_tol=None):
-    """Auxiliary-space blocks of the double-row monodromy."""
-    return _split_blocks(double_row_full(lam, p, guard_tol))
 
 
 def b_operator(lam, p, guard_tol=None):
@@ -201,21 +109,6 @@ def crossing_scalar(lam, theta, eta, zeta, guard_tol=None):
     return -(
         sh(2 * (lam + eta)) * sh(lam + zeta) * sh(lam + zeta + theta)
     ) / (sh(2 * lam) * sh(lam - zeta + eta) * sh(lam - theta - zeta + eta))
-
-
-def grading_residual(op):
-    """Max |entry| violating total-magnetization conservation; zero structurally."""
-    return block_grading_residual(op, 0)
-
-
-def block_grading_residual(block, delta):
-    """Max |entry| of an aux block outside chain-magnetization change `delta`
-    (row magnetization minus column magnetization); zero structurally."""
-    dim = block.shape[0]
-    n = dim.bit_length() - 1
-    mags = n - 2 * _popcounts(dim)
-    mask = mags[:, None] != mags[None, :] + delta
-    return float(np.max(np.abs(np.where(mask, block, 0.0))))
 
 
 def check_exchange_algebra(l1, l2, p, guard_tol=None):

@@ -135,51 +135,49 @@ class ModelParams:
         return ModelParams(self.eta, self.zeta, self.theta, lams, xis)
 
 
-def _ratio_families(p):
-    """Arguments whose sinh sits under the large coupling-dependent ratios.
+GENERIC = "generic"
+RATIO = "ratio"
 
-    These multiply results through factors like sinh(theta + k eta) in
-    denominators with sizeable numerators, so random sampling keeps them
-    further from zero than the generic families.
+
+def guard_families(p, pair_order=None):
+    """Every sinh denominator of the model, declared once: rows
+    (tier, key, args, name) in guard order.
+
+    `args` is a 1-D array or an N x N grid (entry [i, j] at lambda_i, xi_j or
+    lambda_i, lambda_j); `name(k)` labels its flat entry k.  Pair rows run
+    over (a[k], b[k]) for `pair_order` = (a, b), by default i < j.  RATIO
+    rows sit under the large coupling-dependent ratios (factors like
+    sinh(theta + k eta) in denominators with sizeable numerators), so the
+    sampler keeps them further from zero than the GENERIC rows.
     """
-    lam = p.lambdas_array()
-    ks = np.arange(-(p.n + 2), p.n + 3)
-    return [
-        ("theta%+d*eta", p.theta + ks * p.eta, lambda k, ks=ks: f"theta{ks[k]:+d}*eta"),
-        ("zeta+lambda", p.zeta + lam, lambda k: f"zeta+lambda[{k}]"),
-        ("theta+zeta+lambda", p.theta + p.zeta + lam, lambda k: f"theta+zeta+lambda[{k}]"),
-    ]
-
-
-def _generic_families(p):
     lam = p.lambdas_array()
     xi = p.xis_array()
     n = p.n
-    le = lam[:, None]
-    xe = xi[None, :]
-    fams = [
-        ("zeta-lambda", p.zeta - lam, lambda k: f"zeta-lambda[{k}]"),
-        ("theta+zeta-lambda", p.theta + p.zeta - lam, lambda k: f"theta+zeta-lambda[{k}]"),
-        ("2*lambda", 2.0 * lam, lambda k: f"2*lambda[{k}]"),
-        ("lambda-xi", (le - xe).ravel(), lambda k: f"lambda[{k // n}]-xi[{k % n}]"),
-        ("lambda+xi", (le + xe).ravel(), lambda k: f"lambda[{k // n}]+xi[{k % n}]"),
-        ("lambda-xi+eta", (le - xe + p.eta).ravel(), lambda k: f"lambda[{k // n}]-xi[{k % n}]+eta"),
-        ("lambda+xi+eta", (le + xe + p.eta).ravel(), lambda k: f"lambda[{k // n}]+xi[{k % n}]+eta"),
-        (
-            "lambda+lambda+eta",
-            (le + lam[None, :] + p.eta).ravel(),
-            lambda k: f"lambda[{k // n}]+lambda[{k % n}]+eta",
-        ),
+    L = lam[:, None]
+    X = xi[None, :]
+    a, b = np.triu_indices(n, 1) if pair_order is None else pair_order
+    la, lb, xa, xb = lam[a], lam[b], xi[a], xi[b]
+    ks = np.arange(-(n + 2), n + 3)
+    one = lambda f: lambda k: f.format(k)
+    grid = lambda f: lambda k: f.format(k // n, k % n)
+    pair = lambda f: lambda k: f.format(a[k], b[k])
+    return [
+        (GENERIC, "zeta-lambda", p.zeta - lam, one("zeta-lambda[{}]")),
+        (GENERIC, "theta+zeta-lambda", p.theta + p.zeta - lam, one("theta+zeta-lambda[{}]")),
+        (GENERIC, "2*lambda", 2.0 * lam, one("2*lambda[{}]")),
+        (GENERIC, "lambda-xi", L - X, grid("lambda[{}]-xi[{}]")),
+        (GENERIC, "lambda+xi", L + X, grid("lambda[{}]+xi[{}]")),
+        (GENERIC, "lambda-xi+eta", L - X + p.eta, grid("lambda[{}]-xi[{}]+eta")),
+        (GENERIC, "lambda+xi+eta", L + X + p.eta, grid("lambda[{}]+xi[{}]+eta")),
+        (GENERIC, "lambda+lambda+eta", L + lam + p.eta, grid("lambda[{}]+lambda[{}]+eta")),
+        (GENERIC, "lambda-lambda", la - lb, pair("lambda[{}]-lambda[{}]")),
+        (GENERIC, "lambda+lambda", la + lb, pair("lambda[{}]+lambda[{}]")),
+        (GENERIC, "xi-xi", xa - xb, pair("xi[{}]-xi[{}]")),
+        (GENERIC, "xi+xi", xa + xb, pair("xi[{}]+xi[{}]")),
+        (RATIO, "theta%+d*eta", p.theta + ks * p.eta, lambda k: f"theta{ks[k]:+d}*eta"),
+        (RATIO, "zeta+lambda", p.zeta + lam, one("zeta+lambda[{}]")),
+        (RATIO, "theta+zeta+lambda", p.theta + p.zeta + lam, one("theta+zeta+lambda[{}]")),
     ]
-    if n > 1:
-        iu, ju = np.triu_indices(n, 1)
-        fams += [
-            ("lambda-lambda", lam[iu] - lam[ju], lambda k, a=iu, b=ju: f"lambda[{a[k]}]-lambda[{b[k]}]"),
-            ("lambda+lambda", lam[iu] + lam[ju], lambda k, a=iu, b=ju: f"lambda[{a[k]}]+lambda[{b[k]}]"),
-            ("xi-xi", xi[iu] - xi[ju], lambda k, a=iu, b=ju: f"xi[{a[k]}]-xi[{b[k]}]"),
-            ("xi+xi", xi[iu] + xi[ju], lambda k, a=iu, b=ju: f"xi[{a[k]}]+xi[{b[k]}]"),
-        ]
-    return fams
 
 
 def min_guard_margins(p):
@@ -187,9 +185,10 @@ def min_guard_margins(p):
 
     Fast path for rejection sampling; no labels are materialised.
     """
-    gen = min(np.abs(np.sinh(vals)).min() for _, vals, _ in _generic_families(p))
-    rat = min(np.abs(np.sinh(vals)).min() for _, vals, _ in _ratio_families(p))
-    return float(gen), float(rat)
+    low = {GENERIC: np.inf, RATIO: np.inf}
+    for tier, _, args, _ in guard_families(p):
+        low[tier] = min(low[tier], np.abs(np.sinh(args)).min(initial=np.inf))
+    return float(low[GENERIC]), float(low[RATIO])
 
 
 def guard_violations(p, guard_tol=None, ratio_guard_tol=None, skip=()):
@@ -201,13 +200,12 @@ def guard_violations(p, guard_tol=None, ratio_guard_tol=None, skip=()):
     tol = guard_tol_default() if guard_tol is None else guard_tol
     rtol = tol if ratio_guard_tol is None else ratio_guard_tol
     out = []
-    for families, t in ((_generic_families(p), tol), (_ratio_families(p), rtol)):
-        for _, vals, describe in families:
-            bad = np.nonzero(np.abs(np.sinh(vals)) <= t)[0]
-            for k in bad:
-                label = describe(int(k))
-                if label not in skip:
-                    out.append(label)
+    for tier, _, args, name in guard_families(p):
+        t = tol if tier == GENERIC else rtol
+        for k in np.flatnonzero(np.abs(np.sinh(args)) <= t):
+            label = name(int(k))
+            if label not in skip:
+                out.append(label)
     return out
 
 

@@ -23,7 +23,7 @@ from .params import (
     CapExceeded,
     IllConditionedWarning,
     InvariantViolation,
-    ModelParams,
+    guard_families,
     require_all_nonsingular,
     require_nonsingular,
 )
@@ -102,27 +102,6 @@ def z_n1_closed(lam, xi, theta, eta, zeta, guard_tol=None):
             * sh(lam + xi) * sh(theta - lam + xi)
         )
     )
-
-
-def m_entry(i, j, p, form=PRODUCT_FORM, guard_tol=None):
-    """Kernel entry M[i, j] (0-based indices into lambdas / xis): the 1 x 1
-    kernel of lambda_i against xi_j, guarded by name.
-
-    The sum form splits into two boundary-weighted terms; the product form is
-    a single product of sinh ratios.  The two agree at generic points.  Only
-    the sum form divides by sinh(theta) (guarded in `_det_guards`).
-    """
-    li = complex(p.lambdas[i])
-    xj = complex(p.xis[j])
-    theta, eta, zeta = p.theta, p.eta, p.zeta
-    require_nonsingular("lambda_i-xi_j+eta", li - xj + eta, guard_tol)
-    require_nonsingular("lambda_i+xi_j+eta", li + xj + eta, guard_tol)
-    require_nonsingular("lambda_i-xi_j", li - xj, guard_tol)
-    require_nonsingular("lambda_i+xi_j", li + xj, guard_tol)
-    require_nonsingular("theta+zeta+lambda_i", theta + zeta + li, guard_tol)
-    require_nonsingular("zeta+lambda_i", zeta + li, guard_tol)
-    q = ModelParams(eta, zeta, theta, (li,), (xj,))
-    return complex(_m_matrix_entries(q, form, _det_guards(q, form, guard_tol)[0])[0, 0])
 
 
 def _m_matrix_entries(p, form, grids):
@@ -209,36 +188,32 @@ def _height_prefactor_log(n, theta, eta, guard_tol=None):
 
 
 def _det_guards(p, form, guard_tol):
-    """Every denominator the determinant formula divides by, vectorised.
-    Returns the sinh it guards, each evaluated once: the N x N grids at
-    lambda_i -+ xi_j and lambda_i -+ xi_j + eta, and over i < j the pair
-    vectors at xi_j -+ xi_i, lambda_j - lambda_i, lambda_j + lambda_i + eta."""
+    """Guard every denominator the determinant formula divides by, in this
+    order: the four N x N grids at lambda_i -+ xi_j (+eta), theta+zeta+lambda,
+    zeta+lambda, sinh(theta) for the sum form only, then over i < j the pairs
+    xi_j -+ xi_i, lambda_j - lambda_i and lambda_j + lambda_i + eta (the
+    lower triangle of that grid).  All but sinh(theta), whose label is not
+    the table's theta+0*eta, are rows of `guard_families(p, (j, i))`.
+    Returns the sinh of the grids and of the four pair vectors, each
+    evaluated once."""
     n = p.n
-    lam = p.lambdas_array()
-    xi = p.xis_array()
-    L = lam[:, None]
-    X = xi[None, :]
-    grids = tuple(
-        require_all_nonsingular(
-            lambda k, op=op, shift=shift: f"lambda[{k // n}]{op}xi[{k % n}]{shift}",
-            args, guard_tol)
-        for op, shift, args in (("-", "", L - X), ("+", "", L + X),
-                                ("-", "+eta", L - X + p.eta), ("+", "+eta", L + X + p.eta))
-    )
-    require_all_nonsingular(
-        lambda k: f"theta+zeta+lambda[{k}]", p.theta + p.zeta + lam, guard_tol)
-    require_all_nonsingular(
-        lambda k: f"zeta+lambda[{k}]", p.zeta + lam, guard_tol)
+    iu, ju = np.triu_indices(n, 1)
+    fams = {key: (args, name) for _, key, args, name in guard_families(p, (ju, iu))}
+
+    def guard(key, flat=None):
+        # pop: each argument array is released as soon as it is guarded
+        args, name = fams.pop(key)
+        if flat is None:
+            return require_all_nonsingular(name, args, guard_tol)
+        return require_all_nonsingular(lambda k: name(flat[k]), args.ravel()[flat], guard_tol)
+
+    grids = tuple(guard(key) for key in ("lambda-xi", "lambda+xi", "lambda-xi+eta", "lambda+xi+eta"))
+    guard("theta+zeta+lambda")
+    guard("zeta+lambda")
     if form == SUM_FORM:
         require_nonsingular("theta", p.theta, guard_tol)
-    iu, ju = np.triu_indices(n, 1)
-    pairs = tuple(
-        require_all_nonsingular(lambda k, f=f: f.format(ju[k], iu[k]), args, guard_tol)
-        for f, args in (("xi[{}]-xi[{}]", xi[ju] - xi[iu]), ("xi[{}]+xi[{}]", xi[ju] + xi[iu]),
-                        ("lambda[{}]-lambda[{}]", lam[ju] - lam[iu]),
-                        ("lambda[{}]+lambda[{}]+eta", lam[ju] + lam[iu] + p.eta))
-    )
-    return grids, pairs
+    pairs = tuple(guard(key) for key in ("xi-xi", "xi+xi", "lambda-lambda"))
+    return grids, pairs + (guard("lambda+lambda+eta", ju * n + iu),)
 
 
 def _log_sinh_sum(sinhs):

@@ -130,14 +130,6 @@ def embed_pair(n, pos_a, pos_b, shift, lam, theta, eta, guard_tol=None):
     return apply_pair(np.eye(1 << n), n, pos_a, pos_b, shift, lam, theta, eta, guard_tol)
 
 
-def embed_boundary(n, pos, lam, theta, zeta, guard_tol=None):
-    """K acting on tensor position `pos`, identity elsewhere (diagonal)."""
-    K = k_matrix(lam, theta, zeta, guard_tol)
-    b = n - 1 - pos
-    bits = (np.arange(1 << n) >> b) & 1
-    return np.diag(np.where(bits == 0, K[0, 0], K[1, 1]))
-
-
 def ice_rule_residual(lam, theta, eta, guard_tol=None):
     """Max |entry| of [R, sz(x)Id + Id(x)sz]; zero structurally."""
     R = r_matrix(lam, theta, eta, guard_tol)
@@ -189,8 +181,8 @@ def check_reflection_equation(l1, l2, theta, eta, zeta, guard_tol=None):
     """Boundary reflection equation on two spaces with K in space 1 or 2:
     the max |entry| of lhs - rhs, as a float."""
     l1, l2 = complex(l1), complex(l2)
-    K1 = embed_boundary(2, 0, l1, theta, zeta, guard_tol)
-    K2 = embed_boundary(2, 1, l2, theta, zeta, guard_tol)
+    K1 = np.kron(k_matrix(l1, theta, zeta, guard_tol), np.eye(2))
+    K2 = np.kron(np.eye(2), k_matrix(l2, theta, zeta, guard_tol))
     R12 = lambda x: embed_pair(2, 0, 1, (), x, theta, eta, guard_tol)
     R21 = lambda x: embed_pair(2, 1, 0, (), x, theta, eta, guard_tol)
     lhs = R12(l1 - l2) @ K1 @ R21(l1 + l2) @ K2

@@ -11,85 +11,18 @@ def draw(n, rng, extra=None):
     return verify.sample_params(CFG, n, rng, extra_guards=extra)
 
 
-def test_chain_space_indexing():
-    cs = chain_ops.ChainSpace(3)
-    assert cs.dim == 8 and cs.all_up == 0 and cs.all_down == 7
-    assert cs.spin(0, 1) == 1 and cs.spin(7, 2) == -1
-    # site 1 is the slowest index: flipping it moves the index by dim/2
-    assert cs.spin(4, 1) == -1 and cs.spin(4, 3) == 1
-    assert cs.magnetization(0) == 3 and cs.magnetization(7) == -3
-    assert np.array_equal(
-        cs.magnetizations(), [cs.magnetization(s) for s in range(8)]
-    )
-
-
-def test_embed_site_r_single_site_is_r_matrix():
-    rng = np.random.default_rng(21)
-    p = draw(1, rng)
-    x = p.lambdas[0] - p.xis[0]
-    op = chain_ops.embed_site_r(1, x, p.theta, p.eta, n=1)
-    assert np.array_equal(op, weights.r_matrix(x, p.theta, p.eta))
-
-
-def test_embed_site_r_aux_second_swaps_legs():
-    rng = np.random.default_rng(22)
-    p = draw(1, rng)
-    x = p.lambdas[0]
-    op = chain_ops.embed_site_r(1, x, p.theta, p.eta, side=chain_ops.AUX_SECOND, n=1)
-    R = weights.r_matrix(x, p.theta, p.eta)
-    assert np.array_equal(op, weights.SWAP_4 @ R @ weights.SWAP_4)
-
-
-def test_embed_site_r_height_shift_blocks():
-    # on a 2-site chain the factor at site 1 sees theta -+ eta depending on
-    # the spin of site 2
-    rng = np.random.default_rng(23)
-    p = draw(2, rng)
-    x = p.lambdas[0]
-    op = chain_ops.embed_site_r(1, x, p.theta, p.eta, n=2)
-    up = np.diag([1.0, 0.0])
-    down = np.diag([0.0, 1.0])
-    expected = np.kron(weights.r_matrix(x, p.theta - p.eta, p.eta), up) + np.kron(
-        weights.r_matrix(x, p.theta + p.eta, p.eta), down
-    )
-    assert np.array_equal(op, expected)
-
-
-def test_embed_site_r_entrywise_oracle():
-    # site 2 of a 2-site chain: no shift set, site 1 is a pure spectator
-    rng = np.random.default_rng(24)
-    p = draw(2, rng)
-    x = p.lambdas[1] - p.xis[1]
-    op = chain_ops.embed_site_r(2, x, p.theta, p.eta, n=2)
-    R = weights.r_matrix(x, p.theta, p.eta)
-    for row in range(8):
-        for col in range(8):
-            ra, r1, r2 = (row >> 2) & 1, (row >> 1) & 1, row & 1
-            ca, c1, c2 = (col >> 2) & 1, (col >> 1) & 1, col & 1
-            want = R[2 * ra + r2, 2 * ca + c2] if r1 == c1 else 0.0
-            assert op[row, col] == want
-
-
-def test_embed_site_r_argument_errors():
-    with pytest.raises(ValueError):
-        chain_ops.embed_site_r(1, 0.3, 0.9, 0.7)
-    with pytest.raises(ValueError):
-        chain_ops.embed_site_r(3, 0.3, 0.9, 0.7, n=2)
-    with pytest.raises(ValueError):
-        chain_ops.embed_site_r(1, 0.3, 0.9, 0.7, side="sideways", n=1)
-
-
 def test_bulk_monodromy_single_site_blocks():
     rng = np.random.default_rng(25)
     p = draw(1, rng)
     lam = p.lambdas[0]
     w = weights.face_weights(lam - p.xis[0], p.theta, p.eta)
-    blocks = chain_ops.bulk_monodromy(lam, p)
+    T = chain_ops.bulk_full(lam, p)
+    A, B = T[:2, :2], T[:2, 2:]
     # acting on |up>: the diagonal block is the a-weight, the creation block
     # flips the site with the c_plus weight
-    assert blocks.A[0, 0] == w.a
-    assert blocks.B[1, 0] == w.c_plus
-    assert blocks.B[0, 0] == 0.0 and blocks.B[0, 1] == 0.0 and blocks.B[1, 1] == 0.0
+    assert A[0, 0] == w.a
+    assert B[1, 0] == w.c_plus
+    assert B[0, 0] == 0.0 and B[0, 1] == 0.0 and B[1, 1] == 0.0
 
 
 def test_hat_monodromy_single_site():
@@ -101,21 +34,29 @@ def test_hat_monodromy_single_site():
     assert np.array_equal(op, weights.SWAP_4 @ R @ weights.SWAP_4)
 
 
+def grading_residual(op, delta):
+    # max |entry| outside chain-magnetization change `delta` (row minus column)
+    n = op.shape[0].bit_length() - 1
+    mags = n - 2 * np.bitwise_count(np.arange(op.shape[0])).astype(np.int64)
+    return np.max(np.abs(np.where(mags[:, None] != mags[None, :] + delta, op, 0.0)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_grading_structure(n):
     rng = np.random.default_rng(30 + n)
     p = draw(n, rng)
     lam = p.lambdas[0]
-    assert chain_ops.grading_residual(chain_ops.bulk_full(lam, p)) == 0.0
-    assert chain_ops.grading_residual(chain_ops.double_row_full(lam, p)) == 0.0
-    blocks = chain_ops.double_row(lam, p)
-    assert chain_ops.block_grading_residual(blocks.A, 0) == 0.0
-    assert chain_ops.block_grading_residual(blocks.D, 0) == 0.0
-    assert chain_ops.block_grading_residual(blocks.B, -2) == 0.0
-    assert chain_ops.block_grading_residual(blocks.C, +2) == 0.0
+    assert grading_residual(chain_ops.bulk_full(lam, p), 0) == 0.0
+    T = chain_ops.double_row_full(lam, p)
+    assert grading_residual(T, 0) == 0.0
+    h = 1 << n
+    A, B, C, D = T[:h, :h], T[:h, h:], T[h:, :h], T[h:, h:]
+    assert grading_residual(A, 0) == 0.0
+    assert grading_residual(D, 0) == 0.0
+    assert grading_residual(B, -2) == 0.0
+    assert grading_residual(C, +2) == 0.0
     # C strictly raises, so it annihilates on the left of the all-down state
-    cs = chain_ops.ChainSpace(n)
-    assert np.all(blocks.C[cs.all_down, :] == 0.0)
+    assert np.all(C[h - 1, :] == 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -204,7 +145,7 @@ def dense_b(lam, p):
     # B as the explicit product bulk @ K @ hat of embedded factors, K built first
     n = p.n + 1
     E = lambda a, b, k, x: weights.embed_pair(n, a, b, tuple(range(k + 2, n)), x, p.theta, p.eta)
-    K = weights.embed_boundary(n, 0, lam, p.theta, p.zeta)
+    K = np.kron(weights.k_matrix(lam, p.theta, p.zeta), np.eye(1 << p.n))
     T = np.eye(1 << n, dtype=complex)
     for k in range(p.n):
         T = T @ E(0, k + 1, k, lam - p.xis[k])

@@ -110,3 +110,54 @@ def test_require_nonsingular():
             lambda k: f"family[{k}]", np.array([1.0, 0.5, 0.25, 1e-12])
         )
     require_all_nonsingular(lambda k: "none", np.array([]))
+
+
+def _with(p, lam=None, xi=None, theta=None):
+    # p with lambda_i / xi_i given as (i, value) replaced, or a new theta
+    lams, xis = list(p.lambdas), list(p.xis)
+    if lam is not None:
+        lams[lam[0]] = lam[1]
+    if xi is not None:
+        xis[xi[0]] = xi[1]
+    return ModelParams(p.eta, p.zeta, p.theta if theta is None else theta, lams, xis)
+
+
+# one entry of every guard family pinned to ~1e-9: (tier, label, pin)
+_PINS = [
+    ("generic", "zeta-lambda[1]", lambda p, d: _with(p, lam=(1, p.zeta - d))),
+    ("generic", "theta+zeta-lambda[2]", lambda p, d: _with(p, lam=(2, p.theta + p.zeta - d))),
+    ("generic", "2*lambda[0]", lambda p, d: _with(p, lam=(0, d / 2))),
+    ("generic", "lambda[2]-xi[1]", lambda p, d: _with(p, lam=(2, p.xis[1] + d))),
+    ("generic", "lambda[1]+xi[2]", lambda p, d: _with(p, lam=(1, -p.xis[2] + d))),
+    ("generic", "lambda[0]-xi[2]+eta", lambda p, d: _with(p, lam=(0, p.xis[2] - p.eta + d))),
+    ("generic", "lambda[2]+xi[0]+eta", lambda p, d: _with(p, lam=(2, -p.xis[0] - p.eta + d))),
+    ("generic", "lambda[1]+lambda[1]+eta", lambda p, d: _with(p, lam=(1, (d - p.eta) / 2))),
+    ("generic", "lambda[0]-lambda[2]", lambda p, d: _with(p, lam=(0, p.lambdas[2] + d))),
+    ("generic", "lambda[1]+lambda[2]", lambda p, d: _with(p, lam=(1, -p.lambdas[2] + d))),
+    ("generic", "xi[0]-xi[1]", lambda p, d: _with(p, xi=(0, p.xis[1] + d))),
+    ("generic", "xi[1]+xi[2]", lambda p, d: _with(p, xi=(1, -p.xis[2] + d))),
+    ("ratio", "theta-2*eta", lambda p, d: _with(p, theta=2 * p.eta + d)),
+    ("ratio", "zeta+lambda[2]", lambda p, d: _with(p, lam=(2, -p.zeta + d))),
+    ("ratio", "theta+zeta+lambda[0]", lambda p, d: _with(p, lam=(0, -p.theta - p.zeta + d))),
+]
+
+
+def test_pins_cover_every_family():
+    p = verify.sample_params(verify.SuiteConfig(), 3, np.random.default_rng(111))
+    rows = params.guard_families(p)
+    assert len(rows) == len(_PINS) == 15
+    assert [tier for tier, *_ in rows] == [tier for tier, _, _ in _PINS]
+
+
+@pytest.mark.parametrize("tier,label,pin", _PINS, ids=[label for _, label, _ in _PINS])
+def test_every_guard_family_is_named(tier, label, pin):
+    p = verify.sample_params(verify.SuiteConfig(), 3, np.random.default_rng(111))
+    validate_params(p)
+    q = pin(p, 1e-9)
+    with pytest.raises(InvariantViolation) as err:
+        validate_params(q)
+    assert str(err.value).endswith(f" at: {label}")
+    # the pin is seen only through the tolerance of its own tier
+    own, other = (1e-6, 1e-12) if tier == params.GENERIC else (1e-12, 1e-6)
+    assert guard_violations(q, guard_tol=own, ratio_guard_tol=other) == [label]
+    assert guard_violations(q, guard_tol=other, ratio_guard_tol=own) == []

@@ -97,52 +97,39 @@ def test_m_entry_forms_agree():
     for n in (1, 2, 3, 4):
         for _ in range(4):
             p = draw(n, rng)
-            for i in range(n):
-                for j in range(n):
-                    a = partition.m_entry(i, j, p, form=partition.SUM_FORM)
-                    b = partition.m_entry(i, j, p, form=partition.PRODUCT_FORM)
-                    assert rel_diff(a, b) < 1e-11
-                    checked += 1
+            a = partition.m_matrix(p, form=partition.SUM_FORM)
+            b = partition.m_matrix(p, form=partition.PRODUCT_FORM)
+            assert a.form_tag == partition.SUM_FORM and b.form_tag == partition.PRODUCT_FORM
+            for x, y in zip(a.entries.ravel(), b.entries.ravel()):
+                assert rel_diff(x, y) < 1e-11
+                checked += 1
     assert checked >= 100
-
-
-def test_m_entry_matches_matrix():
-    rng = np.random.default_rng(81)
-    p = draw(3, rng)
-    for form in (partition.SUM_FORM, partition.PRODUCT_FORM):
-        M = partition.m_matrix(p, form)
-        assert M.form_tag == form
-        for i in range(3):
-            for j in range(3):
-                # vectorised and scalar paths differ only in complex-division
-                # rounding
-                assert rel_diff(M.entries[i, j], partition.m_entry(i, j, p, form=form)) < 5e-15
 
 
 def test_m_entry_product_form_zeros():
     rng = np.random.default_rng(82)
     p = draw(2, rng)
     pz = ModelParams(p.eta, p.zeta, p.theta, p.lambdas, (p.zeta, p.xis[1]))
-    assert partition.m_entry(0, 0, pz, form=partition.PRODUCT_FORM) == 0.0
+    assert partition.m_matrix(pz, form=partition.PRODUCT_FORM).entries[0, 0] == 0.0
     pl = ModelParams(p.eta, p.zeta, p.theta, (0.0, p.lambdas[1]), p.xis)
-    assert partition.m_entry(0, 1, pl, form=partition.PRODUCT_FORM) == 0.0
+    assert partition.m_matrix(pl, form=partition.PRODUCT_FORM).entries[0, 1] == 0.0
 
 
 def test_m_entry_bad_form():
     rng = np.random.default_rng(83)
     p = draw(1, rng)
     with pytest.raises(ValueError):
-        partition.m_entry(0, 0, p, form="neither")
-    with pytest.raises(ValueError):
         partition.m_matrix(p, form="neither")
+    with pytest.raises(ValueError):
+        partition.z_determinant(p, form="neither")
 
 
 def test_m_entry_guard():
     rng = np.random.default_rng(84)
     p = draw(2, rng)
     q = p.replace_lambda(0, p.xis[0] + 1e-9)
-    with pytest.raises(NearSingular, match="lambda_i-xi_j"):
-        partition.m_entry(0, 0, q)
+    with pytest.raises(NearSingular, match=r"lambda\[0\]-xi\[0\]"):
+        partition.m_matrix(q)
     with pytest.raises(NearSingular, match=r"lambda\[0\]-xi\[0\]"):
         partition.z_determinant(q)
 
@@ -152,14 +139,11 @@ def test_m_entry_theta_guard_sum_form_only():
     rng = np.random.default_rng(85)
     p = draw(2, rng)
     q = ModelParams(p.eta, p.zeta, 1e-9, p.lambdas, p.xis)
-    M = partition.m_matrix(q).entries
-    for i in range(2):
-        for j in range(2):
-            assert rel_diff(partition.m_entry(i, j, q), M[i, j]) < 5e-15
-    with pytest.raises(NearSingular, match=r"sinh\(theta\)"):
-        partition.m_entry(0, 0, q, form=partition.SUM_FORM)
+    assert np.all(np.isfinite(partition.m_matrix(q).entries))
     with pytest.raises(NearSingular, match=r"sinh\(theta\)"):
         partition.m_matrix(q, partition.SUM_FORM)
+    with pytest.raises(NearSingular, match=r"sinh\(theta\)"):
+        partition.z_determinant(q, partition.SUM_FORM)
 
 
 @pytest.mark.parametrize("method", ["brute", "det"])
