@@ -11,6 +11,46 @@ def draw(n, rng, extra=None):
     return verify.sample_params(CFG, n, rng, extra_guards=extra)
 
 
+def site_r(i, x, p, n, aux_second=False):
+    # R coupling the auxiliary space (position 0) with chain site i, height
+    # shifted by the spins of the sites after i: the factor layout of the
+    # bulk monodromy
+    legs = (i, 0) if aux_second else (0, i)
+    return weights.embed_pair(n + 1, *legs, tuple(range(i + 1, n + 1)), x, p.theta, p.eta)
+
+
+def test_embed_site_r_single_site_is_r_matrix():
+    rng = np.random.default_rng(21)
+    p = draw(1, rng)
+    x = p.lambdas[0] - p.xis[0]
+    op = site_r(1, x, p, n=1)
+    assert np.array_equal(op, weights.r_matrix(x, p.theta, p.eta))
+
+
+def test_embed_site_r_aux_second_swaps_legs():
+    rng = np.random.default_rng(22)
+    p = draw(1, rng)
+    x = p.lambdas[0]
+    op = site_r(1, x, p, n=1, aux_second=True)
+    R = weights.r_matrix(x, p.theta, p.eta)
+    assert np.array_equal(op, weights.SWAP_4 @ R @ weights.SWAP_4)
+
+
+def test_embed_site_r_height_shift_blocks():
+    # on a 2-site chain the factor at site 1 sees theta -+ eta depending on
+    # the spin of site 2
+    rng = np.random.default_rng(23)
+    p = draw(2, rng)
+    x = p.lambdas[0]
+    op = site_r(1, x, p, n=2)
+    up = np.diag([1.0, 0.0])
+    down = np.diag([0.0, 1.0])
+    expected = np.kron(weights.r_matrix(x, p.theta - p.eta, p.eta), up) + np.kron(
+        weights.r_matrix(x, p.theta + p.eta, p.eta), down
+    )
+    assert np.array_equal(op, expected)
+
+
 def test_bulk_monodromy_single_site_blocks():
     rng = np.random.default_rng(25)
     p = draw(1, rng)

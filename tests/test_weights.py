@@ -215,24 +215,6 @@ def test_apply_pair_on_identity_is_the_loop_embedding():
         assert np.array_equal(weights.embed_pair(n, a, b, shift, lam, theta, eta), want)
 
 
-def test_embed_pair_leg_swap_and_height_shift():
-    rng = np.random.default_rng(23)
-    p = draw(1, rng)
-    x, theta, eta = p.lambdas[0], p.theta, p.eta
-    R = weights.r_matrix(x, theta, eta)
-    assert np.array_equal(weights.embed_pair(2, 0, 1, (), x, theta, eta), R)
-    assert np.array_equal(
-        weights.embed_pair(2, 1, 0, (), x, theta, eta), weights.SWAP_4 @ R @ weights.SWAP_4
-    )
-    # a spectator at position 2 shifts the height to theta -+ eta by its spin
-    up = np.diag([1.0, 0.0])
-    down = np.diag([0.0, 1.0])
-    expected = np.kron(weights.r_matrix(x, theta - eta, eta), up) + np.kron(
-        weights.r_matrix(x, theta + eta, eta), down
-    )
-    assert np.array_equal(weights.embed_pair(3, 0, 1, (2,), x, theta, eta), expected)
-
-
 def test_apply_pair_columns_and_vectors_agree():
     rng = np.random.default_rng(19)
     p = draw(1, rng)
