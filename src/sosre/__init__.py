@@ -37,7 +37,6 @@ from .chain_ops import (
     hat_monodromy,
 )
 from .partition import (
-    MMatrix,
     PartitionResult,
     PRODUCT_FORM,
     SUM_FORM,

@@ -24,7 +24,7 @@ from .params import require_nonsingular
 sh = np.sinh
 
 
-def _apply_bulk(x, aux, lam, p, extra=(), guard_tol=None):
+def _apply_bulk(x, aux, lam, p, extra=()):
     """Apply the bulk monodromy R(aux, site 1) ... R(aux, site N) to the
     leading axis of `x`, site N first.  The chain sites are the last N tensor
     positions; each factor is height-shifted by the spins of the later sites
@@ -33,61 +33,61 @@ def _apply_bulk(x, aux, lam, p, extra=(), guard_tol=None):
     for k in range(p.n - 1, -1, -1):
         site = n - p.n + k
         shift = tuple(range(site + 1, n)) + extra
-        x = weights.apply_pair(x, n, aux, site, shift, lam - p.xis[k], p.theta, p.eta, guard_tol)
+        x = weights.apply_pair(x, n, aux, site, shift, lam - p.xis[k], p.theta, p.eta)
     return x
 
 
-def _apply_hat(x, aux, lam, p, guard_tol=None):
+def _apply_hat(x, aux, lam, p):
     """Apply the return-path monodromy: legs swapped, site 1 first,
     spectral arguments lam + xi_k, same shift rule."""
     n = x.shape[0].bit_length() - 1
     for k in range(p.n):
         site = n - p.n + k
         shift = tuple(range(site + 1, n))
-        x = weights.apply_pair(x, n, site, aux, shift, lam + p.xis[k], p.theta, p.eta, guard_tol)
+        x = weights.apply_pair(x, n, site, aux, shift, lam + p.xis[k], p.theta, p.eta)
     return x
 
 
-def _apply_double_row(x, aux, lam, p, guard_tol=None):
+def _apply_double_row(x, aux, lam, p):
     """Apply bulk @ K @ hat.  K is guarded first and the R factors meet
     their heights in the same order as when the product is built left to
     right, so the first NearSingular raised is the one the explicit product
     would raise."""
-    k = weights.k_matrix(lam, p.theta, p.zeta, guard_tol).diagonal()
-    x = _apply_hat(x, aux, lam, p, guard_tol)
+    k = weights.k_matrix(lam, p.theta, p.zeta).diagonal()
+    x = _apply_hat(x, aux, lam, p)
     x = (x.reshape((1 << aux, 2, -1)) * k[:, None]).reshape(x.shape)
-    return _apply_bulk(x, aux, lam, p, guard_tol=guard_tol)
+    return _apply_bulk(x, aux, lam, p)
 
 
-def apply_b(v, lam, p, guard_tol=None):
+def apply_b(v, lam, p):
     """B(lam) applied to the leading axis of `v` (length 2^N): `v` enters the
     aux-down half of aux (x) chain and the aux-up half of its double-row
     image is kept."""
     h = v.shape[0]
     x = np.zeros((2 * h,) + v.shape[1:], dtype=complex)
     x[h:] = v
-    return _apply_double_row(x, 0, lam, p, guard_tol)[:h]
+    return _apply_double_row(x, 0, lam, p)[:h]
 
 
-def bulk_full(lam, p, guard_tol=None):
+def bulk_full(lam, p):
     """Bulk monodromy as the full 2^(N+1) aux (x) chain operator."""
-    return _apply_bulk(np.eye(2 << p.n), 0, lam, p, guard_tol=guard_tol)
+    return _apply_bulk(np.eye(2 << p.n), 0, lam, p)
 
 
-def hat_monodromy(lam, p, guard_tol=None):
+def hat_monodromy(lam, p):
     """Return-path monodromy as the full aux (x) chain operator."""
-    return _apply_hat(np.eye(2 << p.n), 0, lam, p, guard_tol)
+    return _apply_hat(np.eye(2 << p.n), 0, lam, p)
 
 
-def double_row_full(lam, p, guard_tol=None):
+def double_row_full(lam, p):
     """Double-row monodromy: bulk, boundary K on the auxiliary space, return path."""
-    return _apply_double_row(np.eye(2 << p.n), 0, lam, p, guard_tol)
+    return _apply_double_row(np.eye(2 << p.n), 0, lam, p)
 
 
-def b_operator(lam, p, guard_tol=None):
+def b_operator(lam, p):
     """The creation-like block of the double-row monodromy (lowers chain
     magnetization by 2), as an explicit 2^N matrix."""
-    return apply_b(np.eye(1 << p.n), lam, p, guard_tol)
+    return apply_b(np.eye(1 << p.n), lam, p)
 
 
 def gamma_hat(lam, p):
@@ -99,19 +99,19 @@ def gamma_hat(lam, p):
     return complex(val)
 
 
-def crossing_scalar(lam, theta, eta, zeta, guard_tol=None):
+def crossing_scalar(lam, theta, eta, zeta):
     """Proportionality factor relating the B operator at -lam-eta to the one
     at lam.  The overall sign is -1 for every chain length."""
     lam, theta, eta, zeta = complex(lam), complex(theta), complex(eta), complex(zeta)
-    require_nonsingular("2*lambda", 2 * lam, guard_tol)
-    require_nonsingular("lambda-zeta+eta", lam - zeta + eta, guard_tol)
-    require_nonsingular("lambda-theta-zeta+eta", lam - theta - zeta + eta, guard_tol)
+    require_nonsingular("2*lambda", 2 * lam)
+    require_nonsingular("lambda-zeta+eta", lam - zeta + eta)
+    require_nonsingular("lambda-theta-zeta+eta", lam - theta - zeta + eta)
     return -(
         sh(2 * (lam + eta)) * sh(lam + zeta) * sh(lam + zeta + theta)
     ) / (sh(2 * lam) * sh(lam - zeta + eta) * sh(lam - theta - zeta + eta))
 
 
-def check_exchange_algebra(l1, l2, p, guard_tol=None):
+def check_exchange_algebra(l1, l2, p):
     """Exchange relation of two bulk monodromies on a two-auxiliary carrier:
     the max |entry| of lhs - rhs, as a float.
 
@@ -121,52 +121,52 @@ def check_exchange_algebra(l1, l2, p, guard_tol=None):
     """
     l1, l2 = complex(l1), complex(l2)
     n = p.n + 2
-    R12 = lambda x, shift: weights.apply_pair(x, n, 0, 1, shift, l1 - l2, p.theta, p.eta, guard_tol)
-    T1 = lambda x, extra: _apply_bulk(x, 0, l1, p, extra, guard_tol)
-    T2 = lambda x, extra: _apply_bulk(x, 1, l2, p, extra, guard_tol)
+    R12 = lambda x, shift: weights.apply_pair(x, n, 0, 1, shift, l1 - l2, p.theta, p.eta)
+    T1 = lambda x, extra: _apply_bulk(x, 0, l1, p, extra)
+    T2 = lambda x, extra: _apply_bulk(x, 1, l2, p, extra)
     eye = np.eye(1 << n)
     lhs = R12(T1(T2(eye, (0,)), ()), tuple(range(2, n)))
     rhs = T2(T1(R12(eye, ()), (1,)), ())
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def check_double_row_reflection(l1, l2, p, guard_tol=None):
+def check_double_row_reflection(l1, l2, p):
     """Reflection equation for two double-row monodromies on a two-auxiliary
     carrier; all four intertwining R factors carry the total chain spin.
     Returns the max |entry| of lhs - rhs, as a float."""
     l1, l2 = complex(l1), complex(l2)
     n = p.n + 2
     sites = tuple(range(2, n))
-    R = lambda x, a, b, lam: weights.apply_pair(x, n, a, b, sites, lam, p.theta, p.eta, guard_tol)
-    D1 = lambda x: _apply_double_row(x, 0, l1, p, guard_tol)
-    D2 = lambda x: _apply_double_row(x, 1, l2, p, guard_tol)
+    R = lambda x, a, b, lam: weights.apply_pair(x, n, a, b, sites, lam, p.theta, p.eta)
+    D1 = lambda x: _apply_double_row(x, 0, l1, p)
+    D2 = lambda x: _apply_double_row(x, 1, l2, p)
     eye = np.eye(1 << n)
     lhs = R(D1(R(D2(eye), 1, 0, l1 + l2)), 0, 1, l1 - l2)
     rhs = D2(R(D1(R(eye, 1, 0, l1 - l2)), 0, 1, l1 + l2))
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def check_b_commutation(l1, l2, p, guard_tol=None):
+def check_b_commutation(l1, l2, p):
     """B operators at different spectral parameters commute: the max |entry|
     of B(l1) B(l2) - B(l2) B(l1), as a float."""
-    B = lambda x, lam: apply_b(x, lam, p, guard_tol)
+    B = lambda x, lam: apply_b(x, lam, p)
     eye = np.eye(1 << p.n)
     return float(np.max(np.abs(B(B(eye, l2), l1) - B(B(eye, l1), l2))))
 
 
-def check_monodromy_inverse(lam, p, guard_tol=None):
+def check_monodromy_inverse(lam, p):
     """hat(T)(lam) T(-lam) is gamma_hat(lam) times the identity: the max
     |entry| of the difference, as a float."""
     lam = complex(lam)
-    prod = _apply_hat(bulk_full(-lam, p, guard_tol), 0, lam, p, guard_tol)
+    prod = _apply_hat(bulk_full(-lam, p), 0, lam, p)
     return float(np.max(np.abs(prod - gamma_hat(lam, p) * np.eye(2 << p.n))))
 
 
-def check_b_crossing(lam, p, guard_tol=None):
+def check_b_crossing(lam, p):
     """B(-lam-eta) equals crossing_scalar(lam) times B(lam): the max |entry|
     of the difference, as a float."""
     lam = complex(lam)
-    factor = crossing_scalar(lam, p.theta, p.eta, p.zeta, guard_tol)
-    Bc = b_operator(-lam - p.eta, p, guard_tol)
-    B = b_operator(lam, p, guard_tol)
+    factor = crossing_scalar(lam, p.theta, p.eta, p.zeta)
+    Bc = b_operator(-lam - p.eta, p)
+    B = b_operator(lam, p)
     return float(np.max(np.abs(Bc - factor * B)))

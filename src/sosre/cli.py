@@ -35,7 +35,10 @@ def _complex_from_wire(value, where):
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
         raise ParseError(f"{where}: expected [re, im], got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError:
+        raise ParseError(f"{where}: integer too large for a float") from None
 
 
 def _complex_to_wire(z):
@@ -52,6 +55,8 @@ def load_model_params(path):
         raise ParseError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
+    except ValueError as e:  # undecodable bytes, or an integer past int's digit limit
+        raise ParseError(f"{path}: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     for key in ("eta", "zeta", "theta", "lambdas", "xis"):

@@ -209,20 +209,20 @@ def guard_violations(p, guard_tol=None, ratio_guard_tol=None, skip=()):
     return out
 
 
-def validate_params(p, guard_tol=None, skip=()):
+def validate_params(p):
     """Raise InvariantViolation naming every guard argument that fails."""
-    bad = guard_violations(p, guard_tol=guard_tol, skip=skip)
+    tol = guard_tol_default()
+    bad = guard_violations(p, tol)
     if bad:
-        tol = guard_tol_default() if guard_tol is None else guard_tol
         raise InvariantViolation(
             "parameters are non-generic (|sinh| <= "
             f"{tol:g}) at: " + ", ".join(sorted(bad))
         )
 
 
-def require_nonsingular(label, value, guard_tol=None):
+def require_nonsingular(label, value):
     """Guard a single denominator argument; raise NearSingular naming it."""
-    tol = guard_tol_default() if guard_tol is None else guard_tol
+    tol = guard_tol_default()
     s = complex(np.sinh(complex(value)))
     if abs(s) <= tol:
         raise NearSingular(
@@ -230,10 +230,10 @@ def require_nonsingular(label, value, guard_tol=None):
         )
 
 
-def require_all_nonsingular(label_fn, values, guard_tol=None):
+def require_all_nonsingular(label_fn, values):
     """Vectorised guard: values is an ndarray, label_fn maps flat index to name.
     Returns sinh(values), so a caller that needs them evaluates them once."""
-    tol = guard_tol_default() if guard_tol is None else guard_tol
+    tol = guard_tol_default()
     s = np.sinh(np.asarray(values, dtype=complex))
     mags = np.abs(s)
     if mags.size and mags.min() <= tol:

@@ -56,16 +56,7 @@ class PartitionResult:
     log_value: complex | None = None
 
 
-@dataclass(frozen=True)
-class MMatrix:
-    """The N x N kernel of the determinant formula, tagged with which of the
-    two equivalent entry forms produced it."""
-
-    entries: np.ndarray
-    form_tag: str
-
-
-def z_bruteforce(p, cap=BRUTE_CAP_DEFAULT, guard_tol=None):
+def z_bruteforce(p, cap=BRUTE_CAP_DEFAULT):
     """Z as the all-down/all-up matrix element of the product of B operators.
 
     The product runs over the spectral parameters in order, rightmost factor
@@ -82,17 +73,17 @@ def z_bruteforce(p, cap=BRUTE_CAP_DEFAULT, guard_tol=None):
     v = np.zeros(1 << p.n, dtype=complex)
     v[0] = 1.0
     for lam in reversed(p.lambdas):
-        v = chain_ops.apply_b(v, lam, p, guard_tol)
+        v = chain_ops.apply_b(v, lam, p)
     value = complex(v[-1])
     return PartitionResult(value, METHOD_BRUTE, time.perf_counter() - t0, p.n)
 
 
-def z_n1_closed(lam, xi, theta, eta, zeta, guard_tol=None):
+def z_n1_closed(lam, xi, theta, eta, zeta):
     """Closed form for a single-site chain: a sum of two boundary terms."""
     lam, xi, theta, eta, zeta = (complex(v) for v in (lam, xi, theta, eta, zeta))
-    require_nonsingular("theta", theta, guard_tol)
-    require_nonsingular("theta+zeta+lambda", theta + zeta + lam, guard_tol)
-    require_nonsingular("zeta+lambda", zeta + lam, guard_tol)
+    require_nonsingular("theta", theta)
+    require_nonsingular("theta+zeta+lambda", theta + zeta + lam)
+    require_nonsingular("zeta+lambda", zeta + lam)
     return complex(
         sh(eta) * sh(theta - eta) / sh(theta) ** 2
         * (
@@ -128,9 +119,9 @@ def _m_matrix_entries(p, form, grids):
     raise ValueError(f"form must be {SUM_FORM!r} or {PRODUCT_FORM!r}")
 
 
-def m_matrix(p, form=PRODUCT_FORM, guard_tol=None):
+def m_matrix(p, form=PRODUCT_FORM):
     """Full kernel matrix with guards applied."""
-    return MMatrix(_m_matrix_entries(p, form, _det_guards(p, form, guard_tol)[0]), form)
+    return _m_matrix_entries(p, form, _det_guards(p, form)[0])
 
 
 def logdet_partial_pivot(mat):
@@ -176,18 +167,18 @@ def logdet_partial_pivot(mat):
     return complex(logdet), float(min_piv)
 
 
-def _height_prefactor_log(n, theta, eta, guard_tol=None):
+def _height_prefactor_log(n, theta, eta):
     """Log of the scalar height factor in the determinant formula:
     (-1)^floor(n/2) times the product over m = n-1, n-3, ... (>= 0) of
     sinh(theta - (m+1) eta) / sinh(theta + m eta)."""
     log = 1j * np.pi * ((n // 2) % 2)
     for m in range(n - 1, -1, -2):
-        require_nonsingular(f"theta+{m}*eta", theta + m * eta, guard_tol)
+        require_nonsingular(f"theta+{m}*eta", theta + m * eta)
         log += np.log(sh(theta - (m + 1) * eta)) - np.log(sh(theta + m * eta))
     return log
 
 
-def _det_guards(p, form, guard_tol):
+def _det_guards(p, form):
     """Guard every denominator the determinant formula divides by, in this
     order: the four N x N grids at lambda_i -+ xi_j (+eta), theta+zeta+lambda,
     zeta+lambda, sinh(theta) for the sum form only, then over i < j the pairs
@@ -204,14 +195,14 @@ def _det_guards(p, form, guard_tol):
         # pop: each argument array is released as soon as it is guarded
         args, name = fams.pop(key)
         if flat is None:
-            return require_all_nonsingular(name, args, guard_tol)
-        return require_all_nonsingular(lambda k: name(flat[k]), args.ravel()[flat], guard_tol)
+            return require_all_nonsingular(name, args)
+        return require_all_nonsingular(lambda k: name(flat[k]), args.ravel()[flat])
 
     grids = tuple(guard(key) for key in ("lambda-xi", "lambda+xi", "lambda-xi+eta", "lambda+xi+eta"))
     guard("theta+zeta+lambda")
     guard("zeta+lambda")
     if form == SUM_FORM:
-        require_nonsingular("theta", p.theta, guard_tol)
+        require_nonsingular("theta", p.theta)
     pairs = tuple(guard(key) for key in ("xi-xi", "xi+xi", "lambda-lambda"))
     return grids, pairs + (guard("lambda+lambda+eta", ju * n + iu),)
 
@@ -222,20 +213,21 @@ def _log_sinh_sum(sinhs):
                    sum(np.sum(np.angle(s)) for s in sinhs))
 
 
-def z_determinant(p, form=PRODUCT_FORM, guard_tol=None):
+def z_determinant(p):
     """Z as a scalar prefactor times an N x N determinant; O(N^3).
 
     Every sinh is evaluated once, in `_det_guards`, and feeds both the
-    kernel and the log prefactor; `cond_hint` is the smallest pivot modulus
-    of the blocked LU.  Warns IllConditionedWarning when it drops below 1e-10,
-    which at large N is expected: the kernel is Cauchy-like and its pivots
-    decay geometrically, so trust `log_value` over `value` there.  Below about
-    1e-12 the value has no reliable digits (LU orderings disagree widely).
+    kernel (product form; the sum form loses digits) and the log prefactor;
+    `cond_hint` is the smallest pivot modulus of the blocked LU.  Warns
+    IllConditionedWarning when it drops below 1e-10, which at large N is
+    expected: the kernel is Cauchy-like and its pivots decay geometrically, so
+    trust `log_value` over `value` there.  Below about 1e-12 the value has no
+    reliable digits (LU orderings disagree widely).
     """
     t0 = time.perf_counter()
     n = p.n
-    grids, pairs = _det_guards(p, form, guard_tol)
-    logdet, min_piv = logdet_partial_pivot(_m_matrix_entries(p, form, grids))
+    grids, pairs = _det_guards(p, PRODUCT_FORM)
+    logdet, min_piv = logdet_partial_pivot(_m_matrix_entries(p, PRODUCT_FORM, grids))
     if min_piv < ILL_CONDITIONED_PIVOT:
         warnings.warn(
             f"smallest elimination pivot {min_piv:.2e}; determinant digits "
@@ -245,7 +237,7 @@ def z_determinant(p, form=PRODUCT_FORM, guard_tol=None):
         )
 
     log_pref = _log_sinh_sum(grids) - _log_sinh_sum(pairs)
-    log_value = logdet + log_pref + _height_prefactor_log(n, p.theta, p.eta, guard_tol)
+    log_value = logdet + log_pref + _height_prefactor_log(n, p.theta, p.eta)
     value = complex(np.exp(log_value))
     return PartitionResult(
         value,
@@ -257,14 +249,14 @@ def z_determinant(p, form=PRODUCT_FORM, guard_tol=None):
     )
 
 
-def crossing_factor(lambda_i, p, guard_tol=None):
+def crossing_factor(lambda_i, p):
     """Scalar relating Z with lambda_i replaced by -lambda_i - eta to Z."""
     return complex(
-        chain_ops.crossing_scalar(lambda_i, p.theta, p.eta, p.zeta, guard_tol)
+        chain_ops.crossing_scalar(lambda_i, p.theta, p.eta, p.zeta)
     )
 
 
-def _recursion_rhs(p, z_prev, side, guard_tol):
+def _recursion_rhs(p, z_prev, side):
     """Right-hand side of the recursion at a coincidence: side "lower" pins
     lambda_1 = xi_1, "upper" pins lambda_N = -xi_1.  The upper product is the
     lower one with every xi negated, factor for factor in the same order."""
@@ -281,11 +273,11 @@ def _recursion_rhs(p, z_prev, side, guard_tol):
         )
     n = p.n
     theta, eta = p.theta, p.eta
-    require_nonsingular(f"{cname}+{name}", c + lp, guard_tol)
+    require_nonsingular(f"{cname}+{name}", c + lp)
     val = sh(eta) * sh(c - lp) / sh(c + lp)
     for i in range(1, n + 1):
         require_nonsingular(
-            f"theta+{n - 2 * i + 1}*eta", theta + (n - 2 * i + 1) * eta, guard_tol)
+            f"theta+{n - 2 * i + 1}*eta", theta + (n - 2 * i + 1) * eta)
         val = val * sh(p.lambdas[i - 1] + x) \
             * sh(theta + (n - 2 * i) * eta) / sh(theta + (n - 2 * i + 1) * eta)
     others = p.lambdas[1:] if lower else p.lambdas[:-1]
@@ -295,16 +287,16 @@ def _recursion_rhs(p, z_prev, side, guard_tol):
     return complex(val * z_prev)
 
 
-def recursion_rhs_lower(p, z_prev, guard_tol=None):
+def recursion_rhs_lower(p, z_prev):
     """Recursion right-hand side at lambda_1 = xi_1; `z_prev` is Z on
     lambdas[1:], xis[1:] (the empty chain has Z = 1)."""
-    return _recursion_rhs(p, z_prev, "lower", guard_tol)
+    return _recursion_rhs(p, z_prev, "lower")
 
 
-def recursion_rhs_upper(p, z_prev, guard_tol=None):
+def recursion_rhs_upper(p, z_prev):
     """Recursion right-hand side at lambda_N = -xi_1; `z_prev` is Z on
     lambdas[:-1], xis[1:]."""
-    return _recursion_rhs(p, z_prev, "upper", guard_tol)
+    return _recursion_rhs(p, z_prev, "upper")
 
 
 def normalized_z(p, i, z, second_factor="zeta"):

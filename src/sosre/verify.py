@@ -85,6 +85,8 @@ class SuiteConfig:
         if any(t < 0 for t in self.tolerances.values()):
             raise ValueError("tolerances must be nonnegative")
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        if any(n < 1 for n in self.n_values):
+            raise ValueError("n_values entries must be >= 1")
 
     def tol(self, name):
         if name in self.tolerances:
@@ -303,8 +305,8 @@ def _run_det_vs_brute(cfg, n, rng):
 
 def _run_m_form_equivalence(cfg, n, rng):
     p = sample_params(cfg, n, rng)
-    ms = partition.m_matrix(p, partition.SUM_FORM).entries
-    mp = partition.m_matrix(p, partition.PRODUCT_FORM).entries
+    ms = partition.m_matrix(p, partition.SUM_FORM)
+    mp = partition.m_matrix(p, partition.PRODUCT_FORM)
     return max(rel_diff(a, b) for a, b in zip(ms.ravel(), mp.ravel()))
 
 

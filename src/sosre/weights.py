@@ -39,14 +39,14 @@ def _c_weight(lam, theta, eta):
     return sh(eta) * sh(theta - lam) / sh(theta)
 
 
-def face_weights(lam, theta, eta, guard_tol=None):
+def face_weights(lam, theta, eta):
     """Statistical weights at spectral parameter `lam` and height `theta`.
 
     The minus weights are the plus weights at reflected height, literally the
     same code path, so b_minus(lam, theta) == b_plus(lam, -theta) bit-exactly.
     """
     lam, theta, eta = complex(lam), complex(theta), complex(eta)
-    require_nonsingular("theta", theta, guard_tol)
+    require_nonsingular("theta", theta)
     return FaceWeightSet(
         a=sh(lam + eta),
         b_plus=_b_weight(lam, theta, eta),
@@ -56,13 +56,13 @@ def face_weights(lam, theta, eta, guard_tol=None):
     )
 
 
-def r_matrix(lam, theta, eta, guard_tol=None):
+def r_matrix(lam, theta, eta):
     """4x4 R-matrix on aux (x) site in the basis (++, +-, -+, --).
 
     Rows are outgoing indices, columns incoming.  Only the six conserved-spin
     entries are populated; the other ten stay exactly zero (ice rule).
     """
-    w = face_weights(lam, theta, eta, guard_tol)
+    w = face_weights(lam, theta, eta)
     R = np.zeros((4, 4), dtype=complex)
     R[0, 0] = w.a
     R[1, 1] = w.b_plus
@@ -73,11 +73,11 @@ def r_matrix(lam, theta, eta, guard_tol=None):
     return R
 
 
-def k_matrix(lam, theta, zeta, guard_tol=None):
+def k_matrix(lam, theta, zeta):
     """Diagonal 2x2 boundary matrix; K(0) is the identity."""
     lam, theta, zeta = complex(lam), complex(theta), complex(zeta)
-    require_nonsingular("theta+zeta+lambda", theta + zeta + lam, guard_tol)
-    require_nonsingular("zeta+lambda", zeta + lam, guard_tol)
+    require_nonsingular("theta+zeta+lambda", theta + zeta + lam)
+    require_nonsingular("zeta+lambda", zeta + lam)
     return np.diag(
         [
             sh(theta + zeta - lam) / sh(theta + zeta + lam),
@@ -94,7 +94,7 @@ SWAP_4 = np.zeros((4, 4))
 SWAP_4[0, 0] = SWAP_4[1, 2] = SWAP_4[2, 1] = SWAP_4[3, 3] = 1.0
 
 
-def apply_pair(x, n, pos_a, pos_b, shift, lam, theta, eta, guard_tol=None):
+def apply_pair(x, n, pos_a, pos_b, shift, lam, theta, eta):
     """Apply R(lam; theta - eta*m) on tensor positions (pos_a, pos_b) of n
     two-level spaces, identity elsewhere, to the leading axis of `x` (length
     2^n; any trailing axes are carried along, so `x` may be a stack of
@@ -107,7 +107,7 @@ def apply_pair(x, n, pos_a, pos_b, shift, lam, theta, eta, guard_tol=None):
     rest = x.shape[1:]
     s = len(shift)
     # the weights of R at each reachable height, highest m (all up) first
-    fs = [face_weights(lam, theta - eta * m, eta, guard_tol) for m in range(s, -s - 1, -2)]
+    fs = [face_weights(lam, theta - eta * m, eta) for m in range(s, -s - 1, -2)]
     w = np.array([(f.a, f.b_plus, f.c_plus, f.c_minus, f.b_minus) for f in fs])
     # down spins in the shift set, per basis state of the other n - 2 positions
     others = [k for k in range(n) if k not in (pos_a, pos_b)]
@@ -125,28 +125,28 @@ def apply_pair(x, n, pos_a, pos_b, shift, lam, theta, eta, guard_tol=None):
     return out
 
 
-def embed_pair(n, pos_a, pos_b, shift, lam, theta, eta, guard_tol=None):
+def embed_pair(n, pos_a, pos_b, shift, lam, theta, eta):
     """`apply_pair` as an explicit 2^n matrix."""
-    return apply_pair(np.eye(1 << n), n, pos_a, pos_b, shift, lam, theta, eta, guard_tol)
+    return apply_pair(np.eye(1 << n), n, pos_a, pos_b, shift, lam, theta, eta)
 
 
-def ice_rule_residual(lam, theta, eta, guard_tol=None):
+def ice_rule_residual(lam, theta, eta):
     """Max |entry| of [R, sz(x)Id + Id(x)sz]; zero structurally."""
-    R = r_matrix(lam, theta, eta, guard_tol)
+    R = r_matrix(lam, theta, eta)
     M = np.diag([2.0, 0.0, 0.0, -2.0])
     return float(np.max(np.abs(R @ M - M @ R)))
 
 
-def transposed_ice_rule_residual(lam, theta, eta, guard_tol=None):
+def transposed_ice_rule_residual(lam, theta, eta):
     """Max |entry| of [R^{t1}, sz(x)Id - Id(x)sz] where t1 is the partial
     transpose in the first space; zero structurally."""
-    R = r_matrix(lam, theta, eta, guard_tol)
+    R = r_matrix(lam, theta, eta)
     Rt1 = R.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
     M = np.diag([0.0, 2.0, -2.0, 0.0])
     return float(np.max(np.abs(Rt1 @ M - M @ Rt1)))
 
 
-def check_dybe(lambdas, theta, eta, guard_tol=None):
+def check_dybe(lambdas, theta, eta):
     """Dynamical Yang-Baxter equation on three spaces: the max |entry| of
     lhs - rhs, as a float.
 
@@ -155,36 +155,36 @@ def check_dybe(lambdas, theta, eta, guard_tol=None):
     """
     l1, l2, l3 = (complex(v) for v in lambdas)
     lhs = (
-        embed_pair(3, 0, 1, (2,), l1 - l2, theta, eta, guard_tol)
-        @ embed_pair(3, 0, 2, (), l1 - l3, theta, eta, guard_tol)
-        @ embed_pair(3, 1, 2, (0,), l2 - l3, theta, eta, guard_tol)
+        embed_pair(3, 0, 1, (2,), l1 - l2, theta, eta)
+        @ embed_pair(3, 0, 2, (), l1 - l3, theta, eta)
+        @ embed_pair(3, 1, 2, (0,), l2 - l3, theta, eta)
     )
     rhs = (
-        embed_pair(3, 1, 2, (), l2 - l3, theta, eta, guard_tol)
-        @ embed_pair(3, 0, 2, (1,), l1 - l3, theta, eta, guard_tol)
-        @ embed_pair(3, 0, 1, (), l1 - l2, theta, eta, guard_tol)
+        embed_pair(3, 1, 2, (), l2 - l3, theta, eta)
+        @ embed_pair(3, 0, 2, (1,), l1 - l3, theta, eta)
+        @ embed_pair(3, 0, 1, (), l1 - l2, theta, eta)
     )
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def check_unitarity(lam, theta, eta, guard_tol=None):
+def check_unitarity(lam, theta, eta):
     """R12(lam) R21(-lam) must equal -sinh(lam-eta) sinh(lam+eta) times the
     identity, with R21 the swap conjugate of R12; returns the max |entry| of
     the difference, as a float."""
     lam, theta, eta = complex(lam), complex(theta), complex(eta)
-    R12 = r_matrix(lam, theta, eta, guard_tol)
-    R21 = SWAP_4 @ r_matrix(-lam, theta, eta, guard_tol) @ SWAP_4
+    R12 = r_matrix(lam, theta, eta)
+    R21 = SWAP_4 @ r_matrix(-lam, theta, eta) @ SWAP_4
     return float(np.max(np.abs(R12 @ R21 + sh(lam - eta) * sh(lam + eta) * np.eye(4))))
 
 
-def check_reflection_equation(l1, l2, theta, eta, zeta, guard_tol=None):
+def check_reflection_equation(l1, l2, theta, eta, zeta):
     """Boundary reflection equation on two spaces with K in space 1 or 2:
     the max |entry| of lhs - rhs, as a float."""
     l1, l2 = complex(l1), complex(l2)
-    K1 = np.kron(k_matrix(l1, theta, zeta, guard_tol), np.eye(2))
-    K2 = np.kron(np.eye(2), k_matrix(l2, theta, zeta, guard_tol))
-    R12 = lambda x: embed_pair(2, 0, 1, (), x, theta, eta, guard_tol)
-    R21 = lambda x: embed_pair(2, 1, 0, (), x, theta, eta, guard_tol)
+    K1 = np.kron(k_matrix(l1, theta, zeta), np.eye(2))
+    K2 = np.kron(np.eye(2), k_matrix(l2, theta, zeta))
+    R12 = lambda x: embed_pair(2, 0, 1, (), x, theta, eta)
+    R21 = lambda x: embed_pair(2, 1, 0, (), x, theta, eta)
     lhs = R12(l1 - l2) @ K1 @ R21(l1 + l2) @ K2
     rhs = K2 @ R12(l1 + l2) @ K1 @ R21(l1 - l2)
     return float(np.max(np.abs(lhs - rhs)))

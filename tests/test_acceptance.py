@@ -133,8 +133,8 @@ def test_criterion_07_m_form_equivalence(capsys):
     for n in (1, 2, 3, 4):
         for _ in range(4):
             p = draw(n, rng)
-            ms = partition.m_matrix(p, partition.SUM_FORM).entries
-            mp = partition.m_matrix(p, partition.PRODUCT_FORM).entries
+            ms = partition.m_matrix(p, partition.SUM_FORM)
+            mp = partition.m_matrix(p, partition.PRODUCT_FORM)
             worst = max(
                 worst, max(rel_diff(a, b) for a, b in zip(ms.ravel(), mp.ravel()))
             )

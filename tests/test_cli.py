@@ -75,6 +75,25 @@ def test_load_errors(tmp_path):
     with pytest.raises(InvariantViolation, match="equal length"):
         cli.load_model_params(write_config(tmp_path, doc))
 
+    bad.write_bytes(b'{"eta": "\xff"}')
+    with pytest.raises(ParseError, match="bad.json"):
+        cli.load_model_params(str(bad))
+
+
+def test_oversized_integer_exits_2(tmp_path, capsys):
+    # 400 digits parse as a Python int but overflow a float
+    path = write_config(tmp_path, dict(FIXTURE, lambdas=[[10**400, 0]]))
+    sweep = ["sweep", "--config", path, "--vary", "1", "--from", "0.1,0", "--to", "0.2,0",
+             "--points", "2"]
+    for argv in (["compute", "--config", path], sweep):
+        assert cli.main(argv) == 2
+        assert "lambdas[0]: integer too large for a float" in capsys.readouterr().err
+    # 5000 digits exceed the digit limit of int parsing inside json
+    text = json.dumps(FIXTURE).replace("[[0.3, 0.0]]", "[[1" + "0" * 5000 + ", 0]]")
+    (tmp_path / "params.json").write_text(text)
+    assert cli.main(["compute", "--config", path]) == 2
+    assert "digits" in capsys.readouterr().err
+
 
 def test_compute_both(tmp_path, capsys):
     path = write_config(tmp_path, FIXTURE)

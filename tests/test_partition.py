@@ -83,14 +83,6 @@ def test_determinant_matches_brute(n):
         assert rel_diff(zd, zb) < 1e-9
 
 
-def test_determinant_form_choice_irrelevant():
-    rng = np.random.default_rng(79)
-    p = draw(3, rng)
-    zp = partition.z_determinant(p, form=partition.PRODUCT_FORM).value
-    zs = partition.z_determinant(p, form=partition.SUM_FORM).value
-    assert rel_diff(zp, zs) < 1e-11
-
-
 def test_m_entry_forms_agree():
     rng = np.random.default_rng(80)
     checked = 0
@@ -99,8 +91,7 @@ def test_m_entry_forms_agree():
             p = draw(n, rng)
             a = partition.m_matrix(p, form=partition.SUM_FORM)
             b = partition.m_matrix(p, form=partition.PRODUCT_FORM)
-            assert a.form_tag == partition.SUM_FORM and b.form_tag == partition.PRODUCT_FORM
-            for x, y in zip(a.entries.ravel(), b.entries.ravel()):
+            for x, y in zip(a.ravel(), b.ravel()):
                 assert rel_diff(x, y) < 1e-11
                 checked += 1
     assert checked >= 100
@@ -110,9 +101,9 @@ def test_m_entry_product_form_zeros():
     rng = np.random.default_rng(82)
     p = draw(2, rng)
     pz = ModelParams(p.eta, p.zeta, p.theta, p.lambdas, (p.zeta, p.xis[1]))
-    assert partition.m_matrix(pz, form=partition.PRODUCT_FORM).entries[0, 0] == 0.0
+    assert partition.m_matrix(pz, form=partition.PRODUCT_FORM)[0, 0] == 0.0
     pl = ModelParams(p.eta, p.zeta, p.theta, (0.0, p.lambdas[1]), p.xis)
-    assert partition.m_matrix(pl, form=partition.PRODUCT_FORM).entries[0, 1] == 0.0
+    assert partition.m_matrix(pl, form=partition.PRODUCT_FORM)[0, 1] == 0.0
 
 
 def test_m_entry_bad_form():
@@ -120,8 +111,6 @@ def test_m_entry_bad_form():
     p = draw(1, rng)
     with pytest.raises(ValueError):
         partition.m_matrix(p, form="neither")
-    with pytest.raises(ValueError):
-        partition.z_determinant(p, form="neither")
 
 
 def test_m_entry_guard():
@@ -139,11 +128,10 @@ def test_m_entry_theta_guard_sum_form_only():
     rng = np.random.default_rng(85)
     p = draw(2, rng)
     q = ModelParams(p.eta, p.zeta, 1e-9, p.lambdas, p.xis)
-    assert np.all(np.isfinite(partition.m_matrix(q).entries))
+    assert np.all(np.isfinite(partition.m_matrix(q)))
+    assert np.isfinite(partition.z_determinant(q).log_value)
     with pytest.raises(NearSingular, match=r"sinh\(theta\)"):
         partition.m_matrix(q, partition.SUM_FORM)
-    with pytest.raises(NearSingular, match=r"sinh\(theta\)"):
-        partition.z_determinant(q, partition.SUM_FORM)
 
 
 @pytest.mark.parametrize("method", ["brute", "det"])
@@ -272,26 +260,38 @@ def test_logdet_permutation_and_singular():
     assert logdet == complex(-np.inf) and min_piv == 0.0
 
 
-def test_ill_conditioned_warning_fires():
+def test_ill_conditioned_warning_fires(monkeypatch):
     # a double near-coincidence drives the smallest pivot under 1e-10; the
     # value really does lose digits there (vs brute: ~1e-4 relative)
     eps = 1e-7
     p = ModelParams(eta=0.62, zeta=1.05, theta=0.83,
                     lambdas=(0.31, 0.31 + eps), xis=(0.24, 0.24 + eps))
+    monkeypatch.setenv("SOS_GUARD_TOL", "1e-9")
     with pytest.warns(IllConditionedWarning):
-        res = partition.z_determinant(p, guard_tol=1e-9)
+        res = partition.z_determinant(p)
     assert res.cond_hint < partition.ILL_CONDITIONED_PIVOT
     assert np.isfinite(res.log_value.real)
 
 
-def test_well_conditioned_no_warning():
+def test_well_conditioned_no_warning(monkeypatch):
     eps = 1e-6
     p = ModelParams(eta=0.62, zeta=1.05, theta=0.83,
                     lambdas=(0.31, 0.31 + eps), xis=(0.24, 0.24 + eps))
+    monkeypatch.setenv("SOS_GUARD_TOL", "1e-9")
     with warnings.catch_warnings():
         warnings.simplefilter("error", IllConditionedWarning)
-        res = partition.z_determinant(p, guard_tol=1e-9)
+        res = partition.z_determinant(p)
     assert res.cond_hint >= partition.ILL_CONDITIONED_PIVOT
+
+
+def test_default_guard_tolerance_rejects_the_near_coincidence():
+    # the instance of test_ill_conditioned_warning_fires, at the default 1e-6
+    eps = 1e-7
+    p = ModelParams(eta=0.62, zeta=1.05, theta=0.83,
+                    lambdas=(0.31, 0.31 + eps), xis=(0.24, 0.24 + eps))
+    with pytest.raises(NearSingular) as err:
+        partition.z_determinant(p)
+    assert str(err.value).startswith("denominator sinh(xi[1]-xi[0])")
 
 
 def test_brute_force_cap():
@@ -434,7 +434,7 @@ def test_m_matrix_bit_identical_to_kernel_formulas(form):
     rng = np.random.default_rng(212)
     for n in (1, 2, 5, 17):
         p = draw(n, rng)
-        assert partition.m_matrix(p, form).entries.tobytes() == _kernel_reference(p, form).tobytes()
+        assert partition.m_matrix(p, form).tobytes() == _kernel_reference(p, form).tobytes()
 
 
 def _pin(p, lambdas=None, xis=None):
@@ -458,9 +458,10 @@ _FAMILY_CASES = {
 def test_determinant_guard_families_name_the_denominator(label):
     p = draw(4, np.random.default_rng(213))
     q = _FAMILY_CASES[label](p, list(p.lambdas), list(p.xis))
-    for form in (partition.SUM_FORM, partition.PRODUCT_FORM):
+    sum_kernel = lambda: partition.m_matrix(q, partition.SUM_FORM)
+    for evaluate in (sum_kernel, lambda: partition.z_determinant(q)):
         with pytest.raises(NearSingular) as err:
-            partition.z_determinant(q, form)
+            evaluate()
         assert str(err.value).startswith(f"denominator sinh({label}) has |sinh| = ")
 
 

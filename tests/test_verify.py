@@ -65,6 +65,9 @@ def test_suite_config_validation():
         verify.SuiteConfig(samples_per_case=0)
     with pytest.raises(ValueError):
         verify.SuiteConfig(tolerances={"dybe": -1.0})
+    for bad in ((0,), (-1,), (1, 2, 0)):
+        with pytest.raises(ValueError, match="n_values"):
+            verify.SuiteConfig(n_values=bad)
     cfg = verify.SuiteConfig(tolerances={"dybe": 1e-3})
     assert cfg.tol("dybe") == 1e-3
     assert cfg.tol("unitarity") == verify.DEFAULT_TOLERANCES["unitarity"]
@@ -114,8 +117,8 @@ def test_corrupted_weight_is_detected(monkeypatch):
     # must fail, and the report must still be produced
     original = weights.face_weights
 
-    def crooked(lam, theta, eta, guard_tol=None):
-        w = original(lam, theta, eta, guard_tol)
+    def crooked(lam, theta, eta):
+        w = original(lam, theta, eta)
         return weights.FaceWeightSet(w.a, w.b_plus, w.b_minus, -w.c_plus, w.c_minus)
 
     monkeypatch.setattr(weights, "face_weights", crooked)
@@ -129,7 +132,7 @@ def test_corrupted_weight_is_detected(monkeypatch):
 
 
 def test_near_singular_retries_count_as_skipped(monkeypatch):
-    def always_singular(p, cap=8, guard_tol=None):
+    def always_singular(p, cap=8):
         raise NearSingular("synthetic")
 
     monkeypatch.setattr(partition, "z_bruteforce", always_singular)
