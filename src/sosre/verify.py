@@ -13,8 +13,8 @@ reports are bit-identical across runs and insensitive to case reordering.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import asdict, dataclass, field
+import operator
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,32 +28,14 @@ from .params import (
     rel_diff,
 )
 
-DEFAULT_TOLERANCES = {
-    "dybe": 1e-10,
-    "unitarity": 1e-12,
-    "reflection_equation": 1e-11,
-    "ice_rule": 0.0,
-    "ice_rule_transposed": 0.0,
-    "exchange_algebra": 1e-9,
-    "double_row_reflection": 1e-9,
-    "b_commutation": 1e-10,
-    "monodromy_inverse": 1e-10,
-    "b_crossing": 1e-9,
-    "closed_form_n1": 1e-12,
-    "det_vs_brute": 1e-9,
-    "m_form_equivalence": 1e-11,
-    "lambda_permutation_brute": 1e-10,
-    "lambda_permutation_det": 1e-10,
-    "xi_permutation_brute": 1e-10,
-    "xi_permutation_det": 1e-10,
-    "crossing_brute": 1e-9,
-    "crossing_det": 1e-10,
-    "recursion_lower": 1e-9,
-    "recursion_upper": 1e-9,
-    "degree_bound": 1e-8,
-}
-
 SUITE_NAMES = ("weights", "algebra", "partition", "all")
+
+# The sampler's box, ((re_lo, re_hi), (im_lo, im_hi)), for every parameter.
+DOMAIN = ((-0.8, 0.8), (-0.8, 0.8))
+# Rejection draws before the sampler gives up with SamplingExhausted.
+MAX_ATTEMPTS = 5000
+# Radius of the circle in w = exp(2 lambda_i) that holds the degree test's nodes.
+_NODE_RADIUS = 1.25
 
 # Sampler margins relax beyond this chain size (the number of guarded
 # argument pairs grows ~N^2, so fixed margins would reject every draw).
@@ -62,36 +44,33 @@ _MARGIN_PIVOT_N = 6
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs for a verification run.
+    """Knobs for a verification run; each case's tolerance is fixed in `CASES`.
 
+    `n_values` (nonempty, integers >= 1) are the chain sizes to test.
     `guard_tol` is the sampler margin on |sinh| for the generic denominator
     families and `ratio_guard_tol` the wider margin for the boundary/height
     ratio denominators; both shrink as 6/N beyond N=6 to keep rejection
-    sampling feasible.  `tolerances` entries override DEFAULT_TOLERANCES.
+    sampling feasible.
     """
 
     seed: int = 42
     n_values: tuple = (1, 2, 3)
     samples_per_case: int = 25
-    tolerances: dict = field(default_factory=dict)
     guard_tol: float = 0.10
     ratio_guard_tol: float = 0.35
-    domain: tuple = ((-0.8, 0.8), (-0.8, 0.8))
-    max_attempts: int = 5000
 
     def __post_init__(self):
         if self.samples_per_case < 1:
             raise ValueError("samples_per_case must be >= 1")
-        if any(t < 0 for t in self.tolerances.values()):
-            raise ValueError("tolerances must be nonnegative")
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        if any(n < 1 for n in self.n_values):
-            raise ValueError("n_values entries must be >= 1")
-
-    def tol(self, name):
-        if name in self.tolerances:
-            return self.tolerances[name]
-        return DEFAULT_TOLERANCES[name]
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        try:
+            n_values = tuple(map(operator.index, self.n_values))
+        except TypeError:
+            raise ValueError("n_values entries must be integers") from None
+        object.__setattr__(self, "n_values", n_values)
+        if not n_values or min(n_values) < 1:
+            raise ValueError("n_values must be a nonempty tuple of integers >= 1")
 
     def margins(self, n):
         scale = min(1.0, _MARGIN_PIVOT_N / n)
@@ -99,16 +78,17 @@ class SuiteConfig:
 
 
 def sample_params(cfg, n, rng_state, extra_guards=None):
-    """Draw a generic ModelParams with N = n from the configured box.
+    """Draw a generic ModelParams with N = n from the box `DOMAIN`.
 
-    `extra_guards` maps a candidate instance to extra arguments whose sinh
-    must also clear the generic margin (used for checks that evaluate at
-    derived points such as -lambda-eta).  Deterministic given the generator
-    state; raises SamplingExhausted when the box and margins are incompatible.
+    Every guard family must clear `cfg.margins(n)`.  `extra_guards` maps a
+    candidate instance to extra arguments whose sinh must also clear the
+    generic margin (used for checks that evaluate at derived points such as
+    -lambda-eta).  Deterministic given the generator state; raises
+    SamplingExhausted after `MAX_ATTEMPTS` rejected draws.
     """
-    (re_lo, re_hi), (im_lo, im_hi) = cfg.domain
+    (re_lo, re_hi), (im_lo, im_hi) = DOMAIN
     gen_floor, ratio_floor = cfg.margins(n)
-    for _ in range(cfg.max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         vals = rng_state.uniform(re_lo, re_hi, 2 * n + 3) + 1j * rng_state.uniform(
             im_lo, im_hi, 2 * n + 3
         )
@@ -128,8 +108,8 @@ def sample_params(cfg, n, rng_state, extra_guards=None):
                 continue
         return p
     raise SamplingExhausted(
-        f"no generic point with N={n} in {cfg.max_attempts} draws "
-        f"(margins {gen_floor:g}/{ratio_floor:g}; box {cfg.domain})"
+        f"no generic point with N={n} in {MAX_ATTEMPTS} draws "
+        f"(margins {gen_floor:g}/{ratio_floor:g}; box {DOMAIN})"
     )
 
 
@@ -158,7 +138,7 @@ def _sample_degenerate(cfg, n, rng, pin):
     """Sample, apply the exact coincidence `pin`, and keep only instances
     whose remaining guard families are still generic."""
     gen_floor, ratio_floor = cfg.margins(n)
-    for _ in range(cfg.max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         p = sample_params(cfg, n, rng)
         pdeg, skip = pin(p)
         bad = guard_violations(
@@ -169,19 +149,19 @@ def _sample_degenerate(cfg, n, rng, pin):
     raise SamplingExhausted(f"no usable degenerate instance with N={n}")
 
 
-def degree_bound_residual(p, i, rng, second_factor="zeta", radius=1.25):
+def degree_bound_residual(p, i, rng, second_factor="zeta"):
     """Interpolate-and-predict test of the polynomial degree bound.
 
     Z, normalized by `normalized_z`, must be a polynomial of degree at most
-    2N+2 in w = exp(2 lambda_i).  Evaluate at 2N+4 nodes on a circle |w| =
-    radius (random rotation), fit a degree-(2N+2) polynomial through the
-    first 2N+3 nodes, and return the relative prediction error at the last.
+    2N+2 in w = exp(2 lambda_i).  Evaluate at 2N+4 nodes on the circle
+    |w| = _NODE_RADIUS (random rotation), fit a degree-(2N+2) polynomial through
+    the first 2N+3 nodes, and return the relative prediction error at the last.
     """
     deg = 2 * p.n + 2
     count = deg + 2
     for _ in range(100):
         phi0 = rng.uniform(0.0, 2.0 * np.pi)
-        ws = radius * np.exp(1j * (phi0 + 2.0 * np.pi * np.arange(count) / count))
+        ws = _NODE_RADIUS * np.exp(1j * (phi0 + 2.0 * np.pi * np.arange(count) / count))
         nodes = [p.replace_lambda(i, np.log(w) / 2.0) for w in ws]
         if any(min(min_guard_margins(q)) <= 1e-3 for q in nodes):
             continue
@@ -218,17 +198,9 @@ class SuiteReport:
     seed: int
     cases: tuple
     summary: dict
-    elapsed: float
-    config: SuiteConfig
 
     def to_json(self):
-        doc = {
-            "suite": self.suite,
-            "seed": self.seed,
-            "cases": [asdict(c) for c in self.cases],
-            "summary": self.summary,
-        }
-        return json.dumps(doc, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def _trimmed(p, n):
@@ -372,65 +344,62 @@ def _run_degree_bound(cfg, n, rng):
     return degree_bound_residual(p, i, rng)
 
 
-_WEIGHTS_CASES = (
-    ("dybe", _run_dybe),
-    ("unitarity", _single_site_runner(weights.check_unitarity)),
-    ("reflection_equation", _run_reflection),
-    ("ice_rule", _single_site_runner(weights.ice_rule_residual)),
-    ("ice_rule_transposed", _single_site_runner(weights.transposed_ice_rule_residual)),
-)
+# Chain sizes a case runs at, as a function of the configured n_values.
+_WEIGHT_LEVEL = lambda ns: (0,)  # chain-size independent, recorded as n = 0
+_EVERY_N = lambda ns: ns
+_N1_ONLY = lambda ns: (1,) if 1 in ns else ()
+_N_GE_2 = lambda ns: tuple(n for n in ns if n >= 2)
 
-_ALGEBRA_CASES = (
-    ("exchange_algebra", _chain_pair_runner(chain_ops.check_exchange_algebra)),
-    ("double_row_reflection", _chain_pair_runner(chain_ops.check_double_row_reflection)),
-    ("b_commutation", _chain_pair_runner(chain_ops.check_b_commutation)),
-    ("monodromy_inverse", _run_monodromy_inverse),
-    ("b_crossing", _run_b_crossing),
-)
-
-_PARTITION_CASES = (
-    ("closed_form_n1", _run_closed_form_n1),
-    ("det_vs_brute", _run_det_vs_brute),
-    ("m_form_equivalence", _run_m_form_equivalence),
-    ("lambda_permutation_brute", _perm_runner("lambdas", "brute")),
-    ("lambda_permutation_det", _perm_runner("lambdas", "det")),
-    ("xi_permutation_brute", _perm_runner("xis", "brute")),
-    ("xi_permutation_det", _perm_runner("xis", "det")),
-    ("crossing_brute", _crossing_runner("brute")),
-    ("crossing_det", _crossing_runner("det")),
-    ("recursion_lower", _recursion_runner("lower")),
-    ("recursion_upper", _recursion_runner("upper")),
-    ("degree_bound", _run_degree_bound),
+# Every verify case, once: (suite, name, tolerance, sizes, runner), in plan
+# order.  The plan index seeds each case, so this order is part of the report.
+CASES = (
+    ("weights", "dybe", 1e-10, _WEIGHT_LEVEL, _run_dybe),
+    ("weights", "unitarity", 1e-12, _WEIGHT_LEVEL, _single_site_runner(weights.check_unitarity)),
+    ("weights", "reflection_equation", 1e-11, _WEIGHT_LEVEL, _run_reflection),
+    ("weights", "ice_rule", 0.0, _WEIGHT_LEVEL, _single_site_runner(weights.ice_rule_residual)),
+    ("weights", "ice_rule_transposed", 0.0, _WEIGHT_LEVEL,
+     _single_site_runner(weights.transposed_ice_rule_residual)),
+    ("algebra", "exchange_algebra", 1e-9, _EVERY_N,
+     _chain_pair_runner(chain_ops.check_exchange_algebra)),
+    ("algebra", "double_row_reflection", 1e-9, _EVERY_N,
+     _chain_pair_runner(chain_ops.check_double_row_reflection)),
+    ("algebra", "b_commutation", 1e-10, _EVERY_N, _chain_pair_runner(chain_ops.check_b_commutation)),
+    ("algebra", "monodromy_inverse", 1e-10, _EVERY_N, _run_monodromy_inverse),
+    ("algebra", "b_crossing", 1e-9, _EVERY_N, _run_b_crossing),
+    ("partition", "closed_form_n1", 1e-12, _N1_ONLY, _run_closed_form_n1),
+    ("partition", "det_vs_brute", 1e-9, _EVERY_N, _run_det_vs_brute),
+    ("partition", "m_form_equivalence", 1e-11, _EVERY_N, _run_m_form_equivalence),
+    ("partition", "lambda_permutation_brute", 1e-10, _N_GE_2, _perm_runner("lambdas", "brute")),
+    ("partition", "lambda_permutation_det", 1e-10, _N_GE_2, _perm_runner("lambdas", "det")),
+    ("partition", "xi_permutation_brute", 1e-10, _N_GE_2, _perm_runner("xis", "brute")),
+    ("partition", "xi_permutation_det", 1e-10, _N_GE_2, _perm_runner("xis", "det")),
+    ("partition", "crossing_brute", 1e-9, _EVERY_N, _crossing_runner("brute")),
+    ("partition", "crossing_det", 1e-10, _EVERY_N, _crossing_runner("det")),
+    ("partition", "recursion_lower", 1e-9, _EVERY_N, _recursion_runner("lower")),
+    ("partition", "recursion_upper", 1e-9, _EVERY_N, _recursion_runner("upper")),
+    ("partition", "degree_bound", 1e-8, _EVERY_N, _run_degree_bound),
 )
 
 
 def _case_plan(name, cfg):
-    """Ordered (case_name, n, runner) triples for a suite.  Weight-level
-    cases are chain-size independent and recorded with n = 0."""
+    """Ordered (case_name, n, tol, runner) entries for a suite, read from
+    `CASES`, one per sample.  Algebra cases are planned size-major (every
+    case at one n, then the next n); weights and partition cases case-major.
+    Weight-level cases are chain-size independent and recorded with n = 0."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     plan = []
-    if name in ("weights", "all"):
-        for case, runner in _WEIGHTS_CASES:
-            for _ in range(cfg.samples_per_case):
-                plan.append((case, 0, runner))
-    if name in ("algebra", "all"):
-        for n in cfg.n_values:
-            for case, runner in _ALGEBRA_CASES:
-                for _ in range(cfg.samples_per_case):
-                    plan.append((case, n, runner))
-    if name in ("partition", "all"):
-        for case, runner in _PARTITION_CASES:
-            if case == "closed_form_n1":
-                if 1 in cfg.n_values:
-                    for _ in range(cfg.samples_per_case):
-                        plan.append((case, 1, runner))
-                continue
-            for n in cfg.n_values:
-                if n == 1 and "_permutation_" in case:
-                    continue
-                for _ in range(cfg.samples_per_case):
-                    plan.append((case, n, runner))
+    for suite in ("weights", "algebra", "partition"):
+        if name not in (suite, "all"):
+            continue
+        rows = [(case, tol, sizes(cfg.n_values), runner)
+                for s, case, tol, sizes, runner in CASES if s == suite]
+        if suite == "algebra":
+            order = [(n, row) for n in cfg.n_values for row in rows if n in row[2]]
+        else:
+            order = [(n, row) for row in rows for n in row[2]]
+        for n, (case, tol, _, runner) in order:
+            plan.extend([(case, n, tol, runner)] * cfg.samples_per_case)
     return plan
 
 
@@ -443,12 +412,9 @@ def run_suite(name, cfg=None):
     """
     if cfg is None:
         cfg = SuiteConfig()
-    plan = _case_plan(name, cfg)
-    t0 = time.perf_counter()
     cases = []
     skipped = 0
-    for idx, (case_name, n, runner) in enumerate(plan):
-        tol = float(cfg.tol(case_name))
+    for idx, (case_name, n, tol, runner) in enumerate(_case_plan(name, cfg)):
         residual = float("inf")
         for attempt in range(8):
             rng = np.random.default_rng(
@@ -465,11 +431,4 @@ def run_suite(name, cfg=None):
         "failed": sum(1 for c in cases if not c.passed),
         "skipped": skipped,
     }
-    return SuiteReport(
-        suite=name,
-        seed=cfg.seed,
-        cases=tuple(cases),
-        summary=summary,
-        elapsed=time.perf_counter() - t0,
-        config=cfg,
-    )
+    return SuiteReport(suite=name, seed=cfg.seed, cases=tuple(cases), summary=summary)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sosre import cli, verify
+from sosre import cli, verify, weights
 from sosre.params import InvariantViolation, ParseError
 
 FIXTURE = {
@@ -201,9 +201,14 @@ def test_verify_flag_validation(capsys):
 
 
 def test_verify_exit1_on_failure(capsys, monkeypatch):
-    cfg = verify.SuiteConfig(
-        n_values=(1,), samples_per_case=1, tolerances={"dybe": 0.0}
-    )
+    original = weights.face_weights
+
+    def crooked(lam, theta, eta):
+        w = original(lam, theta, eta)
+        return weights.FaceWeightSet(w.a, w.b_plus, w.b_minus, -w.c_plus, w.c_minus)
+
+    monkeypatch.setattr(weights, "face_weights", crooked)
+    cfg = verify.SuiteConfig(n_values=(1,), samples_per_case=1)
     canned = verify.run_suite("weights", cfg)
     assert canned.summary["failed"] > 0
     monkeypatch.setattr(verify, "run_suite", lambda *a, **k: canned)

@@ -31,7 +31,7 @@ def test_sample_params_respects_margins():
         gen_floor, ratio_floor = cfg.margins(n)
         gen, rat = min_guard_margins(p)
         assert gen > gen_floor and rat > ratio_floor
-        (re_lo, re_hi), (im_lo, im_hi) = cfg.domain
+        (re_lo, re_hi), (im_lo, im_hi) = verify.DOMAIN
         for v in (p.eta, p.zeta, p.theta) + p.lambdas + p.xis:
             assert re_lo <= v.real <= re_hi and im_lo <= v.imag <= im_hi
 
@@ -46,8 +46,9 @@ def test_sample_params_extra_guards():
         assert min(abs(np.sinh(v)) for v in extra(p)) > gen_floor
 
 
-def test_sampling_exhausted():
-    cfg = verify.SuiteConfig(guard_tol=50.0, max_attempts=40)
+def test_sampling_exhausted(monkeypatch):
+    monkeypatch.setattr(verify, "MAX_ATTEMPTS", 40)
+    cfg = verify.SuiteConfig(guard_tol=50.0)
     with pytest.raises(SamplingExhausted, match="N=2"):
         verify.sample_params(cfg, 2, np.random.default_rng(0))
 
@@ -63,14 +64,11 @@ def test_margin_scaling():
 def test_suite_config_validation():
     with pytest.raises(ValueError):
         verify.SuiteConfig(samples_per_case=0)
-    with pytest.raises(ValueError):
-        verify.SuiteConfig(tolerances={"dybe": -1.0})
-    for bad in ((0,), (-1,), (1, 2, 0)):
+    with pytest.raises(ValueError, match="seed"):
+        verify.SuiteConfig(seed=-1)
+    for bad in ((0,), (-1,), (1, 2, 0), (), (1.5,), (1.7, 2.2)):
         with pytest.raises(ValueError, match="n_values"):
             verify.SuiteConfig(n_values=bad)
-    cfg = verify.SuiteConfig(tolerances={"dybe": 1e-3})
-    assert cfg.tol("dybe") == 1e-3
-    assert cfg.tol("unitarity") == verify.DEFAULT_TOLERANCES["unitarity"]
 
 
 def test_unknown_suite_name():
@@ -102,7 +100,7 @@ def test_all_suite_passes_small():
     assert report.summary["failed"] == 0
     assert report.summary["passed"] == len(report.cases)
     names = {c.name for c in report.cases}
-    assert names == set(verify.DEFAULT_TOLERANCES)
+    assert names == {row[1] for row in verify.CASES}
     # weight-level cases carry no chain size; permutation cases need n >= 2
     for c in report.cases:
         if c.name in ("dybe", "unitarity", "reflection_equation", "ice_rule",
@@ -110,6 +108,39 @@ def test_all_suite_passes_small():
             assert c.n == 0
         if "_permutation_" in c.name:
             assert c.n >= 2
+
+
+def test_plan_order_is_pinned():
+    # the plan index seeds every case, so this order is part of the report
+    report = verify.run_suite(
+        "all", verify.SuiteConfig(n_values=(1, 2, 3), samples_per_case=1)
+    )
+    algebra = [("exchange_algebra", 1e-9), ("double_row_reflection", 1e-9),
+               ("b_commutation", 1e-10), ("monodromy_inverse", 1e-10),
+               ("b_crossing", 1e-9)]
+    expected = [
+        ("dybe", 0, 1e-10), ("unitarity", 0, 1e-12), ("reflection_equation", 0, 1e-11),
+        ("ice_rule", 0, 0.0), ("ice_rule_transposed", 0, 0.0),
+        *[(name, 1, tol) for name, tol in algebra],
+        *[(name, 2, tol) for name, tol in algebra],
+        *[(name, 3, tol) for name, tol in algebra],
+        ("closed_form_n1", 1, 1e-12),
+        ("det_vs_brute", 1, 1e-9), ("det_vs_brute", 2, 1e-9), ("det_vs_brute", 3, 1e-9),
+        ("m_form_equivalence", 1, 1e-11), ("m_form_equivalence", 2, 1e-11),
+        ("m_form_equivalence", 3, 1e-11),
+        ("lambda_permutation_brute", 2, 1e-10), ("lambda_permutation_brute", 3, 1e-10),
+        ("lambda_permutation_det", 2, 1e-10), ("lambda_permutation_det", 3, 1e-10),
+        ("xi_permutation_brute", 2, 1e-10), ("xi_permutation_brute", 3, 1e-10),
+        ("xi_permutation_det", 2, 1e-10), ("xi_permutation_det", 3, 1e-10),
+        ("crossing_brute", 1, 1e-9), ("crossing_brute", 2, 1e-9), ("crossing_brute", 3, 1e-9),
+        ("crossing_det", 1, 1e-10), ("crossing_det", 2, 1e-10), ("crossing_det", 3, 1e-10),
+        ("recursion_lower", 1, 1e-9), ("recursion_lower", 2, 1e-9),
+        ("recursion_lower", 3, 1e-9),
+        ("recursion_upper", 1, 1e-9), ("recursion_upper", 2, 1e-9),
+        ("recursion_upper", 3, 1e-9),
+        ("degree_bound", 1, 1e-8), ("degree_bound", 2, 1e-8), ("degree_bound", 3, 1e-8),
+    ]
+    assert [(c.name, c.n, c.tol) for c in report.cases] == expected
 
 
 def test_corrupted_weight_is_detected(monkeypatch):
@@ -166,11 +197,3 @@ def test_report_reproducible():
     assert a == b
     c = verify.run_suite("all", small_cfg(seed=43)).to_json()
     assert a != c
-
-
-def test_tolerance_override_flows_into_verdicts():
-    cfg = small_cfg(tolerances={"dybe": 0.0})
-    report = verify.run_suite("weights", cfg)
-    dybe = [c for c in report.cases if c.name == "dybe"]
-    assert dybe and all(not c.passed for c in dybe)
-    assert report.summary["failed"] == len(dybe)
