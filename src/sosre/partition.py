@@ -3,10 +3,12 @@ form, and a single N x N determinant; plus the scalar factors entering the
 crossing and recursion identities and the polynomial normalization.
 
 The determinant path works in log space throughout (the determinant itself
-via the log of each pivot, the prefactor as a sum of log|sinh| and arg sinh
-terms), so the reported `log_value` stays finite even when the value over- or
-underflows a double.  Since exp is 2*pi*i periodic, the branch of each
-argument does not affect the exponentiated result.
+via the log of each pivot, the prefactor as a sum of log|D| and arg D over
+its grid and pair factors D), so the reported `log_value` stays finite even
+when the value over- or underflows a double.  Since exp is 2*pi*i periodic,
+the branch of each argument does not affect the exponentiated result.  Its
+grid and pair factors pair up as differences of sinh^2 of the O(N) inputs,
+so the route costs O(N) transcendentals, O(N^2) arithmetic and the O(N^3) LU.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .params import (
     IllConditionedWarning,
     InvariantViolation,
     guard_families,
+    guard_tol_default,
     require_all_nonsingular,
     require_nonsingular,
 )
@@ -34,6 +37,9 @@ BRUTE_CAP_DEFAULT = 8
 BRUTE_CAP_HARD_MAX = 12
 ILL_CONDITIONED_PIVOT = 1e-10
 LU_PANEL = 64
+# Relative slack of the guard prefilter thresholds (see `_det_guards`): far
+# above the few ulps that np.sinh, the squares and the differences round by.
+_PREFILTER_SLACK = 256 * np.finfo(float).eps
 
 SUM_FORM = "sum"
 PRODUCT_FORM = "product"
@@ -95,33 +101,36 @@ def z_n1_closed(lam, xi, theta, eta, zeta):
     )
 
 
-def _m_matrix_entries(p, form, grids):
-    """Vectorised kernel matrix from the sinh grids `_det_guards` returns
-    (no guards; callers guard first)."""
-    s_mx, s_px, s_mxe, s_pxe = grids
-    L = p.lambdas_array()[:, None]
-    X = p.xis_array()[None, :]
-    theta, eta, zeta = p.theta, p.eta, p.zeta
-    if form == PRODUCT_FORM:
-        return (
-            sh(theta + zeta + X) / sh(theta + zeta + L)
-            * sh(zeta - X) / sh(zeta + L)
-            * sh(2 * L) * sh(eta)
-            / (s_mxe * s_pxe * s_mx * s_px)
-        )
-    if form == SUM_FORM:
-        mp = (1 / s_mxe) * (1 / s_px - sh(theta - eta) / (sh(theta) * s_pxe))
-        mm = (1 / s_pxe) * (1 / s_mx - sh(theta + eta) / (sh(theta) * s_mxe))
-        return (
-            sh(theta + zeta - L) / sh(theta + zeta + L) * mp
-            + sh(zeta - L) / sh(zeta + L) * mm
-        )
-    raise ValueError(f"form must be {SUM_FORM!r} or {PRODUCT_FORM!r}")
+def _m_matrix_entries(p, grid, boundary):
+    """Product-form kernel r_i c_j / (D1 D2)_ij from what `_det_guards`
+    returns (no guards; callers guard first): `grid` is D1 D2, and
+    r = sinh(2 lambda) sinh(eta) / (sinh(theta+zeta+lambda) sinh(zeta+lambda))
+    takes its denominator from `boundary`; c = sinh(theta+zeta+xi) sinh(zeta-xi)."""
+    lam, xi = p.lambdas_array(), p.xis_array()
+    m = np.outer(sh(2 * lam) * sh(p.eta) / boundary,
+                 sh(p.theta + p.zeta + xi) * sh(p.zeta - xi))
+    m /= grid
+    return m
 
 
 def m_matrix(p, form=PRODUCT_FORM):
-    """Full kernel matrix with guards applied."""
-    return _m_matrix_entries(p, form, _det_guards(p, form)[0])
+    """Full kernel matrix with guards applied.  The sum form, kept as a
+    cross-check of the product form, evaluates its own sinh grids."""
+    if form not in (SUM_FORM, PRODUCT_FORM):
+        raise ValueError(f"form must be {SUM_FORM!r} or {PRODUCT_FORM!r}")
+    grid, _, boundary = _det_guards(p, form)
+    if form == PRODUCT_FORM:
+        return _m_matrix_entries(p, grid, boundary)
+    theta, eta, zeta = p.theta, p.eta, p.zeta
+    L = p.lambdas_array()[:, None]
+    X = p.xis_array()[None, :]
+    s_mx, s_px, s_mxe, s_pxe = sh(L - X), sh(L + X), sh(L - X + eta), sh(L + X + eta)
+    mp = (1 / s_mxe) * (1 / s_px - sh(theta - eta) / (sh(theta) * s_pxe))
+    mm = (1 / s_pxe) * (1 / s_mx - sh(theta + eta) / (sh(theta) * s_mxe))
+    return (
+        sh(theta + zeta - L) / sh(theta + zeta + L) * mp
+        + sh(zeta - L) / sh(zeta + L) * mm
+    )
 
 
 def logdet_partial_pivot(mat):
@@ -185,49 +194,81 @@ def _det_guards(p, form):
     xi_j -+ xi_i, lambda_j - lambda_i and lambda_j + lambda_i + eta (the
     lower triangle of that grid).  All but sinh(theta), whose label is not
     the table's theta+0*eta, are rows of `guard_families(p, (j, i))`.
-    Returns the sinh of the grids and of the four pair vectors, each
-    evaluated once."""
+
+    The grid and pair factors pair up as differences of O(N) squares:
+    D1 = sinh^2 lambda_i - sinh^2 xi_j = sinh(lambda_i-xi_j) sinh(lambda_i+xi_j),
+    D2 the same at lambda+eta, P1 = sinh^2 xi_j - sinh^2 xi_i and
+    P2 = sinh^2(lambda_j+eta/2) - sinh^2(lambda_i+eta/2).  np.sinh runs on a
+    row's own arguments only where |D| or |P| is under a threshold that every
+    failing entry is under, so NearSingular is what evaluating each row in
+    full would raise.  Returns D1 D2, P1 P2 and
+    sinh(theta+zeta+lambda) sinh(zeta+lambda), none of which depends on the
+    flagged entries."""
     n = p.n
     iu, ju = np.triu_indices(n, 1)
-    fams = {key: (args, name) for _, key, args, name in guard_families(p, (ju, iu))}
+    fams = {f.key: f for f in guard_families(p, (ju, iu))}
 
     def guard(key, flat=None):
-        # pop: each argument array is released as soon as it is guarded
-        args, name = fams.pop(key)
+        f = fams[key]
         if flat is None:
-            return require_all_nonsingular(name, args)
-        return require_all_nonsingular(lambda k: name(flat[k]), args.ravel()[flat])
+            return require_all_nonsingular(f.name, f.args())
+        if flat.size:
+            require_all_nonsingular(lambda k: f.name(flat[k]), f.args_at(flat))
 
-    grids = tuple(guard(key) for key in ("lambda-xi", "lambda+xi", "lambda-xi+eta", "lambda+xi+eta"))
-    guard("theta+zeta+lambda")
-    guard("zeta+lambda")
+    lam, xi = p.lambdas_array(), p.xis_array()
+    lam_eta, mu = lam + p.eta, lam + p.eta / 2
+    w, w_eta, y, q = (np.square(sh(v)) for v in (lam, lam_eta, xi, mu))
+    d1, d2 = w[:, None] - y, w_eta[:, None] - y
+    p1, p2 = y[ju] - y[iu], q[ju] - q[iu]
+
+    # Each product D = sinh(x-y) sinh(x+y) has |D| <= tol cosh(|Re x| + |Re y|)
+    # when one factor is at or below tol, since |sinh z| <= cosh(Re z).  The
+    # slack term covers the rounding of np.sinh, the squares, their difference
+    # and the guard arguments, which grows with a bound on |x| + |y|.  An
+    # entry above its threshold cannot fail; NaN entries are kept.
+    re = lambda v: np.abs(v.real).max()
+    mod = 2 * max(np.abs(lam).max(), np.abs(xi).max()) + abs(p.eta)
+    with np.errstate(over="ignore"):
+        c = np.cosh([max(re(lam), re(lam_eta)) + re(xi), 2 * re(xi), 2 * re(mu)])
+        thr_grid, thr_xi, thr_mu = (
+            c * guard_tol_default() * (1 + _PREFILTER_SLACK)
+            + _PREFILTER_SLACK * c * c * (2 + mod))
+    suspects = lambda d, thr: np.flatnonzero(~(np.abs(d) > thr))
+
+    flat = suspects(d1, thr_grid)
+    guard("lambda-xi", flat)
+    guard("lambda+xi", flat)
+    flat = suspects(d2, thr_grid)
+    guard("lambda-xi+eta", flat)
+    guard("lambda+xi+eta", flat)
+    boundary = guard("theta+zeta+lambda") * guard("zeta+lambda")
     if form == SUM_FORM:
         require_nonsingular("theta", p.theta)
-    pairs = tuple(guard(key) for key in ("xi-xi", "xi+xi", "lambda-lambda"))
-    return grids, pairs + (guard("lambda+lambda+eta", ju * n + iu),)
-
-
-def _log_sinh_sum(sinhs):
-    """Sum of log s over the arrays `sinhs`, as sum log|s| + i sum arg s."""
-    return complex(sum(np.sum(np.log(np.abs(s))) for s in sinhs),
-                   sum(np.sum(np.angle(s)) for s in sinhs))
+    flat = suspects(p1, thr_xi)
+    guard("xi-xi", flat)
+    guard("xi+xi", flat)
+    flat = suspects(p2, thr_mu)
+    guard("lambda-lambda", flat)
+    guard("lambda+lambda+eta", (ju * n + iu)[flat])
+    return d1 * d2, p1 * p2, boundary
 
 
 def z_determinant(p):
     """Z as a scalar prefactor times an N x N determinant; O(N^3).
 
-    Every sinh is evaluated once, in `_det_guards`, and feeds both the
-    kernel (product form; the sum form loses digits) and the log prefactor;
-    `cond_hint` is the smallest pivot modulus of the blocked LU.  Warns
-    IllConditionedWarning when it drops below 1e-10, which at large N is
-    expected: the kernel is Cauchy-like and its pivots decay geometrically, so
-    trust `log_value` over `value` there.  Below about 1e-12 the value has no
-    reliable digits (LU orderings disagree widely).
+    `_det_guards` returns the grid and pair factors as differences of sinh^2
+    (O(N) sinh calls); they feed both the product-form kernel (the sum form
+    loses digits) and the log prefactor.  `cond_hint` is the smallest pivot
+    modulus of the blocked LU.  Warns IllConditionedWarning when it drops
+    below 1e-10, which at large N is expected: the kernel is Cauchy-like and
+    its pivots decay geometrically, so trust `log_value` over `value` there.
+    Below about 1e-12 the value has no reliable digits (LU orderings disagree
+    widely).
     """
     t0 = time.perf_counter()
     n = p.n
-    grids, pairs = _det_guards(p, PRODUCT_FORM)
-    logdet, min_piv = logdet_partial_pivot(_m_matrix_entries(p, PRODUCT_FORM, grids))
+    grid, pairs, boundary = _det_guards(p, PRODUCT_FORM)
+    logdet, min_piv = logdet_partial_pivot(_m_matrix_entries(p, grid, boundary))
     if min_piv < ILL_CONDITIONED_PIVOT:
         warnings.warn(
             f"smallest elimination pivot {min_piv:.2e}; determinant digits "
@@ -236,7 +277,9 @@ def z_determinant(p):
             stacklevel=2,
         )
 
-    log_pref = _log_sinh_sum(grids) - _log_sinh_sum(pairs)
+    # log|.| and arg as two real passes: np.log on complex arrays is ~15x slower
+    log_pref = complex(np.sum(np.log(np.abs(grid))) - np.sum(np.log(np.abs(pairs))),
+                       np.sum(np.angle(grid)) - np.sum(np.angle(pairs)))
     log_value = logdet + log_pref + _height_prefactor_log(n, p.theta, p.eta)
     value = complex(np.exp(log_value))
     return PartitionResult(

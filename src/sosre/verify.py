@@ -46,7 +46,8 @@ _MARGIN_PIVOT_N = 6
 class SuiteConfig:
     """Knobs for a verification run; each case's tolerance is fixed in `CASES`.
 
-    `n_values` (nonempty, integers >= 1) are the chain sizes to test.
+    `n_values` (nonempty, integers >= 1) are the chain sizes to test;
+    `seed` and `samples_per_case` are integers too.
     `guard_tol` is the sampler margin on |sinh| for the generic denominator
     families and `ratio_guard_tol` the wider margin for the boundary/height
     ratio denominators; both shrink as 6/N beyond N=6 to keep rejection
@@ -60,6 +61,11 @@ class SuiteConfig:
     ratio_guard_tol: float = 0.35
 
     def __post_init__(self):
+        for name in ("samples_per_case", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.samples_per_case < 1:
             raise ValueError("samples_per_case must be >= 1")
         if self.seed < 0:

@@ -1,15 +1,21 @@
+import dataclasses
+import json
+import re
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sosre import partition, verify
+from sosre import params, partition, verify
 from sosre.params import (
     CapExceeded,
     IllConditionedWarning,
     InvariantViolation,
     ModelParams,
     NearSingular,
+    guard_tol_default,
     rel_diff,
 )
 
@@ -431,10 +437,17 @@ def test_blocked_logdet_odd_permutation():
 
 @pytest.mark.parametrize("form", [partition.SUM_FORM, partition.PRODUCT_FORM])
 def test_m_matrix_bit_identical_to_kernel_formulas(form):
+    # the sum form is the formula bit for bit; the product form divides by
+    # differences of sinh^2 instead of four sinh grids, so it agrees entrywise
+    # (1.1e-14 at most on these draws)
     rng = np.random.default_rng(212)
-    for n in (1, 2, 5, 17):
+    for n in (1, 2, 5, 17, 50):
         p = draw(n, rng)
-        assert partition.m_matrix(p, form).tobytes() == _kernel_reference(p, form).tobytes()
+        got, want = partition.m_matrix(p, form), _kernel_reference(p, form)
+        if form == partition.SUM_FORM:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
 def _pin(p, lambdas=None, xis=None):
@@ -480,3 +493,147 @@ def test_determinant_pipeline_matches_loop_reference(n):
         assert abs(np.exp(res.log_value - _reference_log_z(p)) - 1) < 1e-6
         checked += 1
     assert checked >= 3
+
+
+# the determinant's guard order over the rows of guard_families(p, (j, i))
+_DET_GUARD_ORDER = ("lambda-xi", "lambda+xi", "lambda-xi+eta", "lambda+xi+eta",
+                    "theta+zeta+lambda", "zeta+lambda", "xi-xi", "xi+xi",
+                    "lambda-lambda", "lambda+lambda+eta")
+
+
+def _reference_guard_message(p):
+    """The NearSingular message of guarding every determinant denominator in
+    full: np.sinh over each table row in order, the first row whose min is at
+    or below the tolerance naming its first argmin; None when all pass.
+    (sinh(theta), guarded by the sum form only, is left out: the instances
+    below keep theta generic.)"""
+    tol = guard_tol_default()
+    n = p.n
+    iu, ju = np.triu_indices(n, 1)
+    rows = {f.key: f for f in params.guard_families(p, (ju, iu))}
+    for key in _DET_GUARD_ORDER:
+        f = rows[key]
+        args, name = f.args().ravel(), f.name
+        if key == "lambda+lambda+eta":  # the lower triangle of the grid
+            flat = ju * n + iu
+            args, name = args[flat], lambda k: f.name(flat[k])
+        mags = np.abs(sh(args))
+        if mags.size and mags.min() <= tol:
+            k = int(np.argmin(mags))
+            return f"denominator sinh({name(k)}) has |sinh| = {mags[k]:.3e} <= {tol:g}"
+    return None
+
+
+# family -> (field, index, value) setting its argument at entry (i, j) to 0
+# (pair families at j > i)
+_ROOTS = {
+    "lambda-xi": lambda p, i, j: ("lambdas", i, p.xis[j]),
+    "lambda+xi": lambda p, i, j: ("lambdas", i, -p.xis[j]),
+    "lambda-xi+eta": lambda p, i, j: ("lambdas", i, p.xis[j] - p.eta),
+    "lambda+xi+eta": lambda p, i, j: ("lambdas", i, -p.xis[j] - p.eta),
+    "theta+zeta+lambda": lambda p, i, j: ("lambdas", i, -p.theta - p.zeta),
+    "zeta+lambda": lambda p, i, j: ("lambdas", i, -p.zeta),
+    "xi-xi": lambda p, i, j: ("xis", j, p.xis[i]),
+    "xi+xi": lambda p, i, j: ("xis", j, -p.xis[i]),
+    "lambda-lambda": lambda p, i, j: ("lambdas", j, p.lambdas[i]),
+    "lambda+lambda+eta": lambda p, i, j: ("lambdas", j, -p.lambdas[i] - p.eta),
+}
+
+
+def _pinned(p, key, d, i, j):
+    """p with family `key`'s argument at entry (i, j) moved to about d."""
+    field, k, root = _ROOTS[key](p, i, j)
+    vals = list(getattr(p, field))
+    vals[k] = root + d
+    return dataclasses.replace(p, **{field: tuple(vals)})
+
+
+def _guard_cases():
+    """Every determinant family at 0, 1e-9 and just below and above the
+    default tolerance (in a random direction), then pairs of violations: an
+    earlier family just below the tolerance with a later one at 0, and two
+    entries of one family at 0."""
+    base = draw(5, np.random.default_rng(214))
+    rng = np.random.default_rng(215)
+    cases = []
+    for key in _DET_GUARD_ORDER:
+        for d in (0.0, 1e-9, 9.99e-7, 1.001e-6):
+            i, j = sorted(rng.choice(5, 2, replace=False))
+            cases.append(_pinned(base, key, d * np.exp(2j * np.pi * rng.random()), i, j))
+    for first, later in zip(_DET_GUARD_ORDER, _DET_GUARD_ORDER[1:]):
+        q = _pinned(base, later, 0.0, 1, 3)
+        cases.append(_pinned(q, first, 9.99e-7, 0, 2))
+    for key in _DET_GUARD_ORDER:
+        cases.append(_pinned(_pinned(base, key, 0.0, 3, 4), key, 0.0, 0, 2))
+    return cases
+
+
+def test_determinant_guards_match_full_evaluation():
+    # the prefiltered guards raise exactly what evaluating every family in
+    # full would, or nothing
+    named = set()
+    for q in _guard_cases():
+        want = _reference_guard_message(q)
+        for evaluate in (partition.z_determinant, partition.m_matrix,
+                         lambda q: partition.m_matrix(q, partition.SUM_FORM)):
+            got = None
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditionedWarning)
+                try:
+                    evaluate(q)
+                except NearSingular as err:
+                    got = str(err)
+            assert got == want
+        if want is not None:
+            named.add(re.sub(r"\[\d+\]", "", want.split("(")[1].split(")")[0]))
+    assert named == set(_DET_GUARD_ORDER)
+
+
+def test_log_value_does_not_depend_on_guard_tolerance(monkeypatch):
+    # pins at 2e-3 pass both tolerances but fall under the prefilter's
+    # threshold at 1e-3 only, so the two runs guard different entries
+    base = draw(5, np.random.default_rng(216))
+    cases = [base] + [_pinned(base, key, 2e-3, 1, 3) for key in _DET_GUARD_ORDER]
+    flagged = {}
+    inner = partition.require_all_nonsingular
+
+    def counting(label_fn, values):
+        flagged[tol] += np.size(values)
+        return inner(label_fn, values)
+
+    monkeypatch.setattr(partition, "require_all_nonsingular", counting)
+    logs = {}
+    for tol in ("1e-3", "1e-9"):
+        monkeypatch.setenv("SOS_GUARD_TOL", tol)
+        flagged[tol] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            logs[tol] = [partition.z_determinant(q).log_value for q in cases]
+    assert logs["1e-3"] == logs["1e-9"]
+    assert flagged["1e-3"] > flagged["1e-9"]
+
+
+_ORACLE = json.loads((Path(__file__).parent / "data" / "oracle_logz.json").read_text())
+_TWO_PI = Fraction("6.2831853071795864769252867665590057683943387987502")
+
+
+def _oracle_error(log_value, log_z):
+    """|Z / Z_ref - 1| from a double log Z on any branch and the reference's
+    decimal log, exact up to the final expm1."""
+    d_re = Fraction(log_value.real) - Fraction(log_z[0])
+    d_im = Fraction(log_value.imag) - Fraction(log_z[1])
+    d_im -= round(d_im / _TWO_PI) * _TWO_PI
+    return abs(np.expm1(complex(float(d_re), float(d_im))))
+
+
+@pytest.mark.parametrize("case", _ORACLE["instances"], ids=lambda c: f"n{c['n']}-seed{c['seed']}")
+def test_determinant_accuracy_against_oracle(case):
+    # tests/data/make_oracle_logz.py wrote the 50-digit log Z and the error
+    # of the determinant that took the sinh of every argument (parent_err)
+    c = lambda v: complex(*v)
+    p = ModelParams(c(case["eta"]), c(case["zeta"]), c(case["theta"]),
+                    [c(v) for v in case["lambdas"]], [c(v) for v in case["xis"]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        log_value = partition.z_determinant(p).log_value
+    assert _oracle_error(log_value, case["log_z"]) <= max(4 * case["parent_err"], 1e-13)

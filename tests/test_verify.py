@@ -62,10 +62,12 @@ def test_margin_scaling():
 
 
 def test_suite_config_validation():
-    with pytest.raises(ValueError):
-        verify.SuiteConfig(samples_per_case=0)
-    with pytest.raises(ValueError, match="seed"):
-        verify.SuiteConfig(seed=-1)
+    for bad in (0, 1.5):
+        with pytest.raises(ValueError, match="samples_per_case"):
+            verify.SuiteConfig(samples_per_case=bad)
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            verify.SuiteConfig(seed=bad)
     for bad in ((0,), (-1,), (1, 2, 0), (), (1.5,), (1.7, 2.2)):
         with pytest.raises(ValueError, match="n_values"):
             verify.SuiteConfig(n_values=bad)
