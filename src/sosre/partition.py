@@ -36,7 +36,10 @@ sh = np.sinh
 BRUTE_CAP_DEFAULT = 8
 BRUTE_CAP_HARD_MAX = 12
 ILL_CONDITIONED_PIVOT = 1e-10
-LU_PANEL = 64
+# Largest N whose log det gets a refinement step (`logdet_partial_pivot`):
+# three matrix products, a solve and a second LU, ~0.4 ms at N = 50 on top
+# of LAPACK's ~0.1 ms LU; its flops are ~13 LUs', which at N = 800 is ~0.4 s
+REFINE_MAX_N = 64
 # Relative slack of the guard prefilter thresholds (see `_det_guards`): far
 # above the few ulps that np.sinh, the squares and the differences round by.
 _PREFILTER_SLACK = 256 * np.finfo(float).eps
@@ -133,46 +136,85 @@ def m_matrix(p, form=PRODUCT_FORM):
     )
 
 
+def _split(x, axis, bits):
+    """x = hi + lo, the real and imaginary parts of hi rounded to multiples of
+    2^(e - bits), 2^e above the largest modulus along `axis` (sigma + x - sigma,
+    Rump's extraction).  A product of such row and column parts over an inner
+    dimension n with 2n * 4^bits <= 2^53 rounds nothing."""
+    sigma = np.ldexp(0.75, np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1] + 53 - bits)
+    hi = (x.real + sigma - sigma) + 1j * (x.imag + sigma - sigma)
+    return hi, x - hi
+
+
+def _lu_log_error(a, lu, piv, order):
+    """log det(a) - log det(L U) for a's LU factors, as log det(I + E) with
+    E = (L U)^-1 R and R = a[order] - L U.  L U is formed without rounding
+    its leading part: L by rows and U by columns are split so that the
+    product of their leading parts is exact and the other three products are
+    small (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012), so R is
+    accurate where a product rounded in double would be all rounding.  I + E
+    is close to I, and its determinant in double is good to about N ulps."""
+    from scipy.linalg.lapack import zgetrs
+
+    n = len(a)
+    bits = (52 - n.bit_length()) // 2
+    u = np.triu(lu)
+    l = lu - u
+    np.fill_diagonal(l, 1.0)
+    l_hi, l_lo = _split(l, 1, bits)
+    u_hi, u_lo = _split(u, 0, bits)
+    r = np.empty_like(a)
+    r[order] = (a[order] - l_hi @ u_hi) - (l_hi @ u_lo + l_lo @ u)
+    e, _ = zgetrs(lu, piv, r)
+    sign, logabs = np.linalg.slogdet(np.eye(n) + e)
+    return complex(logabs, np.angle(sign))
+
+
 def logdet_partial_pivot(mat):
-    """(log det, smallest pivot modulus) by blocked right-looking Gaussian
-    elimination with partial pivoting on the modulus.  Each panel of LU_PANEL
-    columns is eliminated column by column, multipliers stored in place; its
-    row swaps then reach the trailing columns, its block row of U comes from a
-    unit-lower triangular solve and the trailing update is one matmul.  For
-    n <= LU_PANEL (one panel) the result is that of the unblocked loop, bit for
-    bit.  Log accumulation keeps huge/tiny determinants representable; a row
-    swap contributes i*pi to the log."""
-    a = np.array(mat, dtype=complex)
-    n = a.shape[0]
-    logdet = 0.0 + 0.0j
+    """(log det, smallest pivot modulus) by LAPACK's LU with partial pivoting
+    (zgetrf), after scaling rows and then columns by powers of two so that
+    each one's largest modulus lies in [1/2, 1), as zgeequ/zgesvx do.  The
+    scaling rounds nothing (short of entries 2^1021 below their row's
+    largest) and its log is exact.  Each scaled pivot times its row's and
+    column's power of two is the pivot of unscaled elimination in the same
+    row order, exactly, so the smallest pivot is in the matrix's own units.
+    Log accumulation keeps huge/tiny determinants representable; a row swap
+    contributes i*pi to the log.  An exactly zero pivot gives (-inf, 0.0).
+
+    Up to N = REFINE_MAX_N the LU's own rounding is then taken out of the log
+    by one refinement step with a residual formed without rounding (see
+    `_lu_log_error`), so what is left is the error of the entries; beyond,
+    that step would cost several times the LU.  scipy's LAPACK wrappers are
+    imported on the first call, so importing sosre does not load scipy."""
+    from scipy.linalg.lapack import zgetrf
+
+    a = np.array(mat, dtype=complex, order="F")
+    n = len(a)
+    _, e_row = np.frexp(np.abs(a).max(axis=1))
+    a *= np.ldexp(1.0, -e_row)[:, None]
+    _, e_col = np.frexp(np.abs(a).max(axis=0))
+    a *= np.ldexp(1.0, -e_col)
+    refine = n <= REFINE_MAX_N
+    lu, piv, info = zgetrf(a, overwrite_a=not refine)
+    if info > 0:  # pivot number `info` is exactly zero
+        return complex(-np.inf), 0.0
+    order = list(range(n))
     swaps = 0
-    min_piv = np.inf
-    for k0 in range(0, n, LU_PANEL):
-        k1 = min(k0 + LU_PANEL, n)
-        panel_swaps = []
-        for k in range(k0, k1):
-            rel = int(np.argmax(np.abs(a[k:, k])))
-            if rel:
-                a[[k, k + rel], k0:k1] = a[[k + rel, k], k0:k1]
-                panel_swaps.append((k, k + rel))
-            piv = a[k, k]
-            apiv = abs(piv)
-            if apiv < min_piv:
-                min_piv = apiv
-            if apiv == 0.0:
-                return complex(-np.inf), 0.0
-            logdet += np.log(piv)
-            a[k + 1 :, k] /= piv
-            a[k + 1 :, k + 1 : k1] -= np.outer(a[k + 1 :, k], a[k, k + 1 : k1])
-        swaps += len(panel_swaps)
-        if k1 < n:
-            for k, r in panel_swaps:
-                a[[k, r], k1:] = a[[r, k], k1:]
-            for i in range(k0 + 1, k1):
-                a[i, k1:] -= a[i, k0:i] @ a[k0:i, k1:]
-            a[k1:, k1:] -= a[k1:, k0:k1] @ a[k0:k1, k1:]
-    if swaps % 2:
-        logdet += 1j * np.pi
+    for k, r in enumerate(piv.tolist()):
+        if r != k:
+            order[k], order[r] = order[r], order[k]
+            swaps += 1
+    order = np.array(order)
+    d = np.diagonal(lu)
+    # log|pivot| as the log of a mantissa in [1, 2) plus a power of two, so
+    # that the powers of two of the scaling and of the pivots add exactly
+    mant, e_piv = np.frexp(np.abs(d))
+    e = int(e_row.sum()) + int(e_col.sum()) + int(e_piv.sum()) - n
+    logdet = complex(np.sum(np.log(2 * mant)) + e * np.log(2.0),
+                     np.sum(np.angle(d)) + np.pi * (swaps % 2))
+    if refine:
+        logdet += _lu_log_error(a, lu, piv, order)
+    min_piv = np.ldexp(np.abs(d), e_row[order] + e_col).min()
     return complex(logdet), float(min_piv)
 
 
@@ -259,7 +301,8 @@ def z_determinant(p):
     `_det_guards` returns the grid and pair factors as differences of sinh^2
     (O(N) sinh calls); they feed both the product-form kernel (the sum form
     loses digits) and the log prefactor.  `cond_hint` is the smallest pivot
-    modulus of the blocked LU.  Warns IllConditionedWarning when it drops
+    modulus of LAPACK's LU, in the kernel's own units (see
+    `logdet_partial_pivot`).  Warns IllConditionedWarning when it drops
     below 1e-10, which at large N is expected: the kernel is Cauchy-like and
     its pivots decay geometrically, so trust `log_value` over `value` there.
     Below about 1e-12 the value has no reliable digits (LU orderings disagree

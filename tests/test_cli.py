@@ -299,3 +299,12 @@ def test_module_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["summary"]["failed"] == 0
+
+
+def test_import_does_not_load_scipy():
+    # the determinant imports scipy.linalg on its first call, not before
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sosre.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
