@@ -34,7 +34,6 @@ from .chain_ops import (
     check_exchange_algebra,
     check_monodromy_inverse,
     gamma_hat,
-    hat_monodromy,
 )
 from .partition import (
     PartitionResult,

@@ -69,16 +69,6 @@ def apply_b(v, lam, p):
     return _apply_double_row(x, 0, lam, p)[:h]
 
 
-def bulk_full(lam, p):
-    """Bulk monodromy as the full 2^(N+1) aux (x) chain operator."""
-    return _apply_bulk(np.eye(2 << p.n), 0, lam, p)
-
-
-def hat_monodromy(lam, p):
-    """Return-path monodromy as the full aux (x) chain operator."""
-    return _apply_hat(np.eye(2 << p.n), 0, lam, p)
-
-
 def double_row_full(lam, p):
     """Double-row monodromy: bulk, boundary K on the auxiliary space, return path."""
     return _apply_double_row(np.eye(2 << p.n), 0, lam, p)
@@ -158,7 +148,7 @@ def check_monodromy_inverse(lam, p):
     """hat(T)(lam) T(-lam) is gamma_hat(lam) times the identity: the max
     |entry| of the difference, as a float."""
     lam = complex(lam)
-    prod = _apply_hat(bulk_full(-lam, p), 0, lam, p)
+    prod = _apply_hat(_apply_bulk(np.eye(2 << p.n), 0, -lam, p), 0, lam, p)
     return float(np.max(np.abs(prod - gamma_hat(lam, p) * np.eye(2 << p.n))))
 
 

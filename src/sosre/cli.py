@@ -1,9 +1,10 @@
 """Command-line interface: compute, verify, bench, sweep.
 
-Complex numbers cross the wire as two-element arrays [re, im], JSON goes to
-stdout (or --output), CSV has a header row and '.' decimals.  Exit code 0
-means every requested computation/check succeeded; 1 means a verification
-failure; 2 means bad input or a singular evaluation.
+Complex numbers cross the wire as two-element arrays [re, im], and a number
+that is not finite (a Z past a double's range, a NaN rel_diff) as null.  JSON
+goes to stdout (or --output), CSV has a header row and '.' decimals.  Exit
+code 0 means every requested computation/check succeeded; 1 means a
+verification failure; 2 means bad input or a singular evaluation.
 """
 
 from __future__ import annotations
@@ -41,9 +42,15 @@ def _complex_from_wire(value, where):
         raise ParseError(f"{where}: integer too large for a float") from None
 
 
+def _float_to_wire(x):
+    """x, or None where it is not finite: JSON has no inf or NaN."""
+    x = float(x)
+    return x if np.isfinite(x) else None
+
+
 def _complex_to_wire(z):
     z = complex(z)
-    return [z.real, z.imag]
+    return [_float_to_wire(z.real), _float_to_wire(z.imag)]
 
 
 def load_model_params(path):
@@ -128,11 +135,11 @@ def cmd_compute(p, method, cap=partition.BRUTE_CAP_DEFAULT, output=None):
     if method == "both":
         doc = {
             "results": [_result_doc(r) for r in results],
-            "rel_diff": rel_diff(results[0].value, results[1].value),
+            "rel_diff": _float_to_wire(rel_diff(results[0].value, results[1].value)),
         }
     else:
         doc = _result_doc(results[0])
-    _emit(json.dumps(doc, indent=2), output)
+    _emit(json.dumps(doc, indent=2, allow_nan=False), output)
     return 0
 
 
@@ -232,7 +239,9 @@ def build_parser():
     v.add_argument("--suite", choices=verify.SUITE_NAMES, required=True)
     v.add_argument("--seed", type=int, default=42)
     v.add_argument("--samples", type=int, default=25)
-    v.add_argument("--max-n", type=int, default=None)
+    v.add_argument("--max-n", type=int, default=None,
+                   help="drop the default chain sizes (1, 2, 3) above this; "
+                        "it adds no larger ones")
     v.add_argument("--output", default=None)
 
     b = sub.add_parser("bench", help="time determinant vs brute force per N")

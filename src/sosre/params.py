@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from operator import add, sub
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -145,81 +144,58 @@ class GuardFamily(NamedTuple):
     """One row of the guard table: the arguments of one family of sinh
     denominators.
 
-    `build(*operands)` is the arguments' elementwise arithmetic.  Without
-    `sites` the family is `build` broadcast over the operands, a 1-D array
-    or an N x N grid (entry [i, j] at lambda_i, xi_j or lambda_i, lambda_j);
-    with `sites` = (a, b), entry k is `build` at operands[0][a[k]],
-    operands[1][b[k]].  `name(k)` labels flat entry k.
+    `args()` evaluates every argument of the family, a 1-D array or an N x N
+    grid (entry [i, j] at lambda_i, xi_j or lambda_i, lambda_j); nothing is
+    evaluated before it is called.  `name(k)` labels flat entry k.
     """
 
     tier: str
     key: str
-    build: Callable
-    operands: tuple
+    args: Callable
     name: Callable
-    sites: tuple | None = None
-
-    def args(self):
-        """Every argument of the family."""
-        if self.sites is None:
-            return self.build(*self.operands)
-        return self.build(*(o[s] for o, s in zip(self.operands, self.sites)))
-
-    def args_at(self, flat):
-        """The arguments at flat entries `flat` only: the same arithmetic on
-        gathered operands, so bit for bit those entries of `args()`."""
-        if self.sites is not None:
-            return self.build(*(o[s[flat]] for o, s in zip(self.operands, self.sites)))
-        shape = np.broadcast_shapes(*map(np.shape, self.operands))
-        idx = np.unravel_index(flat, shape)
-        return self.build(*(np.broadcast_to(o, shape)[idx] if np.ndim(o) else o
-                            for o in self.operands))
 
 
 def guard_families(p, pair_order=None):
     """Every sinh denominator of the model, declared once: `GuardFamily` rows
-    in guard order.
+    in guard order, each a closure over its own arithmetic.
 
     Pair rows run over (a[k], b[k]) for `pair_order` = (a, b), by default
     i < j.  RATIO rows sit under the large coupling-dependent ratios (factors
     like sinh(theta + k eta) in denominators with sizeable numerators), so
-    the sampler keeps them further from zero than the GENERIC rows.  No
-    argument is evaluated until a caller asks for it.
+    the sampler keeps them further from zero than the GENERIC rows.
     """
     lam = p.lambdas_array()
     xi = p.xis_array()
     n = p.n
+    eta, zeta, theta = p.eta, p.zeta, p.theta
     L = lam[:, None]
     X = xi[None, :]
     # i < j in row-major order: np.triu_indices(n, 1), ~3x cheaper at small n
-    sites = np.nonzero(~np.tri(n, dtype=bool)) if pair_order is None else pair_order
-    a, b = sites
+    a, b = np.nonzero(~np.tri(n, dtype=bool)) if pair_order is None else pair_order
     ks = np.arange(-(n + 2), n + 3)
     one = lambda f: lambda k: f.format(k)
     grid = lambda f: lambda k: f.format(k // n, k % n)
     pair = lambda f: lambda k: f.format(a[k], b[k])
-    sub_eta = lambda u, v, e: u - v + e
-    add_eta = lambda u, v, e: u + v + e
     return [
-        GuardFamily(GENERIC, "zeta-lambda", sub, (p.zeta, lam), one("zeta-lambda[{}]")),
-        GuardFamily(GENERIC, "theta+zeta-lambda", lambda t, z, u: t + z - u,
-                    (p.theta, p.zeta, lam), one("theta+zeta-lambda[{}]")),
-        GuardFamily(GENERIC, "2*lambda", lambda u: 2.0 * u, (lam,), one("2*lambda[{}]")),
-        GuardFamily(GENERIC, "lambda-xi", sub, (L, X), grid("lambda[{}]-xi[{}]")),
-        GuardFamily(GENERIC, "lambda+xi", add, (L, X), grid("lambda[{}]+xi[{}]")),
-        GuardFamily(GENERIC, "lambda-xi+eta", sub_eta, (L, X, p.eta), grid("lambda[{}]-xi[{}]+eta")),
-        GuardFamily(GENERIC, "lambda+xi+eta", add_eta, (L, X, p.eta), grid("lambda[{}]+xi[{}]+eta")),
-        GuardFamily(GENERIC, "lambda+lambda+eta", add_eta, (L, lam, p.eta),
+        GuardFamily(GENERIC, "zeta-lambda", lambda: zeta - lam, one("zeta-lambda[{}]")),
+        GuardFamily(GENERIC, "theta+zeta-lambda", lambda: theta + zeta - lam,
+                    one("theta+zeta-lambda[{}]")),
+        GuardFamily(GENERIC, "2*lambda", lambda: 2.0 * lam, one("2*lambda[{}]")),
+        GuardFamily(GENERIC, "lambda-xi", lambda: L - X, grid("lambda[{}]-xi[{}]")),
+        GuardFamily(GENERIC, "lambda+xi", lambda: L + X, grid("lambda[{}]+xi[{}]")),
+        GuardFamily(GENERIC, "lambda-xi+eta", lambda: L - X + eta, grid("lambda[{}]-xi[{}]+eta")),
+        GuardFamily(GENERIC, "lambda+xi+eta", lambda: L + X + eta, grid("lambda[{}]+xi[{}]+eta")),
+        GuardFamily(GENERIC, "lambda+lambda+eta", lambda: L + lam + eta,
                     grid("lambda[{}]+lambda[{}]+eta")),
-        GuardFamily(GENERIC, "lambda-lambda", sub, (lam, lam), pair("lambda[{}]-lambda[{}]"), sites),
-        GuardFamily(GENERIC, "lambda+lambda", add, (lam, lam), pair("lambda[{}]+lambda[{}]"), sites),
-        GuardFamily(GENERIC, "xi-xi", sub, (xi, xi), pair("xi[{}]-xi[{}]"), sites),
-        GuardFamily(GENERIC, "xi+xi", add, (xi, xi), pair("xi[{}]+xi[{}]"), sites),
-        GuardFamily(RATIO, "theta%+d*eta", lambda t, k, e: t + k * e, (p.theta, ks, p.eta),
+        GuardFamily(GENERIC, "lambda-lambda", lambda: lam[a] - lam[b], pair("lambda[{}]-lambda[{}]")),
+        GuardFamily(GENERIC, "lambda+lambda", lambda: lam[a] + lam[b], pair("lambda[{}]+lambda[{}]")),
+        GuardFamily(GENERIC, "xi-xi", lambda: xi[a] - xi[b], pair("xi[{}]-xi[{}]")),
+        GuardFamily(GENERIC, "xi+xi", lambda: xi[a] + xi[b], pair("xi[{}]+xi[{}]")),
+        GuardFamily(RATIO, "theta%+d*eta", lambda: theta + ks * eta,
                     lambda k: f"theta{ks[k]:+d}*eta"),
-        GuardFamily(RATIO, "zeta+lambda", add, (p.zeta, lam), one("zeta+lambda[{}]")),
-        GuardFamily(RATIO, "theta+zeta+lambda", lambda t, z, u: t + z + u,
-                    (p.theta, p.zeta, lam), one("theta+zeta+lambda[{}]")),
+        GuardFamily(RATIO, "zeta+lambda", lambda: zeta + lam, one("zeta+lambda[{}]")),
+        GuardFamily(RATIO, "theta+zeta+lambda", lambda: theta + zeta + lam,
+                    one("theta+zeta+lambda[{}]")),
     ]
 
 

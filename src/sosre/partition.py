@@ -240,23 +240,15 @@ def _det_guards(p, form):
     The grid and pair factors pair up as differences of O(N) squares:
     D1 = sinh^2 lambda_i - sinh^2 xi_j = sinh(lambda_i-xi_j) sinh(lambda_i+xi_j),
     D2 the same at lambda+eta, P1 = sinh^2 xi_j - sinh^2 xi_i and
-    P2 = sinh^2(lambda_j+eta/2) - sinh^2(lambda_i+eta/2).  np.sinh runs on a
-    row's own arguments only where |D| or |P| is under a threshold that every
-    failing entry is under, so NearSingular is what evaluating each row in
-    full would raise.  Returns D1 D2, P1 P2 and
-    sinh(theta+zeta+lambda) sinh(zeta+lambda), none of which depends on the
-    flagged entries."""
+    P2 = sinh^2(lambda_j+eta/2) - sinh^2(lambda_i+eta/2).  Every failing
+    entry of a grid or pair row has its |D| or |P| under a threshold.  While
+    no entry is under it, only the two O(N) boundary rows are evaluated;
+    otherwise all ten rows are, in full and in order.  Either way
+    NearSingular is what evaluating every row would raise.  Returns D1 D2,
+    P1 P2 and sinh(theta+zeta+lambda) sinh(zeta+lambda), which do not depend
+    on which rows were evaluated."""
     n = p.n
     iu, ju = np.triu_indices(n, 1)
-    fams = {f.key: f for f in guard_families(p, (ju, iu))}
-
-    def guard(key, flat=None):
-        f = fams[key]
-        if flat is None:
-            return require_all_nonsingular(f.name, f.args())
-        if flat.size:
-            require_all_nonsingular(lambda k: f.name(flat[k]), f.args_at(flat))
-
     lam, xi = p.lambdas_array(), p.xis_array()
     lam_eta, mu = lam + p.eta, lam + p.eta / 2
     w, w_eta, y, q = (np.square(sh(v)) for v in (lam, lam_eta, xi, mu))
@@ -267,7 +259,7 @@ def _det_guards(p, form):
     # when one factor is at or below tol, since |sinh z| <= cosh(Re z).  The
     # slack term covers the rounding of np.sinh, the squares, their difference
     # and the guard arguments, which grows with a bound on |x| + |y|.  An
-    # entry above its threshold cannot fail; NaN entries are kept.
+    # entry above its threshold cannot fail; a NaN entry counts as under.
     re = lambda v: np.abs(v.real).max()
     mod = 2 * max(np.abs(lam).max(), np.abs(xi).max()) + abs(p.eta)
     with np.errstate(over="ignore"):
@@ -275,23 +267,22 @@ def _det_guards(p, form):
         thr_grid, thr_xi, thr_mu = (
             c * guard_tol_default() * (1 + _PREFILTER_SLACK)
             + _PREFILTER_SLACK * c * c * (2 + mod))
-    suspects = lambda d, thr: np.flatnonzero(~(np.abs(d) > thr))
+    full = not all(np.all(np.abs(d) > thr) for d, thr in
+                   ((d1, thr_grid), (d2, thr_grid), (p1, thr_xi), (p2, thr_mu)))
 
-    flat = suspects(d1, thr_grid)
-    guard("lambda-xi", flat)
-    guard("lambda+xi", flat)
-    flat = suspects(d2, thr_grid)
-    guard("lambda-xi+eta", flat)
-    guard("lambda+xi+eta", flat)
+    fams = {f.key: f for f in guard_families(p, (ju, iu))}
+    guard = lambda key: require_all_nonsingular(fams[key].name, fams[key].args())
+    if full:
+        for key in ("lambda-xi", "lambda+xi", "lambda-xi+eta", "lambda+xi+eta"):
+            guard(key)
     boundary = guard("theta+zeta+lambda") * guard("zeta+lambda")
     if form == SUM_FORM:
         require_nonsingular("theta", p.theta)
-    flat = suspects(p1, thr_xi)
-    guard("xi-xi", flat)
-    guard("xi+xi", flat)
-    flat = suspects(p2, thr_mu)
-    guard("lambda-lambda", flat)
-    guard("lambda+lambda+eta", (ju * n + iu)[flat])
+    if full:
+        for key in ("xi-xi", "xi+xi", "lambda-lambda"):
+            guard(key)
+        f, flat = fams["lambda+lambda+eta"], ju * n + iu
+        require_all_nonsingular(lambda k: f.name(flat[k]), f.args().ravel()[flat])
     return d1 * d2, p1 * p2, boundary
 
 
@@ -324,7 +315,8 @@ def z_determinant(p):
     log_pref = complex(np.sum(np.log(np.abs(grid))) - np.sum(np.log(np.abs(pairs))),
                        np.sum(np.angle(grid)) - np.sum(np.angle(pairs)))
     log_value = logdet + log_pref + _height_prefactor_log(n, p.theta, p.eta)
-    value = complex(np.exp(log_value))
+    with np.errstate(over="ignore"):  # past a double's range; log_value is finite
+        value = complex(np.exp(log_value))
     return PartitionResult(
         value,
         METHOD_DETERMINANT,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sosre import cli, verify, weights
-from sosre.params import InvariantViolation, ParseError
+from sosre.params import IllConditionedWarning, InvariantViolation, ParseError
 
 FIXTURE = {
     "eta": [0.7, 0.0],
@@ -133,6 +133,35 @@ def test_compute_output_file(tmp_path, capsys):
     assert cli.main(["compute", "--config", path, "--output", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out.read_text())["method"] == "determinant"
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_compute_overflowing_z_is_strict_json(tmp_path, capsys):
+    # Z overflows a double while log Z stays finite: Z is written as null
+    doc = {"eta": [0.62, 0], "zeta": [1.05, 0], "theta": [0.83, 0],
+           "lambdas": [[90.1, 0], [90.4, 0.1], [89.7, 0.2]],
+           "xis": [[0.24, 0], [0.11, 0], [0.37, 0.1]]}
+    path = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        assert cli.main(["compute", "--config", path]) == 0
+    det = _strict_json(capsys.readouterr().out)
+    assert det["Z"] == [None, None]
+    assert all(np.isfinite(det["log_Z"]))
+    # the contraction overflows too, with its own RuntimeWarnings; their
+    # relative difference is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert cli.main(["compute", "--config", path, "--method", "both"]) == 0
+    both = _strict_json(capsys.readouterr().out)
+    assert both["results"][0]["Z"] == [None, None]
+    assert both["rel_diff"] is None
 
 
 def test_compute_guard_violation_exit2(tmp_path, capsys):

@@ -660,15 +660,38 @@ def test_log_value_does_not_depend_on_guard_tolerance(monkeypatch):
         return inner(label_fn, values)
 
     monkeypatch.setattr(partition, "require_all_nonsingular", counting)
-    logs = {}
+    logs, guards = {}, {}
     for tol in ("1e-3", "1e-9"):
         monkeypatch.setenv("SOS_GUARD_TOL", tol)
         flagged[tol] = 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedWarning)
             logs[tol] = [partition.z_determinant(q).log_value for q in cases]
+        guards[tol] = [partition._det_guards(q, partition.PRODUCT_FORM) for q in cases]
     assert logs["1e-3"] == logs["1e-9"]
     assert flagged["1e-3"] > flagged["1e-9"]
+    for escalated, fast in zip(guards["1e-3"], guards["1e-9"]):
+        assert [a.tobytes() for a in escalated] == [a.tobytes() for a in fast]
+
+
+@pytest.mark.parametrize("n", [16, 50, 200])
+def test_generic_guards_evaluate_only_the_boundary_rows(n, monkeypatch):
+    # on generic draws no grid or pair entry is under its prefilter
+    # threshold, so the guards evaluate theta+zeta+lambda and zeta+lambda
+    # only: 2N arguments
+    inner = partition.require_all_nonsingular
+    sizes = []
+
+    def counting(label_fn, values):
+        sizes.append(np.size(values))
+        return inner(label_fn, values)
+
+    monkeypatch.setattr(partition, "require_all_nonsingular", counting)
+    for seed in (1, 2, 3):
+        sizes.clear()
+        partition._det_guards(draw(n, np.random.default_rng((217, seed, n))),
+                              partition.PRODUCT_FORM)
+        assert sizes == [n, n]
 
 
 _ORACLE = json.loads((Path(__file__).parent / "data" / "oracle_logz.json").read_text())
