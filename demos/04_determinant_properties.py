@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from sosre import partition, verify
+from sosre import chain_ops, partition, verify
 from sosre.params import ModelParams, rel_diff
 
 cfg = verify.SuiteConfig()
@@ -20,7 +20,7 @@ print("xi permutation    :", rel_diff(partition.z_determinant(px).value, z0))
 # iii: crossing, Z(-lambda_i - eta) = factor * Z(lambda_i)
 pc = verify.sample_params(cfg, 3, rng, extra_guards=verify._crossing_extra(0))
 q = pc.replace_lambda(0, -pc.lambdas[0] - pc.eta)
-factor = partition.crossing_factor(pc.lambdas[0], pc)
+factor = chain_ops.crossing_scalar(pc.lambdas[0], pc.theta, pc.eta, pc.zeta)
 print("crossing identity :", rel_diff(
     partition.z_determinant(q).value, factor * partition.z_determinant(pc).value))
 

@@ -119,8 +119,11 @@ def _result_doc(r):
 
 def _emit(text, output):
     if output:
-        with open(output, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8") as f:
+                f.write(text + "\n")
+        except OSError as e:
+            raise ParseError(f"cannot write {output}: {e}") from None
     else:
         print(text)
 

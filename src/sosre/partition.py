@@ -1,6 +1,6 @@
 """The partition function three ways: operator contraction, an N=1 closed
-form, and a single N x N determinant; plus the scalar factors entering the
-crossing and recursion identities and the polynomial normalization.
+form, and a single N x N determinant; plus the right-hand sides of the
+recursion identities and the polynomial normalization.
 
 The determinant path works in log space throughout (the determinant itself
 via the log of each pivot, the prefactor as a sum of log|D| and arg D over
@@ -49,7 +49,6 @@ PRODUCT_FORM = "product"
 
 METHOD_BRUTE = "brute-force"
 METHOD_DETERMINANT = "determinant"
-METHOD_CLOSED_N1 = "closed-form-n1"
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,9 @@ def z_bruteforce(p, cap=BRUTE_CAP_DEFAULT):
     t0 = time.perf_counter()
     v = np.zeros(1 << p.n, dtype=complex)
     v[0] = 1.0
-    for lam in reversed(p.lambdas):
-        v = chain_ops.apply_b(v, lam, p)
+    with np.errstate(over="ignore", invalid="ignore"):  # past a double's range: inf, NaN
+        for lam in reversed(p.lambdas):
+            v = chain_ops.apply_b(v, lam, p)
     value = complex(v[-1])
     return PartitionResult(value, METHOD_BRUTE, time.perf_counter() - t0, p.n)
 
@@ -221,17 +221,19 @@ def logdet_partial_pivot(mat):
 def _height_prefactor_log(n, theta, eta):
     """Log of the scalar height factor in the determinant formula:
     (-1)^floor(n/2) times the product over m = n-1, n-3, ... (>= 0) of
-    sinh(theta - (m+1) eta) / sinh(theta + m eta)."""
+    sinh(theta - (m+1) eta) / sinh(theta + m eta), guarded in one call."""
+    ms = np.arange(n - 1, -1, -2)
+    den = require_all_nonsingular(lambda k: f"theta{ms[k]:+d}*eta", theta + ms * eta)
     log = 1j * np.pi * ((n // 2) % 2)
-    for m in range(n - 1, -1, -2):
-        require_nonsingular(f"theta+{m}*eta", theta + m * eta)
-        log += np.log(sh(theta - (m + 1) * eta)) - np.log(sh(theta + m * eta))
+    for num_log, den_log in zip(np.log(sh(theta - (ms + 1) * eta)), np.log(den)):
+        log += num_log - den_log
     return log
 
 
 def _det_guards(p, form):
-    """Guard every denominator the determinant formula divides by, in this
-    order: the four N x N grids at lambda_i -+ xi_j (+eta), theta+zeta+lambda,
+    """Guard every denominator of the kernel and of the grid and pair factors
+    (`_height_prefactor_log` guards the height factor's), in this order: the
+    four N x N grids at lambda_i -+ xi_j (+eta), theta+zeta+lambda,
     zeta+lambda, sinh(theta) for the sum form only, then over i < j the pairs
     xi_j -+ xi_i, lambda_j - lambda_i and lambda_j + lambda_i + eta (the
     lower triangle of that grid).  All but sinh(theta), whose label is not
@@ -302,6 +304,7 @@ def z_determinant(p):
     t0 = time.perf_counter()
     n = p.n
     grid, pairs, boundary = _det_guards(p, PRODUCT_FORM)
+    log_height = _height_prefactor_log(n, p.theta, p.eta)  # guards: before the LU
     logdet, min_piv = logdet_partial_pivot(_m_matrix_entries(p, grid, boundary))
     if min_piv < ILL_CONDITIONED_PIVOT:
         warnings.warn(
@@ -314,7 +317,7 @@ def z_determinant(p):
     # log|.| and arg as two real passes: np.log on complex arrays is ~15x slower
     log_pref = complex(np.sum(np.log(np.abs(grid))) - np.sum(np.log(np.abs(pairs))),
                        np.sum(np.angle(grid)) - np.sum(np.angle(pairs)))
-    log_value = logdet + log_pref + _height_prefactor_log(n, p.theta, p.eta)
+    log_value = logdet + log_pref + log_height
     with np.errstate(over="ignore"):  # past a double's range; log_value is finite
         value = complex(np.exp(log_value))
     return PartitionResult(
@@ -324,13 +327,6 @@ def z_determinant(p):
         n,
         cond_hint=min_piv,
         log_value=complex(log_value),
-    )
-
-
-def crossing_factor(lambda_i, p):
-    """Scalar relating Z with lambda_i replaced by -lambda_i - eta to Z."""
-    return complex(
-        chain_ops.crossing_scalar(lambda_i, p.theta, p.eta, p.zeta)
     )
 
 
@@ -354,8 +350,7 @@ def _recursion_rhs(p, z_prev, side):
     require_nonsingular(f"{cname}+{name}", c + lp)
     val = sh(eta) * sh(c - lp) / sh(c + lp)
     for i in range(1, n + 1):
-        require_nonsingular(
-            f"theta+{n - 2 * i + 1}*eta", theta + (n - 2 * i + 1) * eta)
+        require_nonsingular(f"theta{n - 2 * i + 1:+d}*eta", theta + (n - 2 * i + 1) * eta)
         val = val * sh(p.lambdas[i - 1] + x) \
             * sh(theta + (n - 2 * i) * eta) / sh(theta + (n - 2 * i + 1) * eta)
     others = p.lambdas[1:] if lower else p.lambdas[:-1]

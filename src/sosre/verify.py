@@ -312,7 +312,7 @@ def _crossing_runner(method):
         i = int(rng.integers(n))
         p = sample_params(cfg, n, rng, extra_guards=_crossing_extra(i))
         q = p.replace_lambda(i, -p.lambdas[i] - p.eta)
-        factor = partition.crossing_factor(p.lambdas[i], p)
+        factor = chain_ops.crossing_scalar(p.lambdas[i], p.theta, p.eta, p.zeta)
         z = _z(method)
         za, zb = z(p), z(q)
         return rel_diff(zb, factor * za)

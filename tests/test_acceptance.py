@@ -169,7 +169,7 @@ def test_criterion_08_determinant_properties(capsys):
         for _ in range(5):
             p = draw(n, rng, extra=verify._crossing_extra(0))
             q = p.replace_lambda(0, -p.lambdas[0] - p.eta)
-            factor = partition.crossing_factor(p.lambdas[0], p)
+            factor = chain_ops.crossing_scalar(p.lambdas[0], p.theta, p.eta, p.zeta)
             worst_cross_brute = max(
                 worst_cross_brute, rel_diff(z_brute(q), factor * z_brute(p)))
             worst_cross_det = max(

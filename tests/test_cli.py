@@ -135,6 +135,17 @@ def test_compute_output_file(tmp_path, capsys):
     assert json.loads(out.read_text())["method"] == "determinant"
 
 
+@pytest.mark.parametrize("argv", [["compute", "--config", None],
+                                  ["verify", "--suite", "weights", "--samples", "1"]],
+                         ids=["compute", "verify"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    argv = [write_config(tmp_path, FIXTURE) if a is None else a for a in argv]
+    out = tmp_path / "missing" / "x.json"
+    assert cli.main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+
+
 def _strict_json(text):
     def refuse(token):
         raise ValueError(f"{token} is not JSON")
@@ -153,11 +164,9 @@ def test_compute_overflowing_z_is_strict_json(tmp_path, capsys):
     det = _strict_json(capsys.readouterr().out)
     assert det["Z"] == [None, None]
     assert all(np.isfinite(det["log_Z"]))
-    # the contraction overflows too, with its own RuntimeWarnings; their
-    # relative difference is NaN
+    # the contraction overflows too; their relative difference is NaN
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
-        warnings.simplefilter("ignore", RuntimeWarning)
         assert cli.main(["compute", "--config", path, "--method", "both"]) == 0
     both = _strict_json(capsys.readouterr().out)
     assert both["results"][0]["Z"] == [None, None]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sosre import params, partition, verify
+from sosre import chain_ops, params, partition, verify
 from sosre.params import (
     CapExceeded,
     IllConditionedWarning,
@@ -170,7 +170,7 @@ def test_crossing_identity(n):
     for _ in range(5):
         p = draw(n, rng, extra=verify._crossing_extra(0))
         q = p.replace_lambda(0, -p.lambdas[0] - p.eta)
-        factor = partition.crossing_factor(p.lambdas[0], p)
+        factor = chain_ops.crossing_scalar(p.lambdas[0], p.theta, p.eta, p.zeta)
         assert rel_diff(
             partition.z_bruteforce(q).value,
             factor * partition.z_bruteforce(p).value,
@@ -321,6 +321,40 @@ def test_height_prefactor_guard():
     q = ModelParams(p.eta, p.zeta, -p.eta + 1e-9, p.lambdas, p.xis)
     with pytest.raises(NearSingular, match=r"theta\+1\*eta"):
         partition.z_determinant(q)
+
+
+def test_height_prefactor_guard_runs_before_the_lu(monkeypatch):
+    def lu(mat):
+        raise AssertionError("LU ran before the height factor was guarded")
+
+    monkeypatch.setattr(partition, "logdet_partial_pivot", lu)
+    p = draw(3, np.random.default_rng(109))
+    q = ModelParams(p.eta, p.zeta, -2 * p.eta + 1e-9, p.lambdas, p.xis)
+    with pytest.raises(NearSingular) as err:
+        partition.z_determinant(q)
+    assert str(err.value).startswith("denominator sinh(theta+2*eta) has |sinh| = ")
+
+
+def test_recursion_guard_label_matches_the_guard_table():
+    pdeg = verify._sample_degenerate(
+        CFG, 3, np.random.default_rng(110),
+        pin=lambda p: (p.replace_lambda(0, p.xis[0]), {"lambda[0]-xi[0]"}),
+    )
+    q = ModelParams(pdeg.eta, pdeg.zeta, 2 * pdeg.eta + 1e-12, pdeg.lambdas, pdeg.xis)
+    assert "theta-2*eta" in params.guard_violations(q)
+    with pytest.raises(NearSingular) as err:
+        partition.recursion_rhs_lower(q, 1.0)
+    assert str(err.value).startswith("denominator sinh(theta-2*eta) = ")
+
+
+def test_brute_force_overflow_is_silent_and_not_finite():
+    p = ModelParams(0.62, 1.05, 0.83, (90.1, 90.4 + 0.1j, 89.7 + 0.2j),
+                    (0.24, 0.11, 0.37 + 0.1j))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        z = partition.z_bruteforce(p).value
+    assert caught == []
+    assert not np.isfinite(z)
 
 
 @pytest.mark.parametrize("n", [10, 12])
