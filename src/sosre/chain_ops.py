@@ -5,8 +5,10 @@ tensor factor; chain site i sits at tensor position i.  Products follow
 print order: the leftmost factor is applied last.
 
 No operator is multiplied out.  Each monodromy is applied to an array factor
-by factor with `weights.apply_pair`; an explicit matrix is that application
-to an identity.  The double-row monodromy bulk @ K @ hat acts in this order:
+by factor with `weights.apply_pairs`, which evaluates the weights of all its
+factors at all their heights in one table first (one `face_weights` call and
+one height guard per monodromy); an explicit matrix is that application to
+an identity.  The double-row monodromy bulk @ K @ hat acts in this order:
 the return path, site 1 first (R(lam + xi_k) with legs (site, aux)), then K
 on the auxiliary space, then the bulk, site N first (R(lam - xi_k) with legs
 (aux, site)).  Every factor at site k is height-shifted by the spins of the
@@ -30,22 +32,19 @@ def _apply_bulk(x, aux, lam, p, extra=()):
     positions; each factor is height-shifted by the spins of the later sites
     plus the `extra` positions."""
     n = x.shape[0].bit_length() - 1
-    for k in range(p.n - 1, -1, -1):
-        site = n - p.n + k
-        shift = tuple(range(site + 1, n)) + extra
-        x = weights.apply_pair(x, n, aux, site, shift, lam - p.xis[k], p.theta, p.eta)
-    return x
+    sites = range(n - p.n, n)
+    factors = [(aux, sites[k], tuple(sites[k + 1:]) + extra, lam - p.xis[k])
+               for k in reversed(range(p.n))]
+    return weights.apply_pairs(x, n, factors, p.theta, p.eta)
 
 
 def _apply_hat(x, aux, lam, p):
     """Apply the return-path monodromy: legs swapped, site 1 first,
     spectral arguments lam + xi_k, same shift rule."""
     n = x.shape[0].bit_length() - 1
-    for k in range(p.n):
-        site = n - p.n + k
-        shift = tuple(range(site + 1, n))
-        x = weights.apply_pair(x, n, site, aux, shift, lam + p.xis[k], p.theta, p.eta)
-    return x
+    sites = range(n - p.n, n)
+    factors = [(sites[k], aux, tuple(sites[k + 1:]), lam + p.xis[k]) for k in range(p.n)]
+    return weights.apply_pairs(x, n, factors, p.theta, p.eta)
 
 
 def _apply_double_row(x, aux, lam, p):

@@ -250,7 +250,7 @@ def _det_guards(p, form):
     P1 P2 and sinh(theta+zeta+lambda) sinh(zeta+lambda), which do not depend
     on which rows were evaluated."""
     n = p.n
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = np.nonzero(~np.tri(n, dtype=bool))  # i < j, as in guard_families
     lam, xi = p.lambdas_array(), p.xis_array()
     lam_eta, mu = lam + p.eta, lam + p.eta / 2
     w, w_eta, y, q = (np.square(sh(v)) for v in (lam, lam_eta, xi, mu))

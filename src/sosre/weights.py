@@ -11,18 +11,19 @@ of the shift set read off each basis state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .params import require_nonsingular
+from .params import guard_tol_default, require_nonsingular
 
 sh = np.sinh
 
 
 @dataclass(frozen=True)
 class FaceWeightSet:
-    """The six nonzero face weights at one (lambda, theta); `a` serves both
-    all-up and all-down corners, so five distinct values."""
+    """The six nonzero face weights at one (lambda, theta), or arrays of them
+    over a table; `a` serves both all-up and all-down corners, so five."""
 
     a: complex
     b_plus: complex
@@ -31,29 +32,28 @@ class FaceWeightSet:
     c_minus: complex
 
 
-def _b_weight(lam, theta, eta):
-    return sh(lam) * sh(theta - eta) / sh(theta)
-
-
-def _c_weight(lam, theta, eta):
-    return sh(eta) * sh(theta - lam) / sh(theta)
-
-
 def face_weights(lam, theta, eta):
     """Statistical weights at spectral parameter `lam` and height `theta`.
+
+    The arguments broadcast; each weight has their common shape (a scalar
+    for scalars) and comes from numpy's array loops on flat operands, so a
+    table entry has the bits of the scalar call at its point (numpy's scalar
+    complex multiply can differ in the last bit).  The "theta" guard raises
+    at the first failing height in flat order.
 
     The minus weights are the plus weights at reflected height, literally the
     same code path, so b_minus(lam, theta) == b_plus(lam, -theta) bit-exactly.
     """
-    lam, theta, eta = complex(lam), complex(theta), complex(eta)
-    require_nonsingular("theta", theta)
-    return FaceWeightSet(
-        a=sh(lam + eta),
-        b_plus=_b_weight(lam, theta, eta),
-        b_minus=_b_weight(lam, -theta, eta),
-        c_plus=_c_weight(lam, theta, eta),
-        c_minus=_c_weight(lam, -theta, eta),
-    )
+    shape = np.broadcast(lam, theta, eta).shape
+    lam, theta, eta = (np.full(shape, v, dtype=complex).ravel() for v in (lam, theta, eta))
+    sh_lam, sh_eta, sh_theta, sh_minus = sh(lam), sh(eta), sh(theta), sh(-theta)
+    for t in theta[np.abs(sh_theta) <= guard_tol_default()]:
+        require_nonsingular("theta", t)
+    b = lambda t, sh_t: sh_lam * sh(t - eta) / sh_t
+    c = lambda t, sh_t: sh_eta * sh(t - lam) / sh_t
+    w = (sh(lam + eta), b(theta, sh_theta), b(-theta, sh_minus),
+         c(theta, sh_theta), c(-theta, sh_minus))
+    return FaceWeightSet(*(v.reshape(shape)[()] for v in w))
 
 
 def r_matrix(lam, theta, eta):
@@ -94,35 +94,69 @@ SWAP_4 = np.zeros((4, 4))
 SWAP_4[0, 0] = SWAP_4[1, 2] = SWAP_4[2, 1] = SWAP_4[3, 3] = 1.0
 
 
+@lru_cache(maxsize=128)
+def _pair_layout(n, pos_a, pos_b, shift):
+    """How `apply_pairs` reads one factor; depends on the layout only.
+
+    `shape` splits a basis index at the legs: [positions before the lower
+    leg, its spin, positions between, the upper leg's spin, positions after].
+    Weight r of (a, b_plus, c_plus, c_minus, b_minus) at d down spins in the
+    shift set sits at 5 d + r of a factor's flat weights; `keep` indexes the
+    one that keeps both leg spins, `flip` c_plus and c_minus, which swap them.
+    """
+    lo, hi = sorted((pos_a, pos_b))
+    shape = (1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi - 1))
+    others = [k for k in range(n) if k not in (pos_a, pos_b)]
+    mask = sum(1 << (n - 3 - others.index(k)) for k in shift)
+    d = 5 * np.bitwise_count(np.arange(1 << (n - 2)) & mask)
+    d = d.reshape(shape[0], 1, shape[2], 1, shape[4], 1)
+    by_legs = np.array([[0, 1], [4, 0]])  # a, b_plus, b_minus by (spin at pos_a, at pos_b)
+    keep = d + (by_legs if pos_a < pos_b else by_legs.T)[:, None, :, None, None]
+    flip = np.stack((d[:, 0, :, 0] + 2, d[:, 0, :, 0] + 3))
+    keep.flags.writeable = flip.flags.writeable = False  # shared by every caller
+    # the views of the leg states (pos_a, pos_b) = (up, down) and (down, up)
+    at = lambda i, j: (slice(None), i, slice(None), j)
+    up_down, down_up = (at(0, 1), at(1, 0)) if pos_a < pos_b else (at(1, 0), at(0, 1))
+    return shape, keep, flip, up_down, down_up
+
+
+def apply_pairs(x, n, factors, theta, eta):
+    """Apply R factors, each (pos_a, pos_b, shift, lam) as in `apply_pair`,
+    to the leading axis of `x`, the first of `factors` first.
+
+    Their weights come from one `face_weights` call on a table whose row f,
+    column d is factor f at height theta - eta*(s - 2d), s = len(shift), d
+    down spins in its shift set (columns past s repeat d = s, unread).
+    Row-major order is application order, so the guard raises at the first
+    failing height the factors would meet one by one.
+    """
+    for pos_a, pos_b, shift, _ in factors:
+        if set(shift) & {pos_a, pos_b}:
+            raise ValueError(f"shift {tuple(shift)} overlaps the R legs ({pos_a}, {pos_b})")
+    s = np.array([len(shift) for _, _, shift, _ in factors])
+    m = s[:, None] - 2 * np.minimum(np.arange(s.max() + 1), s[:, None])
+    fw = face_weights(np.array([[lam] for *_, lam in factors], dtype=complex), theta - eta * m, eta)
+    table = np.stack((fw.a, fw.b_plus, fw.c_plus, fw.c_minus, fw.b_minus), axis=-1)
+    for (pos_a, pos_b, shift, _), w in zip(factors, table.reshape(len(factors), -1)):
+        shape, keep, flip, up_down, down_up = _pair_layout(n, pos_a, pos_b, tuple(shift))
+        t = x.reshape(shape + (x.size >> n,))
+        out = w[keep] * t
+        c_plus, c_minus = w[flip]
+        out[up_down] += c_plus * t[down_up]
+        out[down_up] += c_minus * t[up_down]
+        x = out.reshape(x.shape)
+    return x
+
+
 def apply_pair(x, n, pos_a, pos_b, shift, lam, theta, eta):
     """Apply R(lam; theta - eta*m) on tensor positions (pos_a, pos_b) of n
     two-level spaces, identity elsewhere, to the leading axis of `x` (length
     2^n; any trailing axes are carried along, so `x` may be a stack of
     columns).  `m` is the total spin over the positions in `shift`, read off
     each basis state, so the operator is block diagonal in the shift-set
-    magnetization.
+    magnetization.  It is `apply_pairs` with one factor.
     """
-    if set(shift) & {pos_a, pos_b}:
-        raise ValueError(f"shift {tuple(shift)} overlaps the R legs ({pos_a}, {pos_b})")
-    rest = x.shape[1:]
-    s = len(shift)
-    # the weights of R at each reachable height, highest m (all up) first
-    fs = [face_weights(lam, theta - eta * m, eta) for m in range(s, -s - 1, -2)]
-    w = np.array([(f.a, f.b_plus, f.c_plus, f.c_minus, f.b_minus) for f in fs])
-    # down spins in the shift set, per basis state of the other n - 2 positions
-    others = [k for k in range(n) if k not in (pos_a, pos_b)]
-    mask = sum(1 << (n - 3 - others.index(k)) for k in shift)
-    down = np.bitwise_count(np.arange(1 << (n - 2)) & mask)
-    a, b_plus, c_plus, c_minus, b_minus = w[down].T.reshape((5,) + (2,) * (n - 2) + (1,) * len(rest))
-    # views with the R legs in front: [spin at pos_a, spin at pos_b, others..., rest...]
-    t = np.moveaxis(np.reshape(x, (2,) * n + rest), (pos_a, pos_b), (0, 1))
-    out = np.empty(x.shape, dtype=np.result_type(x, complex))
-    o = np.moveaxis(out.reshape((2,) * n + rest), (pos_a, pos_b), (0, 1))
-    o[0, 0] = a * t[0, 0]
-    o[1, 1] = a * t[1, 1]
-    o[0, 1] = b_plus * t[0, 1] + c_plus * t[1, 0]
-    o[1, 0] = c_minus * t[0, 1] + b_minus * t[1, 0]
-    return out
+    return apply_pairs(x, n, [(pos_a, pos_b, shift, lam)], theta, eta)
 
 
 def embed_pair(n, pos_a, pos_b, shift, lam, theta, eta):

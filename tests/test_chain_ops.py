@@ -229,3 +229,79 @@ def test_b_guard_message_matches_dense_build():
         partition.z_bruteforce(r)
     assert "sinh(zeta+lambda)" in str(free.value)
     assert str(free.value) == str(dense.value)
+
+
+@pytest.mark.parametrize("theta_eta", [
+    # m = 1 has the other parity than N - 1 = 2: only the second hat factor
+    # (shift set of one site) meets it
+    (lambda eta: eta + 1e-9, lambda eta: eta),
+    # eta = 1e-6: m = 0 fails with |sinh| 6e-7 and is met first (first hat
+    # factor, heights m = 2, 0, -2); m = 1 fails with a smaller |sinh| 4e-7,
+    # so neither the argmin nor the highest failing m is the one raised
+    (lambda eta: 0.6e-6, lambda eta: 1e-6),
+])
+def test_b_guard_order_is_application_order(theta_eta):
+    theta, eta = theta_eta
+    p = draw(3, np.random.default_rng(77))
+    q = ModelParams(eta(p.eta), p.zeta, theta(p.eta), p.lambdas, p.xis)
+    with pytest.raises(NearSingular) as dense:
+        dense_b(q.lambdas[-1], q)
+    with pytest.raises(NearSingular) as free:
+        partition.z_bruteforce(q)
+    assert "sinh(theta)" in str(free.value)
+    assert str(free.value) == str(dense.value)
+    with pytest.raises(NearSingular) as op:
+        chain_ops.b_operator(q.lambdas[-1], q)
+    assert str(op.value) == str(dense.value)
+
+
+def test_exchange_guard_reaches_the_extra_shift():
+    # theta = N eta (up to 1e-9): among the monodromies only T2 of the left
+    # side, whose site-1 factor also counts the first auxiliary spin, meets
+    # m = N; it is applied first, so its factor raises
+    rng = np.random.default_rng(78)
+    p = draw(2, rng)
+    q = ModelParams(p.eta, p.zeta, 2 * p.eta + 1e-9, p.lambdas, p.xis)
+    n = q.n + 2
+    eye = np.eye(1 << n)
+    chain_ops._apply_bulk(eye, 0, q.lambdas[0], q)
+    chain_ops._apply_bulk(eye, 1, q.lambdas[1], q)
+    with pytest.raises(NearSingular) as dense:
+        weights.embed_pair(n, 1, 3, (0,), q.lambdas[1] - q.xis[1], q.theta, q.eta)
+        weights.embed_pair(n, 1, 2, (3, 0), q.lambdas[1] - q.xis[0], q.theta, q.eta)
+    with pytest.raises(NearSingular) as free:
+        chain_ops.check_exchange_algebra(q.lambdas[0], q.lambdas[1], q)
+    assert "sinh(theta)" in str(free.value)
+    assert str(free.value) == str(dense.value)
+
+
+def embedded_product(n, factors, p):
+    """Explicit product of `embed_pair` matrices, `factors` given as
+    (pos_a, pos_b, shift, lam) in print order (the leftmost applied last)."""
+    out = np.eye(1 << n, dtype=complex)
+    for a, b, shift, lam in factors:
+        out = out @ weights.embed_pair(n, a, b, shift, lam, p.theta, p.eta)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_monodromies_match_embedded_products(n):
+    rng = np.random.default_rng(80 + n)
+    p = draw(n, rng)
+    lam = p.lambdas[0]
+    close = lambda got, want: np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # carriers: one auxiliary space, or two with the other one in the shift set
+    for aux, extra, width in ((0, (), n + 1), (0, (1,), n + 2), (1, (0,), n + 2)):
+        first = width - n
+        later = lambda k: tuple(range(first + k + 1, width))
+        bulk = [(aux, first + k, later(k) + extra, lam - p.xis[k]) for k in range(n)]
+        got = chain_ops._apply_bulk(np.eye(1 << width), aux, lam, p, extra)
+        assert close(got, embedded_product(width, bulk, p)), (aux, extra)
+    later = lambda k: tuple(range(k + 2, n + 1))
+    hat = [(k + 1, 0, later(k), lam + p.xis[k]) for k in range(n - 1, -1, -1)]
+    want_hat = embedded_product(n + 1, hat, p)
+    assert close(chain_ops._apply_hat(np.eye(2 << n), 0, lam, p), want_hat)
+    bulk = [(0, k + 1, later(k), lam - p.xis[k]) for k in range(n)]
+    K = np.kron(weights.k_matrix(lam, p.theta, p.zeta), np.eye(1 << n))
+    want = embedded_product(n + 1, bulk, p) @ K @ want_hat
+    assert close(chain_ops._apply_double_row(np.eye(2 << n), 0, lam, p), want)

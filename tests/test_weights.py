@@ -59,6 +59,53 @@ def test_face_weights_guard():
         weights.face_weights(0.3, 1e-9, 0.7)
 
 
+def fields(w):
+    return (w.a, w.b_plus, w.b_minus, w.c_plus, w.c_minus)
+
+
+def test_face_weights_broadcast_is_the_scalar_call():
+    # every entry of a table has the bits of the scalar call at its point,
+    # whatever the table's shape (including the one-entry 2-d ones); scalar
+    # input returns scalars, and r_matrix places exactly those values
+    rng = np.random.default_rng(102)
+    p = draw(1, rng)
+    lams = p.lambdas[0] + rng.normal(size=(5, 1)) + 1j * rng.normal(size=(5, 1))
+    heights = p.theta - p.eta * np.arange(4, -5, -1)
+    for lam, theta in ((p.lambdas[0], heights), (lams, heights), (lams, heights[:, None].T),
+                       (lams[:1], heights[:1, None]), (lams[:1], heights[:1]),
+                       (lams, np.tile(heights, (5, 1)))):
+        table = fields(weights.face_weights(lam, theta, p.eta))
+        shape = np.broadcast_shapes(np.shape(lam), np.shape(theta))
+        for v in table:
+            assert v.shape == shape
+        for idx in np.ndindex(shape):
+            one = weights.face_weights(np.broadcast_to(lam, shape)[idx],
+                                       np.broadcast_to(theta, shape)[idx], p.eta)
+            assert all(np.isscalar(v) for v in fields(one))
+            assert [v[idx] for v in table] == list(fields(one)), (shape, idx)
+            R = weights.r_matrix(np.broadcast_to(lam, shape)[idx],
+                                 np.broadcast_to(theta, shape)[idx], p.eta)
+            assert (R[0, 0], R[1, 1], R[2, 2], R[1, 2], R[2, 1]) == fields(one)
+
+
+def test_face_weights_table_guard_names_the_first_failing_height():
+    rng = np.random.default_rng(103)
+    p = draw(1, rng)
+    heights = p.theta - p.eta * np.arange(3, -4, -1)
+    bad = heights.copy()
+    bad[4] = 1e-9
+    with pytest.raises(NearSingular) as scalar:
+        weights.face_weights(p.lambdas[0], bad[4], p.eta)
+    with pytest.raises(NearSingular) as table:
+        weights.face_weights(p.lambdas[0], bad, p.eta)
+    assert str(table.value) == str(scalar.value)
+    # two failing heights: the first in flat order is named, not the smaller
+    bad[5] = 1e-10
+    with pytest.raises(NearSingular) as table:
+        weights.face_weights(np.full((2, 1), p.lambdas[0]), bad, p.eta)
+    assert str(table.value) == str(scalar.value)
+
+
 def test_r_matrix_layout():
     w = weights.face_weights(0.3, 1.1, 0.7)
     R = weights.r_matrix(0.3, 1.1, 0.7)
@@ -225,6 +272,7 @@ def test_apply_pair_columns_and_vectors_agree():
         assert np.array_equal(weights.apply_pair(x[:, j], *args), stacked[:, j])
     dense = weights.embed_pair(*args)
     assert np.max(np.abs(stacked - dense @ x)) <= 1e-14 * np.max(np.abs(stacked))
+    assert weights.apply_pair(x[:, :0], *args).shape == (16, 0)
 
 
 def test_apply_pair_rejects_shift_on_its_legs():
