@@ -29,22 +29,19 @@ plow = verify._sample_degenerate(
     cfg, 3, rng, pin=lambda p: (p.replace_lambda(0, p.xis[0]), {"lambda[0]-xi[0]"}))
 z_prev = partition.z_determinant(plow.drop_site(0)).value
 print("lower recursion   :", rel_diff(
-    partition.z_bruteforce(plow).value, partition.recursion_rhs_lower(plow, z_prev)))
+    partition.z_bruteforce(plow).value, partition.recursion_rhs(plow, z_prev, "lower")))
 
 pup = verify._sample_degenerate(
     cfg, 3, rng, pin=lambda p: (p.replace_lambda(2, -p.xis[0]), {"lambda[2]+xi[0]"}))
 prev = ModelParams(pup.eta, pup.zeta, pup.theta, pup.lambdas[:-1], pup.xis[1:])
 z_prev = partition.z_determinant(prev).value
 print("upper recursion   :", rel_diff(
-    partition.z_bruteforce(pup).value, partition.recursion_rhs_upper(pup, z_prev)))
+    partition.z_bruteforce(pup).value, partition.recursion_rhs(pup, z_prev, "upper")))
 
 # v: normalized Z is a polynomial of degree <= 2N+2 in exp(2 lambda_i).
 # The test fits the first 2N+3 circle nodes and predicts the last one.
 pd = verify.sample_params(cfg, 2, rng)
 print("degree bound      :", verify.degree_bound_residual(pd, 0, rng))
-print("  ... with the wrong clearing factor (sinh(theta+lambda), kept for")
-print("  comparison) the normalized value is NOT a polynomial and the same")
-print("  test fails loudly:", verify.degree_bound_residual(pd, 0, rng, second_factor="theta"))
 
 # vi: the N=1 value in closed form
 p1 = verify.sample_params(cfg, 1, rng)

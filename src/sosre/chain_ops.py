@@ -92,12 +92,11 @@ def crossing_scalar(lam, theta, eta, zeta):
     """Proportionality factor relating the B operator at -lam-eta to the one
     at lam.  The overall sign is -1 for every chain length."""
     lam, theta, eta, zeta = complex(lam), complex(theta), complex(eta), complex(zeta)
-    require_nonsingular("2*lambda", 2 * lam)
-    require_nonsingular("lambda-zeta+eta", lam - zeta + eta)
-    require_nonsingular("lambda-theta-zeta+eta", lam - theta - zeta + eta)
     return -(
         sh(2 * (lam + eta)) * sh(lam + zeta) * sh(lam + zeta + theta)
-    ) / (sh(2 * lam) * sh(lam - zeta + eta) * sh(lam - theta - zeta + eta))
+    ) / (require_nonsingular("2*lambda", 2 * lam)
+         * require_nonsingular("lambda-zeta+eta", lam - zeta + eta)
+         * require_nonsingular("lambda-theta-zeta+eta", lam - theta - zeta + eta))
 
 
 def check_exchange_algebra(l1, l2, p):
@@ -110,7 +109,7 @@ def check_exchange_algebra(l1, l2, p):
     """
     l1, l2 = complex(l1), complex(l2)
     n = p.n + 2
-    R12 = lambda x, shift: weights.apply_pair(x, n, 0, 1, shift, l1 - l2, p.theta, p.eta)
+    R12 = lambda x, shift: weights.apply_pairs(x, n, [(0, 1, shift, l1 - l2)], p.theta, p.eta)
     T1 = lambda x, extra: _apply_bulk(x, 0, l1, p, extra)
     T2 = lambda x, extra: _apply_bulk(x, 1, l2, p, extra)
     eye = np.eye(1 << n)
@@ -126,7 +125,7 @@ def check_double_row_reflection(l1, l2, p):
     l1, l2 = complex(l1), complex(l2)
     n = p.n + 2
     sites = tuple(range(2, n))
-    R = lambda x, a, b, lam: weights.apply_pair(x, n, a, b, sites, lam, p.theta, p.eta)
+    R = lambda x, a, b, lam: weights.apply_pairs(x, n, [(a, b, sites, lam)], p.theta, p.eta)
     D1 = lambda x: _apply_double_row(x, 0, l1, p)
     D2 = lambda x: _apply_double_row(x, 1, l2, p)
     eye = np.eye(1 << n)

@@ -111,7 +111,7 @@ def _result_doc(r):
         "n": r.n,
     }
     if r.cond_hint is not None:
-        doc["cond_hint"] = r.cond_hint
+        doc["cond_hint"] = _float_to_wire(r.cond_hint)
     if r.log_value is not None:
         doc["log_Z"] = _complex_to_wire(r.log_value)
     return doc

@@ -240,13 +240,15 @@ def validate_params(p):
 
 
 def require_nonsingular(label, value):
-    """Guard a single denominator argument; raise NearSingular naming it."""
+    """Guard a single denominator argument; raise NearSingular naming it.
+    Returns sinh(value), so the caller divides by the value it checked."""
     tol = guard_tol_default()
-    s = complex(np.sinh(complex(value)))
+    s = np.sinh(complex(value))
     if abs(s) <= tol:
         raise NearSingular(
             f"denominator sinh({label}) = {s:.3e} has |sinh| <= {tol:g}"
         )
+    return s
 
 
 def require_all_nonsingular(label_fn, values):

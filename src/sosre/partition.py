@@ -4,11 +4,16 @@ recursion identities and the polynomial normalization.
 
 The determinant path works in log space throughout (the determinant itself
 via the log of each pivot, the prefactor as a sum of log|D| and arg D over
-its grid and pair factors D), so the reported `log_value` stays finite even
-when the value over- or underflows a double.  Since exp is 2*pi*i periodic,
-the branch of each argument does not affect the exponentiated result.  Its
-grid and pair factors pair up as differences of sinh^2 of the O(N) inputs,
-so the route costs O(N) transcendentals, O(N^2) arithmetic and the O(N^3) LU.
+its grid and pair factors D), so `log_value` can be finite where the value
+over- or underflows a double.  It is finite only while those factors and
+the kernel's entries are: the grid factor D1 D2 grows like exp(4 Re lambda),
+so at large real parts it overflows, a kernel row underflows to zero and
+the real part of `log_value` is NaN (the README example with lambda_0
+varied: finite up to Re lambda_0 = 177.5, NaN from 177.75).  Since exp is
+2*pi*i periodic, the branch of each argument does not affect the
+exponentiated result.  The grid and pair factors pair up as differences of
+sinh^2 of the O(N) inputs, so the route costs O(N) transcendentals, O(N^2)
+arithmetic and the O(N^3) LU.
 """
 
 from __future__ import annotations
@@ -90,15 +95,12 @@ def z_bruteforce(p, cap=BRUTE_CAP_DEFAULT):
 def z_n1_closed(lam, xi, theta, eta, zeta):
     """Closed form for a single-site chain: a sum of two boundary terms."""
     lam, xi, theta, eta, zeta = (complex(v) for v in (lam, xi, theta, eta, zeta))
-    require_nonsingular("theta", theta)
-    require_nonsingular("theta+zeta+lambda", theta + zeta + lam)
-    require_nonsingular("zeta+lambda", zeta + lam)
     return complex(
-        sh(eta) * sh(theta - eta) / sh(theta) ** 2
+        sh(eta) * sh(theta - eta) / require_nonsingular("theta", theta) ** 2
         * (
-            sh(theta + zeta - lam) / sh(theta + zeta + lam)
+            sh(theta + zeta - lam) / require_nonsingular("theta+zeta+lambda", theta + zeta + lam)
             * sh(lam - xi) * sh(theta + lam + xi)
-            + sh(zeta - lam) / sh(zeta + lam)
+            + sh(zeta - lam) / require_nonsingular("zeta+lambda", zeta + lam)
             * sh(lam + xi) * sh(theta - lam + xi)
         )
     )
@@ -118,18 +120,20 @@ def _m_matrix_entries(p, grid, boundary):
 
 def m_matrix(p, form=PRODUCT_FORM):
     """Full kernel matrix with guards applied.  The sum form, kept as a
-    cross-check of the product form, evaluates its own sinh grids."""
+    cross-check of the product form, evaluates its own sinh grids and
+    guards sinh(theta) after the kernel's guards."""
     if form not in (SUM_FORM, PRODUCT_FORM):
         raise ValueError(f"form must be {SUM_FORM!r} or {PRODUCT_FORM!r}")
-    grid, _, boundary = _det_guards(p, form)
+    grid, _, boundary = _det_guards(p)
     if form == PRODUCT_FORM:
         return _m_matrix_entries(p, grid, boundary)
     theta, eta, zeta = p.theta, p.eta, p.zeta
+    s_theta = require_nonsingular("theta", theta)
     L = p.lambdas_array()[:, None]
     X = p.xis_array()[None, :]
     s_mx, s_px, s_mxe, s_pxe = sh(L - X), sh(L + X), sh(L - X + eta), sh(L + X + eta)
-    mp = (1 / s_mxe) * (1 / s_px - sh(theta - eta) / (sh(theta) * s_pxe))
-    mm = (1 / s_pxe) * (1 / s_mx - sh(theta + eta) / (sh(theta) * s_mxe))
+    mp = (1 / s_mxe) * (1 / s_px - sh(theta - eta) / (s_theta * s_pxe))
+    mm = (1 / s_pxe) * (1 / s_mx - sh(theta + eta) / (s_theta * s_mxe))
     return (
         sh(theta + zeta - L) / sh(theta + zeta + L) * mp
         + sh(zeta - L) / sh(zeta + L) * mm
@@ -230,14 +234,13 @@ def _height_prefactor_log(n, theta, eta):
     return log
 
 
-def _det_guards(p, form):
-    """Guard every denominator of the kernel and of the grid and pair factors
-    (`_height_prefactor_log` guards the height factor's), in this order: the
-    four N x N grids at lambda_i -+ xi_j (+eta), theta+zeta+lambda,
-    zeta+lambda, sinh(theta) for the sum form only, then over i < j the pairs
-    xi_j -+ xi_i, lambda_j - lambda_i and lambda_j + lambda_i + eta (the
-    lower triangle of that grid).  All but sinh(theta), whose label is not
-    the table's theta+0*eta, are rows of `guard_families(p, (j, i))`.
+def _det_guards(p):
+    """Guard every denominator of the product-form kernel and of the grid and
+    pair factors (`_height_prefactor_log` guards the height factor's), in
+    this order: the four N x N grids at lambda_i -+ xi_j (+eta),
+    theta+zeta+lambda, zeta+lambda, then over i < j the pairs xi_j -+ xi_i,
+    lambda_j - lambda_i and lambda_j + lambda_i + eta (the lower triangle of
+    that grid), each a row of `guard_families(p, (j, i))`.
 
     The grid and pair factors pair up as differences of O(N) squares:
     D1 = sinh^2 lambda_i - sinh^2 xi_j = sinh(lambda_i-xi_j) sinh(lambda_i+xi_j),
@@ -278,8 +281,6 @@ def _det_guards(p, form):
         for key in ("lambda-xi", "lambda+xi", "lambda-xi+eta", "lambda+xi+eta"):
             guard(key)
     boundary = guard("theta+zeta+lambda") * guard("zeta+lambda")
-    if form == SUM_FORM:
-        require_nonsingular("theta", p.theta)
     if full:
         for key in ("xi-xi", "xi+xi", "lambda-lambda"):
             guard(key)
@@ -303,10 +304,10 @@ def z_determinant(p):
     """
     t0 = time.perf_counter()
     n = p.n
-    grid, pairs, boundary = _det_guards(p, PRODUCT_FORM)
+    grid, pairs, boundary = _det_guards(p)
     log_height = _height_prefactor_log(n, p.theta, p.eta)  # guards: before the LU
     logdet, min_piv = logdet_partial_pivot(_m_matrix_entries(p, grid, boundary))
-    if min_piv < ILL_CONDITIONED_PIVOT:
+    if not min_piv >= ILL_CONDITIONED_PIVOT:  # a NaN pivot warns too
         warnings.warn(
             f"smallest elimination pivot {min_piv:.2e}; determinant digits "
             "are in doubt (see cond_hint / log_value)",
@@ -318,7 +319,7 @@ def z_determinant(p):
     log_pref = complex(np.sum(np.log(np.abs(grid))) - np.sum(np.log(np.abs(pairs))),
                        np.sum(np.angle(grid)) - np.sum(np.angle(pairs)))
     log_value = logdet + log_pref + log_height
-    with np.errstate(over="ignore"):  # past a double's range; log_value is finite
+    with np.errstate(over="ignore"):  # past a double's range: inf
         value = complex(np.exp(log_value))
     return PartitionResult(
         value,
@@ -330,10 +331,14 @@ def z_determinant(p):
     )
 
 
-def _recursion_rhs(p, z_prev, side):
+def recursion_rhs(p, z_prev, side):
     """Right-hand side of the recursion at a coincidence: side "lower" pins
-    lambda_1 = xi_1, "upper" pins lambda_N = -xi_1.  The upper product is the
-    lower one with every xi negated, factor for factor in the same order."""
+    lambda_1 = xi_1 and `z_prev` is Z on lambdas[1:], xis[1:]; "upper" pins
+    lambda_N = -xi_1 and `z_prev` is Z on lambdas[:-1], xis[1:] (the empty
+    chain has Z = 1).  The upper product is the lower one with every xi
+    negated, factor for factor in the same order."""
+    if side not in ("lower", "upper"):
+        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     lower = side == "lower"
     k, name, c, cname = (0, "lambda[0]", p.zeta, "zeta") if lower else (
         -1, "lambda[N-1]", p.theta + p.zeta, "theta+zeta")
@@ -347,12 +352,11 @@ def _recursion_rhs(p, z_prev, side):
         )
     n = p.n
     theta, eta = p.theta, p.eta
-    require_nonsingular(f"{cname}+{name}", c + lp)
-    val = sh(eta) * sh(c - lp) / sh(c + lp)
+    val = sh(eta) * sh(c - lp) / require_nonsingular(f"{cname}+{name}", c + lp)
     for i in range(1, n + 1):
-        require_nonsingular(f"theta{n - 2 * i + 1:+d}*eta", theta + (n - 2 * i + 1) * eta)
-        val = val * sh(p.lambdas[i - 1] + x) \
-            * sh(theta + (n - 2 * i) * eta) / sh(theta + (n - 2 * i + 1) * eta)
+        m = n - 2 * i + 1
+        val = val * sh(p.lambdas[i - 1] + x) * sh(theta + (m - 1) * eta) \
+            / require_nonsingular(f"theta{m:+d}*eta", theta + m * eta)
     others = p.lambdas[1:] if lower else p.lambdas[:-1]
     for xi_i, lam_i in zip(p.xis[1:], others):
         y = flip(xi_i)
@@ -360,38 +364,13 @@ def _recursion_rhs(p, z_prev, side):
     return complex(val * z_prev)
 
 
-def recursion_rhs_lower(p, z_prev):
-    """Recursion right-hand side at lambda_1 = xi_1; `z_prev` is Z on
-    lambdas[1:], xis[1:] (the empty chain has Z = 1)."""
-    return _recursion_rhs(p, z_prev, "lower")
-
-
-def recursion_rhs_upper(p, z_prev):
-    """Recursion right-hand side at lambda_N = -xi_1; `z_prev` is Z on
-    lambdas[:-1], xis[1:]."""
-    return _recursion_rhs(p, z_prev, "upper")
-
-
-def normalized_z(p, i, z, second_factor="zeta"):
+def normalized_z(p, i, z):
     """Clear the poles and exponential growth out of Z as a function of
     lambda_i: multiply by exp((2N+2) sum(lambdas)) and the two boundary
-    denominators.  The result is a polynomial of degree at most 2N+2 in
-    exp(2 lambda_i).
-
-    `second_factor` selects the coupling in the second clearing factor:
-    "zeta" (default) uses sinh(zeta + lambda_i), which matches the actual
-    boundary denominator and yields a polynomial; "theta" uses
-    sinh(theta + lambda_i), kept for comparison -- it does not clear the
-    pole, and the degree test fails with it.
-    """
-    if second_factor == "zeta":
-        second = p.zeta
-    elif second_factor == "theta":
-        second = p.theta
-    else:
-        raise ValueError("second_factor must be 'zeta' or 'theta'")
+    denominators sinh(theta + zeta + lambda_i) and sinh(zeta + lambda_i).
+    The result is a polynomial of degree at most 2N+2 in exp(2 lambda_i)."""
     li = p.lambdas[i]
     return complex(
         np.exp((2 * p.n + 2) * np.sum(p.lambdas_array()))
-        * sh(p.theta + p.zeta + li) * sh(second + li) * z
+        * sh(p.theta + p.zeta + li) * sh(p.zeta + li) * z
     )

@@ -155,7 +155,7 @@ def _sample_degenerate(cfg, n, rng, pin):
     raise SamplingExhausted(f"no usable degenerate instance with N={n}")
 
 
-def degree_bound_residual(p, i, rng, second_factor="zeta"):
+def degree_bound_residual(p, i, rng):
     """Interpolate-and-predict test of the polynomial degree bound.
 
     Z, normalized by `normalized_z`, must be a polynomial of degree at most
@@ -171,14 +171,8 @@ def degree_bound_residual(p, i, rng, second_factor="zeta"):
         nodes = [p.replace_lambda(i, np.log(w) / 2.0) for w in ws]
         if any(min(min_guard_margins(q)) <= 1e-3 for q in nodes):
             continue
-        ys = np.array(
-            [
-                partition.normalized_z(
-                    q, i, partition.z_determinant(q).value, second_factor
-                )
-                for q in nodes
-            ]
-        )
+        ys = np.array([partition.normalized_z(q, i, partition.z_determinant(q).value)
+                       for q in nodes])
         vander = np.vander(ws[:-1], deg + 1, increasing=True)
         coeffs = np.linalg.solve(vander, ys[:-1])
         pred = np.polyval(coeffs[::-1], ws[-1])
@@ -338,8 +332,7 @@ def _recursion_runner(side):
             prev = ModelParams(pdeg.eta, pdeg.zeta, pdeg.theta, lambdas, pdeg.xis[1:])
             z_prev = partition.z_determinant(prev).value
         zb = partition.z_bruteforce(pdeg).value
-        rhs = partition.recursion_rhs_lower if lower else partition.recursion_rhs_upper
-        return rel_diff(zb, rhs(pdeg, z_prev))
+        return rel_diff(zb, partition.recursion_rhs(pdeg, z_prev, side))
 
     return run
 

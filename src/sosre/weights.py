@@ -76,12 +76,10 @@ def r_matrix(lam, theta, eta):
 def k_matrix(lam, theta, zeta):
     """Diagonal 2x2 boundary matrix; K(0) is the identity."""
     lam, theta, zeta = complex(lam), complex(theta), complex(zeta)
-    require_nonsingular("theta+zeta+lambda", theta + zeta + lam)
-    require_nonsingular("zeta+lambda", zeta + lam)
     return np.diag(
         [
-            sh(theta + zeta - lam) / sh(theta + zeta + lam),
-            sh(zeta - lam) / sh(zeta + lam),
+            sh(theta + zeta - lam) / require_nonsingular("theta+zeta+lambda", theta + zeta + lam),
+            sh(zeta - lam) / require_nonsingular("zeta+lambda", zeta + lam),
         ]
     )
 
@@ -121,8 +119,13 @@ def _pair_layout(n, pos_a, pos_b, shift):
 
 
 def apply_pairs(x, n, factors, theta, eta):
-    """Apply R factors, each (pos_a, pos_b, shift, lam) as in `apply_pair`,
-    to the leading axis of `x`, the first of `factors` first.
+    """Apply R factors to the leading axis of `x` (length 2^n; any trailing
+    axes are carried along, so `x` may be a stack of columns), the first of
+    `factors` first.  Factor (pos_a, pos_b, shift, lam) is R(lam; theta -
+    eta*m) on tensor positions (pos_a, pos_b) of n two-level spaces, identity
+    elsewhere; `m` is the total spin over the positions in `shift`, read off
+    each basis state, so the factor is block diagonal in the shift-set
+    magnetization.
 
     Their weights come from one `face_weights` call on a table whose row f,
     column d is factor f at height theta - eta*(s - 2d), s = len(shift), d
@@ -148,20 +151,10 @@ def apply_pairs(x, n, factors, theta, eta):
     return x
 
 
-def apply_pair(x, n, pos_a, pos_b, shift, lam, theta, eta):
-    """Apply R(lam; theta - eta*m) on tensor positions (pos_a, pos_b) of n
-    two-level spaces, identity elsewhere, to the leading axis of `x` (length
-    2^n; any trailing axes are carried along, so `x` may be a stack of
-    columns).  `m` is the total spin over the positions in `shift`, read off
-    each basis state, so the operator is block diagonal in the shift-set
-    magnetization.  It is `apply_pairs` with one factor.
-    """
-    return apply_pairs(x, n, [(pos_a, pos_b, shift, lam)], theta, eta)
-
-
 def embed_pair(n, pos_a, pos_b, shift, lam, theta, eta):
-    """`apply_pair` as an explicit 2^n matrix."""
-    return apply_pair(np.eye(1 << n), n, pos_a, pos_b, shift, lam, theta, eta)
+    """The one factor (pos_a, pos_b, shift, lam) of `apply_pairs` as an
+    explicit 2^n matrix."""
+    return apply_pairs(np.eye(1 << n), n, [(pos_a, pos_b, shift, lam)], theta, eta)
 
 
 def ice_rule_residual(lam, theta, eta):

@@ -184,7 +184,7 @@ def test_criterion_08_determinant_properties(capsys):
             )
             z_prev = 1.0 if n == 1 else z_det(plow.drop_site(0))
             worst_rec = max(worst_rec, rel_diff(
-                z_brute(plow), partition.recursion_rhs_lower(plow, z_prev)))
+                z_brute(plow), partition.recursion_rhs(plow, z_prev, "lower")))
             pup = verify._sample_degenerate(
                 CFG, n, rng,
                 pin=lambda p: (p.replace_lambda(n - 1, -p.xis[0]),
@@ -196,7 +196,7 @@ def test_criterion_08_determinant_properties(capsys):
                 z_prev = z_det(ModelParams(
                     pup.eta, pup.zeta, pup.theta, pup.lambdas[:-1], pup.xis[1:]))
             worst_rec = max(worst_rec, rel_diff(
-                z_brute(pup), partition.recursion_rhs_upper(pup, z_prev)))
+                z_brute(pup), partition.recursion_rhs(pup, z_prev, "upper")))
 
     worst_deg = 0.0
     for n in (1, 2, 3):

@@ -171,6 +171,14 @@ def test_compute_overflowing_z_is_strict_json(tmp_path, capsys):
     both = _strict_json(capsys.readouterr().out)
     assert both["results"][0]["Z"] == [None, None]
     assert both["rel_diff"] is None
+    # at Re lambda_0 = 400 the smallest pivot is NaN: cond_hint is null
+    doc = {"eta": [0.62, 0], "zeta": [1.05, 0], "theta": [0.83, 0],
+           "lambdas": [[400, 0], [0.47, 0]], "xis": [[0.24, 0], [0.11, 0]]}
+    path = write_config(tmp_path, doc, "nan_pivot.json")
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        assert cli.main(["compute", "--config", path, "--method", "det"]) == 0
+    assert _strict_json(capsys.readouterr().out)["cond_hint"] is None
 
 
 def test_compute_guard_violation_exit2(tmp_path, capsys):

@@ -127,6 +127,18 @@ def test_require_nonsingular():
     require_all_nonsingular(lambda k: "none", np.array([]))
 
 
+def test_require_nonsingular_returns_the_sinh_it_checked(monkeypatch):
+    monkeypatch.delenv("SOS_GUARD_TOL", raising=False)
+    for value in (0.5, 1, 0.3 - 1.2j, np.complex128(-2.1 + 0.4j), np.float64(1e-5)):
+        s = require_nonsingular("x", value)
+        want = np.sinh(complex(value))
+        assert type(s) is type(want) is np.complex128
+        assert s.tobytes() == want.tobytes()
+    with pytest.raises(NearSingular) as err:
+        require_nonsingular("theta-2*eta", 1e-9 - 1e-13j)
+    assert str(err.value) == "denominator sinh(theta-2*eta) = 1.000e-09-1.000e-13j has |sinh| <= 1e-06"
+
+
 def _with(p, lam=None, xi=None, theta=None):
     # p with lambda_i / xi_i given as (i, value) replaced, or a new theta
     lams, xis = list(p.lambdas), list(p.xis)

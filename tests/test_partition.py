@@ -185,9 +185,15 @@ def test_recursion_requires_exact_coincidence():
     rng = np.random.default_rng(92)
     p = draw(2, rng)
     with pytest.raises(InvariantViolation, match="lambda\\[0\\]"):
-        partition.recursion_rhs_lower(p, 1.0)
+        partition.recursion_rhs(p, 1.0, "lower")
     with pytest.raises(InvariantViolation, match="lambda\\[N-1\\]"):
-        partition.recursion_rhs_upper(p, 1.0)
+        partition.recursion_rhs(p, 1.0, "upper")
+
+
+def test_recursion_rejects_an_unknown_side():
+    p = draw(2, np.random.default_rng(92))
+    with pytest.raises(ValueError, match="'middle'"):
+        partition.recursion_rhs(p.replace_lambda(0, p.xis[0]), 1.0, "middle")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -200,7 +206,7 @@ def test_recursion_lower(n):
         )
         z_prev = 1.0 if n == 1 else partition.z_determinant(pdeg.drop_site(0)).value
         zb = partition.z_bruteforce(pdeg).value
-        assert rel_diff(zb, partition.recursion_rhs_lower(pdeg, z_prev)) < 1e-9
+        assert rel_diff(zb, partition.recursion_rhs(pdeg, z_prev, "lower")) < 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -222,7 +228,7 @@ def test_recursion_upper(n):
             )
             z_prev = partition.z_determinant(prev).value
         zb = partition.z_bruteforce(pdeg).value
-        assert rel_diff(zb, partition.recursion_rhs_upper(pdeg, z_prev)) < 1e-9
+        assert rel_diff(zb, partition.recursion_rhs(pdeg, z_prev, "upper")) < 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -234,20 +240,20 @@ def test_degree_bound(n):
         assert verify.degree_bound_residual(p, i, rng) < 1e-8
 
 
-def test_degree_bound_detects_wrong_clearing_factor():
-    # substituting the height coupling into the second clearing factor does
-    # not cancel the boundary pole, so the interpolation test must fail loudly
+def test_degree_bound_detects_wrong_clearing_factor(monkeypatch):
+    # substituting the height coupling into the second clearing factor,
+    # sinh(theta + lambda_i) for sinh(zeta + lambda_i), does not cancel the
+    # boundary pole, so the interpolation test must fail loudly
+    def wrong(p, i, z):
+        li = p.lambdas[i]
+        return complex(np.exp((2 * p.n + 2) * np.sum(p.lambdas_array()))
+                       * np.sinh(p.theta + p.zeta + li) * np.sinh(p.theta + li) * z)
+
+    monkeypatch.setattr(partition, "normalized_z", wrong)
     rng = np.random.default_rng(104)
     p = draw(2, rng)
-    res = verify.degree_bound_residual(p, 0, rng, second_factor="theta")
+    res = verify.degree_bound_residual(p, 0, rng)
     assert res > 1e-3
-
-
-def test_normalized_z_bad_flag():
-    rng = np.random.default_rng(105)
-    p = draw(1, rng)
-    with pytest.raises(ValueError):
-        partition.normalized_z(p, 0, 1.0, second_factor="xi")
 
 
 def test_logdet_against_numpy():
@@ -278,6 +284,16 @@ def test_ill_conditioned_warning_fires(monkeypatch):
         res = partition.z_determinant(p)
     assert res.cond_hint < partition.ILL_CONDITIONED_PIVOT
     assert np.isfinite(res.log_value.real)
+
+
+def test_nan_pivot_warns():
+    # at Re lambda_0 = 400 the kernel's entries overflow and its smallest
+    # pivot is NaN, which must not pass for a well-conditioned one
+    p = ModelParams(eta=0.62, zeta=1.05, theta=0.83,
+                    lambdas=(400.0, 0.47), xis=(0.24, 0.11))
+    with np.errstate(all="ignore"), pytest.warns(IllConditionedWarning):
+        res = partition.z_determinant(p)
+    assert np.isnan(res.cond_hint)
 
 
 def test_well_conditioned_no_warning(monkeypatch):
@@ -343,7 +359,7 @@ def test_recursion_guard_label_matches_the_guard_table():
     q = ModelParams(pdeg.eta, pdeg.zeta, 2 * pdeg.eta + 1e-12, pdeg.lambdas, pdeg.xis)
     assert "theta-2*eta" in params.guard_violations(q)
     with pytest.raises(NearSingular) as err:
-        partition.recursion_rhs_lower(q, 1.0)
+        partition.recursion_rhs(q, 1.0, "lower")
     assert str(err.value).startswith("denominator sinh(theta-2*eta) = ")
 
 
@@ -701,7 +717,7 @@ def test_log_value_does_not_depend_on_guard_tolerance(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedWarning)
             logs[tol] = [partition.z_determinant(q).log_value for q in cases]
-        guards[tol] = [partition._det_guards(q, partition.PRODUCT_FORM) for q in cases]
+        guards[tol] = [partition._det_guards(q) for q in cases]
     assert logs["1e-3"] == logs["1e-9"]
     assert flagged["1e-3"] > flagged["1e-9"]
     for escalated, fast in zip(guards["1e-3"], guards["1e-9"]):
@@ -723,8 +739,7 @@ def test_generic_guards_evaluate_only_the_boundary_rows(n, monkeypatch):
     monkeypatch.setattr(partition, "require_all_nonsingular", counting)
     for seed in (1, 2, 3):
         sizes.clear()
-        partition._det_guards(draw(n, np.random.default_rng((217, seed, n))),
-                              partition.PRODUCT_FORM)
+        partition._det_guards(draw(n, np.random.default_rng((217, seed, n))))
         assert sizes == [n, n]
 
 

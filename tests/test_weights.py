@@ -257,7 +257,7 @@ def test_apply_pair_on_identity_is_the_loop_embedding():
     lam, theta, eta = p.lambdas[0], p.theta, p.eta
     for n, a, b, shift in embedding_patterns():
         want = loop_embed_pair(n, a, b, shift, lam, theta, eta)
-        got = weights.apply_pair(np.eye(1 << n), n, a, b, shift, lam, theta, eta)
+        got = weights.apply_pairs(np.eye(1 << n), n, [(a, b, shift, lam)], theta, eta)
         assert np.array_equal(got, want), (n, a, b, shift)
         assert np.array_equal(weights.embed_pair(n, a, b, shift, lam, theta, eta), want)
 
@@ -266,17 +266,18 @@ def test_apply_pair_columns_and_vectors_agree():
     rng = np.random.default_rng(19)
     p = draw(1, rng)
     x = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
-    args = (4, 2, 0, (3, 1), p.lambdas[0], p.theta, p.eta)
-    stacked = weights.apply_pair(x, *args)
+    factor = (2, 0, (3, 1), p.lambdas[0])
+    apply = lambda v: weights.apply_pairs(v, 4, [factor], p.theta, p.eta)
+    stacked = apply(x)
     for j in range(3):
-        assert np.array_equal(weights.apply_pair(x[:, j], *args), stacked[:, j])
-    dense = weights.embed_pair(*args)
+        assert np.array_equal(apply(x[:, j]), stacked[:, j])
+    dense = weights.embed_pair(4, *factor, p.theta, p.eta)
     assert np.max(np.abs(stacked - dense @ x)) <= 1e-14 * np.max(np.abs(stacked))
-    assert weights.apply_pair(x[:, :0], *args).shape == (16, 0)
+    assert apply(x[:, :0]).shape == (16, 0)
 
 
 def test_apply_pair_rejects_shift_on_its_legs():
     with pytest.raises(ValueError, match="overlaps"):
-        weights.apply_pair(np.eye(8), 3, 0, 1, (1, 2), 0.3, 1.1, 0.7)
+        weights.apply_pairs(np.eye(8), 3, [(0, 1, (1, 2), 0.3)], 1.1, 0.7)
     with pytest.raises(ValueError, match="overlaps"):
         weights.embed_pair(3, 2, 0, (0,), 0.3, 1.1, 0.7)
