@@ -4,10 +4,20 @@ Every quantity in the model is a ratio of hyperbolic sines, so the only way
 an evaluation can go wrong is a sinh in a denominator getting too close to
 zero.  This module owns the list of arguments that can appear in those
 denominators and provides the guard checks everything else relies on.
+
+The N x N grid and pair rows of that list pair up into products
+sinh(x-y) sinh(x+y) = sinh^2 x - sinh^2 y = D of O(N) squares.  Since
+|sinh z| <= cosh(Re z), a factor at or below a tolerance t forces |D| under
+`prefilter_threshold`, about t cosh(|Re x| + |Re y|); and the smaller factor
+is at most sqrt(|D|).  So the margins (`min_guard_margins`) and the guard
+checks (`guard_violations`, `validate_params`) evaluate np.sinh only at the
+entries whose |D| a bound cannot clear, and return what evaluating every
+entry would.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -20,6 +30,11 @@ GUARD_ENV_VAR = "SOS_GUARD_TOL"
 # Smallest magnitude admitted in relative-difference denominators, so that
 # rel_diff(0, 0) == 0 instead of raising.
 REL_FLOOR = 1e-300
+
+# Relative slack of the sinh^2 prefilter thresholds (`prefilter_threshold`):
+# far above the few ulps that np.sinh, the squares and the differences round
+# by.  A Python float, so that scalar thresholds are Python arithmetic.
+_PREFILTER_SLACK = 256 * float(np.finfo(float).eps)
 
 
 class SosError(Exception):
@@ -146,13 +161,28 @@ class GuardFamily(NamedTuple):
 
     `args()` evaluates every argument of the family, a 1-D array or an N x N
     grid (entry [i, j] at lambda_i, xi_j or lambda_i, lambda_j); nothing is
-    evaluated before it is called.  `name(k)` labels flat entry k.
+    evaluated before it is called.  Grid and pair rows also take site arrays,
+    `args(i, j)`: the entries [i[k], j[k]] of a grid, or the pair rows'
+    arithmetic at the pairs (i[k], j[k]), bit for bit what the full table
+    holds there.  `name(k)` labels flat entry k.
     """
 
     tier: str
     key: str
     args: Callable
     name: Callable
+
+
+def _upper(n):
+    """N x N mask of the entries [i, j] with i < j."""
+    sites = np.arange(n)
+    return sites[:, None] < sites
+
+
+def site_pairs(n):
+    """Site pairs (a, b) with a < b, in row-major order: np.triu_indices(n, 1),
+    but several times cheaper at small n."""
+    return _upper(n).nonzero()
 
 
 def guard_families(p, pair_order=None):
@@ -168,63 +198,165 @@ def guard_families(p, pair_order=None):
     xi = p.xis_array()
     n = p.n
     eta, zeta, theta = p.eta, p.zeta, p.theta
-    L = lam[:, None]
-    X = xi[None, :]
-    # i < j in row-major order: np.triu_indices(n, 1), ~3x cheaper at small n
-    a, b = np.nonzero(~np.tri(n, dtype=bool)) if pair_order is None else pair_order
+    a, b = site_pairs(n) if pair_order is None else pair_order
     ks = np.arange(-(n + 2), n + 3)
-    one = lambda f: lambda k: f.format(k)
-    grid = lambda f: lambda k: f.format(k // n, k % n)
-    pair = lambda f: lambda k: f.format(a[k], b[k])
+
+    def one(tier, key, args):
+        return GuardFamily(tier, key, args, lambda k: f"{key}[{k}]")
+
+    def grid(key, f, col, label):  # entry [i, j] is f(lambda_i, col_j)
+        return GuardFamily(GENERIC, key,
+                           lambda i=None, j=None: f(lam[:, None], col) if i is None
+                           else f(lam[i], col[j]),
+                           lambda k: label.format(k // n, k % n))
+
+    def pair(key, f, v, label):  # pair k is f(v[a[k]], v[b[k]])
+        return GuardFamily(GENERIC, key, lambda i=a, j=b: f(v[i], v[j]),
+                           lambda k: label.format(a[k], b[k]))
+
+    minus, plus = (lambda u, v: u - v), (lambda u, v: u + v)
     return [
-        GuardFamily(GENERIC, "zeta-lambda", lambda: zeta - lam, one("zeta-lambda[{}]")),
-        GuardFamily(GENERIC, "theta+zeta-lambda", lambda: theta + zeta - lam,
-                    one("theta+zeta-lambda[{}]")),
-        GuardFamily(GENERIC, "2*lambda", lambda: 2.0 * lam, one("2*lambda[{}]")),
-        GuardFamily(GENERIC, "lambda-xi", lambda: L - X, grid("lambda[{}]-xi[{}]")),
-        GuardFamily(GENERIC, "lambda+xi", lambda: L + X, grid("lambda[{}]+xi[{}]")),
-        GuardFamily(GENERIC, "lambda-xi+eta", lambda: L - X + eta, grid("lambda[{}]-xi[{}]+eta")),
-        GuardFamily(GENERIC, "lambda+xi+eta", lambda: L + X + eta, grid("lambda[{}]+xi[{}]+eta")),
-        GuardFamily(GENERIC, "lambda+lambda+eta", lambda: L + lam + eta,
-                    grid("lambda[{}]+lambda[{}]+eta")),
-        GuardFamily(GENERIC, "lambda-lambda", lambda: lam[a] - lam[b], pair("lambda[{}]-lambda[{}]")),
-        GuardFamily(GENERIC, "lambda+lambda", lambda: lam[a] + lam[b], pair("lambda[{}]+lambda[{}]")),
-        GuardFamily(GENERIC, "xi-xi", lambda: xi[a] - xi[b], pair("xi[{}]-xi[{}]")),
-        GuardFamily(GENERIC, "xi+xi", lambda: xi[a] + xi[b], pair("xi[{}]+xi[{}]")),
+        one(GENERIC, "zeta-lambda", lambda: zeta - lam),
+        one(GENERIC, "theta+zeta-lambda", lambda: theta + zeta - lam),
+        one(GENERIC, "2*lambda", lambda: 2.0 * lam),
+        grid("lambda-xi", minus, xi, "lambda[{}]-xi[{}]"),
+        grid("lambda+xi", plus, xi, "lambda[{}]+xi[{}]"),
+        grid("lambda-xi+eta", lambda u, v: u - v + eta, xi, "lambda[{}]-xi[{}]+eta"),
+        grid("lambda+xi+eta", lambda u, v: u + v + eta, xi, "lambda[{}]+xi[{}]+eta"),
+        grid("lambda+lambda+eta", lambda u, v: u + v + eta, lam, "lambda[{}]+lambda[{}]+eta"),
+        pair("lambda-lambda", minus, lam, "lambda[{}]-lambda[{}]"),
+        pair("lambda+lambda", plus, lam, "lambda[{}]+lambda[{}]"),
+        pair("xi-xi", minus, xi, "xi[{}]-xi[{}]"),
+        pair("xi+xi", plus, xi, "xi[{}]+xi[{}]"),
         GuardFamily(RATIO, "theta%+d*eta", lambda: theta + ks * eta,
                     lambda k: f"theta{ks[k]:+d}*eta"),
-        GuardFamily(RATIO, "zeta+lambda", lambda: zeta + lam, one("zeta+lambda[{}]")),
-        GuardFamily(RATIO, "theta+zeta+lambda", lambda: theta + zeta + lam,
-                    one("theta+zeta+lambda[{}]")),
+        one(RATIO, "zeta+lambda", lambda: zeta + lam),
+        one(RATIO, "theta+zeta+lambda", lambda: theta + zeta + lam),
     ]
+
+
+def prefilter_threshold(c, tol, mod):
+    """Bound on |D| for D = sinh(x-y) sinh(x+y) = sinh^2 x - sinh^2 y,
+    computed from the squares, at any entry where either factor has
+    |sinh| <= tol: c is at least cosh(|Re x| + |Re y|), which bounds each
+    factor since |sinh z| <= cosh(Re z), and `mod` at least |x| + |y|.  The
+    slack term covers the rounding of np.sinh, the squares, their difference
+    and the guard arguments.  An entry whose |D| is above it cannot fail."""
+    return c * tol * (1 + _PREFILTER_SLACK) + _PREFILTER_SLACK * c * c * (2 + mod)
+
+
+# The sinh^2 differences that clear the grid and pair rows (see `_scan`):
+# entry [i, j] of difference g is sq[_MINUEND[g], i] - sq[_SUBTRAHEND[g], j]
+# over the squares sq = (w_eta, w, q, y).  They are, in order,
+#   w_eta_i - y_j = sinh(lambda_i-xi_j+eta) sinh(lambda_i+xi_j+eta),
+#   w_i - y_j = sinh(lambda_i-xi_j) sinh(lambda_i+xi_j),
+#   q_i - q_j = sinh(lambda_i-lambda_j) sinh(lambda_i+lambda_j+eta),
+#   w_i - w_j = sinh(lambda_i-lambda_j) sinh(lambda_i+lambda_j),
+#   y_i - y_j = sinh(xi_i-xi_j) sinh(xi_i+xi_j):
+# the first three clear the N x N grid rows entry for entry, the last two
+# the pair rows at [i, j] with i < j.
+_MINUEND, _SUBTRAHEND = np.array([0, 1, 2, 1, 3]), np.array([3, 3, 2, 1, 3])
+_GRID, _PAIR = 0, 1
+_CLEARED = {"lambda-xi": _GRID, "lambda+xi": _GRID, "lambda-xi+eta": _GRID,
+            "lambda+xi+eta": _GRID, "lambda+lambda+eta": _GRID, "lambda-lambda": _PAIR,
+            "lambda+lambda": _PAIR, "xi-xi": _PAIR, "xi+xi": _PAIR}
+
+
+def _scan(p, tol=None):
+    """|sinh| of the guard table, with the grid and pair rows evaluated only
+    where a sinh^2 difference cannot clear them: (mags, rows, bounds).  Row
+    r of `rows` is (t, family, sites) for the table's row t, its values
+    mags[bounds[r]:bounds[r + 1]]: the whole row when `sites` is None, else
+    the entries at sites (i, j).  The grid and pair rows come first.
+
+    Four O(N) squares, w_eta = sinh^2(lambda+eta), w = sinh^2 lambda,
+    q = sinh^2(lambda+eta/2) and y = sinh^2 xi, give the differences D of
+    `_MINUEND` and `_SUBTRAHEND`.  An entry is evaluated unless its |D| is
+    above `prefilter_threshold` at generic tolerance `tol` (a NaN |D| or
+    threshold keeps it), so every entry at or below `tol` is; every grid
+    row is evaluated where any grid difference keeps an entry, every pair
+    row where any pair difference does.  With `tol` None it is a bound on
+    the smallest generic |sinh|, so the entry that holds it is evaluated:
+    the least of the O(N) generic rows' values and sqrt(min |D| + slack)
+    over the first two differences, one of two factors being at most the
+    square root of their product (the other three hold D = 0 on their
+    diagonals, lambda+lambda+eta's paired with sinh(0)).  There are two
+    np.sinh calls; past a double's range a value is inf, without a
+    warning."""
+    n = p.n
+    upper = _upper(n)
+    table = guard_families(p, upper.nonzero())
+    full = [(t, f, f.args()) for t, f in enumerate(table) if f.key not in _CLEARED]
+    lam_xi = np.array(p.lambdas + p.xis)
+    lam, xi, eta = lam_xi[:n], lam_xi[n:], p.eta
+    x = np.concatenate([lam + eta, lam, lam + eta / 2, xi, *(v for _, _, v in full)])
+    x4 = x[:4 * n].reshape(4, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.sinh(x)
+        mags = np.abs(s[4 * n:])
+        sq = np.square(s[:4 * n]).reshape(4, n)
+        d = np.abs(sq.take(_MINUEND, 0)[:, :, None] - sq.take(_SUBTRAHEND, 0)[:, None, :])
+        r_eta, r_lam, r_mu, r_xi = np.abs(x4.real).max(1).tolist()
+        c = np.cosh([r_eta + r_xi, r_lam + r_xi, 2 * r_mu, 2 * r_lam, 2 * r_xi]).tolist()
+        mod = 2 * float(np.abs(lam_xi).max()) + abs(eta)
+        if tol is None:
+            # the table lists its GENERIC rows first
+            n_generic = sum(v.size for _, f, v in full if f.tier == GENERIC)
+            tol = min(float(mags[:n_generic].min()), (1 + _PREFILTER_SLACK) * math.sqrt(
+                float(d[:2].min()) + prefilter_threshold(max(c[:2]), 0.0, mod)))
+        keep = ~(d > np.array([prefilter_threshold(cg, tol, mod) for cg in c])[:, None, None])
+        sites = ((keep[0] | keep[1] | keep[2]).nonzero(), ((keep[3] | keep[4]) & upper).nonzero())
+        rows = [(t, f, sites[_CLEARED[f.key]]) for t, f in enumerate(table) if f.key in _CLEARED]
+        vals = np.abs(np.sinh(np.concatenate([f.args(*site) for _, f, site in rows])))
+    bounds = [0]
+    for _, _, (i, _) in rows:
+        bounds.append(bounds[-1] + len(i))
+    for t, f, v in full:
+        rows.append((t, f, None))
+        bounds.append(bounds[-1] + v.size)
+    return np.concatenate([vals, mags]), rows, bounds
 
 
 def min_guard_margins(p):
     """(generic_min, ratio_min): smallest |sinh| over each family tier.
 
-    Fast path for rejection sampling; no labels are materialised.
+    Fast path for rejection sampling: no labels are materialised, and the
+    grid and pair rows are evaluated only where a sinh^2 bound cannot clear
+    them (`_scan`).  A row holding a NaN is left out, as
+    min(low, np.min(row)) would leave it.
     """
+    mags, rows, bounds = _scan(p)
     low = {GENERIC: np.inf, RATIO: np.inf}
-    for f in guard_families(p):
-        low[f.tier] = min(low[f.tier], np.abs(np.sinh(f.args())).min(initial=np.inf))
+    least = np.minimum.reduceat(mags, bounds[:-1]).tolist()
+    for (_, f, _), lo, hi, v in zip(rows, bounds, bounds[1:], least):
+        if hi > lo:
+            low[f.tier] = min(low[f.tier], v)
     return float(low[GENERIC]), float(low[RATIO])
 
 
 def guard_violations(p, guard_tol=None, ratio_guard_tol=None, skip=()):
-    """Labels of guard arguments whose |sinh| is at or below tolerance.
+    """Labels of guard arguments whose |sinh| is at or below tolerance, row
+    by row in table order and by flat index within a row.
 
     ``ratio_guard_tol`` defaults to ``guard_tol``.  ``skip`` is a collection of
     labels to ignore, for identities stated at deliberate coincidences.
     """
     tol = guard_tol_default() if guard_tol is None else guard_tol
     rtol = tol if ratio_guard_tol is None else ratio_guard_tol
+    mags, rows, bounds = _scan(p, tol)
+    limit = np.repeat([tol if f.tier == GENERIC else rtol for _, f, _ in rows], np.diff(bounds))
+    hits = (mags <= limit).nonzero()[0]
     out = []
-    for f in guard_families(p):
-        t = tol if f.tier == GENERIC else rtol
-        for k in np.flatnonzero(np.abs(np.sinh(f.args())) <= t):
-            label = f.name(int(k))
-            if label not in skip:
-                out.append(label)
+    for r in sorted(range(len(rows)), key=lambda r: rows[r][0]) if hits.size else ():
+        _, f, sites = rows[r]
+        k = hits[(hits >= bounds[r]) & (hits < bounds[r + 1])] - bounds[r]
+        if sites is not None:
+            n = p.n
+            k = np.sort(sites[0][k] * n + sites[1][k])
+            if _CLEARED[f.key] == _PAIR:  # the pair indices of entries [i, j]
+                a, b = site_pairs(n)
+                k = (a * n + b).searchsorted(k)
+        out += [label for label in map(f.name, k.tolist()) if label not in skip]
     return out
 
 

@@ -32,8 +32,10 @@ from .params import (
     InvariantViolation,
     guard_families,
     guard_tol_default,
+    prefilter_threshold,
     require_all_nonsingular,
     require_nonsingular,
+    site_pairs,
 )
 
 sh = np.sinh
@@ -45,9 +47,6 @@ ILL_CONDITIONED_PIVOT = 1e-10
 # three matrix products, a solve and a second LU, ~0.4 ms at N = 50 on top
 # of LAPACK's ~0.1 ms LU; its flops are ~13 LUs', which at N = 800 is ~0.4 s
 REFINE_MAX_N = 64
-# Relative slack of the guard prefilter thresholds (see `_det_guards`): far
-# above the few ulps that np.sinh, the squares and the differences round by.
-_PREFILTER_SLACK = 256 * np.finfo(float).eps
 
 SUM_FORM = "sum"
 PRODUCT_FORM = "product"
@@ -246,32 +245,26 @@ def _det_guards(p):
     D1 = sinh^2 lambda_i - sinh^2 xi_j = sinh(lambda_i-xi_j) sinh(lambda_i+xi_j),
     D2 the same at lambda+eta, P1 = sinh^2 xi_j - sinh^2 xi_i and
     P2 = sinh^2(lambda_j+eta/2) - sinh^2(lambda_i+eta/2).  Every failing
-    entry of a grid or pair row has its |D| or |P| under a threshold.  While
-    no entry is under it, only the two O(N) boundary rows are evaluated;
-    otherwise all ten rows are, in full and in order.  Either way
-    NearSingular is what evaluating every row would raise.  Returns D1 D2,
-    P1 P2 and sinh(theta+zeta+lambda) sinh(zeta+lambda), which do not depend
-    on which rows were evaluated."""
+    entry of a grid or pair row has its |D| or |P| at or under
+    `params.prefilter_threshold`.  While no entry is under it, only the two
+    O(N) boundary rows are evaluated; otherwise all ten rows are, in full
+    and in order.  Either way NearSingular is what evaluating every row
+    would raise.  Returns D1 D2, P1 P2 and sinh(theta+zeta+lambda)
+    sinh(zeta+lambda), which do not depend on which rows were evaluated."""
     n = p.n
-    iu, ju = np.nonzero(~np.tri(n, dtype=bool))  # i < j, as in guard_families
+    iu, ju = site_pairs(n)
     lam, xi = p.lambdas_array(), p.xis_array()
     lam_eta, mu = lam + p.eta, lam + p.eta / 2
     w, w_eta, y, q = (np.square(sh(v)) for v in (lam, lam_eta, xi, mu))
     d1, d2 = w[:, None] - y, w_eta[:, None] - y
     p1, p2 = y[ju] - y[iu], q[ju] - q[iu]
 
-    # Each product D = sinh(x-y) sinh(x+y) has |D| <= tol cosh(|Re x| + |Re y|)
-    # when one factor is at or below tol, since |sinh z| <= cosh(Re z).  The
-    # slack term covers the rounding of np.sinh, the squares, their difference
-    # and the guard arguments, which grows with a bound on |x| + |y|.  An
-    # entry above its threshold cannot fail; a NaN entry counts as under.
+    # An entry above its threshold cannot fail; a NaN entry counts as under.
     re = lambda v: np.abs(v.real).max()
     mod = 2 * max(np.abs(lam).max(), np.abs(xi).max()) + abs(p.eta)
     with np.errstate(over="ignore"):
         c = np.cosh([max(re(lam), re(lam_eta)) + re(xi), 2 * re(xi), 2 * re(mu)])
-        thr_grid, thr_xi, thr_mu = (
-            c * guard_tol_default() * (1 + _PREFILTER_SLACK)
-            + _PREFILTER_SLACK * c * c * (2 + mod))
+        thr_grid, thr_xi, thr_mu = prefilter_threshold(c, guard_tol_default(), mod)
     full = not all(np.all(np.abs(d) > thr) for d, thr in
                    ((d1, thr_grid), (d2, thr_grid), (p1, thr_xi), (p2, thr_mu)))
 
@@ -285,7 +278,7 @@ def _det_guards(p):
         for key in ("xi-xi", "xi+xi", "lambda-lambda"):
             guard(key)
         f, flat = fams["lambda+lambda+eta"], ju * n + iu
-        require_all_nonsingular(lambda k: f.name(flat[k]), f.args().ravel()[flat])
+        require_all_nonsingular(lambda k: f.name(flat[k]), f.args(ju, iu))
     return d1 * d2, p1 * p2, boundary
 
 

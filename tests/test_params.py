@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -188,3 +189,108 @@ def test_every_guard_family_is_named(tier, label, pin):
     own, other = (1e-6, 1e-12) if tier == params.GENERIC else (1e-12, 1e-6)
     assert guard_violations(q, guard_tol=own, ratio_guard_tol=other) == [label]
     assert guard_violations(q, guard_tol=other, ratio_guard_tol=own) == []
+
+
+def _reference_min_guard_margins(p):
+    # every row evaluated in full: the margins before the sinh^2 prefilter
+    low = {params.GENERIC: np.inf, params.RATIO: np.inf}
+    for f in params.guard_families(p):
+        low[f.tier] = min(low[f.tier], np.abs(np.sinh(f.args())).min(initial=np.inf))
+    return float(low[params.GENERIC]), float(low[params.RATIO])
+
+
+def _reference_guard_violations(p, guard_tol=None, ratio_guard_tol=None, skip=()):
+    # every row evaluated in full: the labels before the sinh^2 prefilter
+    tol = guard_tol_default() if guard_tol is None else guard_tol
+    rtol = tol if ratio_guard_tol is None else ratio_guard_tol
+    out = []
+    for f in params.guard_families(p):
+        t = tol if f.tier == params.GENERIC else rtol
+        for k in np.flatnonzero(np.abs(np.sinh(f.args())) <= t):
+            label = f.name(int(k))
+            if label not in skip:
+                out.append(label)
+    return out
+
+
+def _assert_matches_full_evaluation(p):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _reference_min_guard_margins(p)
+        refs = {tols: _reference_guard_violations(p, *tols)
+                for tols in ((None, None), (0.1, 0.35), (1e-3, None), want)}
+    assert min_guard_margins(p) == want
+    for tols, labels in refs.items():
+        assert guard_violations(p, *tols) == labels
+        skip = set(labels[::2])
+        assert guard_violations(p, *tols, skip=skip) == [l for l in labels if l not in skip]
+
+
+def _draw(rng, n, scale=1.0, shift=0.0):
+    # uniform over the sampler's box times `scale`, every lambda moved by `shift`
+    v = scale * (rng.uniform(-0.8, 0.8, 2 * n + 3) + 1j * rng.uniform(-0.8, 0.8, 2 * n + 3))
+    return ModelParams(v[0], v[1], v[2], tuple(v[3:3 + n] + shift), tuple(v[3 + n:]))
+
+
+_BOXES = {"default": (1.0, 0.0), "4x": (4.0, 0.0), "i*pi": (1.0, 1j * np.pi),
+          "re-lambda-300": (1.0, 300.0)}
+
+
+@pytest.mark.parametrize("box", sorted(_BOXES))
+@pytest.mark.parametrize("n", [*range(1, 13), 50, 200])
+def test_guard_margins_match_full_evaluation(n, box, monkeypatch):
+    monkeypatch.delenv(params.GUARD_ENV_VAR, raising=False)
+    rng = np.random.default_rng([n, sorted(_BOXES).index(box)])
+    for _ in range(4 if n <= 12 else 1):
+        _assert_matches_full_evaluation(_draw(rng, n, *_BOXES[box]))
+
+
+# one entry of every grid and pair row pinned to delta: (label, pin)
+_PAIR_PINS = [
+    ("lambda[2]-xi[1]", lambda p, d: _with(p, lam=(2, p.xis[1] + d))),
+    ("lambda[1]+xi[2]", lambda p, d: _with(p, lam=(1, -p.xis[2] + d))),
+    ("lambda[0]-xi[2]+eta", lambda p, d: _with(p, lam=(0, p.xis[2] - p.eta + d))),
+    ("lambda[2]+xi[0]+eta", lambda p, d: _with(p, lam=(2, -p.xis[0] - p.eta + d))),
+    ("lambda[1]+lambda[1]+eta", lambda p, d: _with(p, lam=(1, -p.eta / 2 + d))),
+    ("lambda[0]+lambda[2]+eta", lambda p, d: _with(p, lam=(2, -p.lambdas[0] - p.eta + d))),
+    ("lambda[0]-lambda[2]", lambda p, d: _with(p, lam=(0, p.lambdas[2] + d))),
+    ("lambda[1]+lambda[2]", lambda p, d: _with(p, lam=(1, -p.lambdas[2] + d))),
+    ("xi[0]-xi[1]", lambda p, d: _with(p, xi=(0, p.xis[1] + d))),
+    ("xi[1]+xi[2]", lambda p, d: _with(p, xi=(1, -p.xis[2] + d))),
+]
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-9, 9.99e-7, 1.001e-6])
+@pytest.mark.parametrize("label,pin", _PAIR_PINS, ids=[label for label, _ in _PAIR_PINS])
+def test_guard_margins_match_full_evaluation_at_pins(label, pin, delta, monkeypatch):
+    monkeypatch.delenv(params.GUARD_ENV_VAR, raising=False)
+    for seed in (112, 113):
+        p = verify.sample_params(verify.SuiteConfig(), 4, np.random.default_rng(seed))
+        q = pin(p, delta)
+        _assert_matches_full_evaluation(q)
+        if delta <= 1e-9:  # the pin is seen
+            assert label in guard_violations(q)
+
+
+@pytest.mark.parametrize("lambda_0", [200.0, 400.0])
+def test_guard_functions_raise_no_numpy_warnings(lambda_0, monkeypatch):
+    # the README example with lambda_0 varied: sinh^2 overflows from Re ~ 355
+    # and sinh from Re ~ 710, to inf and without a warning
+    monkeypatch.delenv(params.GUARD_ENV_VAR, raising=False)
+    p = ModelParams(eta=0.62, zeta=1.05, theta=0.83, lambdas=(lambda_0, 0.47), xis=(0.24, 0.11))
+    with np.errstate(over="ignore"):
+        want = _reference_min_guard_margins(p), _reference_guard_violations(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        validate_params(p)
+        assert (min_guard_margins(p), guard_violations(p)) == want
+
+
+def test_sampler_draws_match_full_evaluation(monkeypatch):
+    # det_large's inputs at N = 50 and 200, seed 1 (perfbench/workloads.py):
+    # the draws the sampler keeps with every row evaluated in full
+    configs = {50: verify.SuiteConfig(),
+               200: verify.SuiteConfig(guard_tol=0.01, ratio_guard_tol=0.035)}
+    rng = lambda n: np.random.default_rng(np.random.SeedSequence((1, n)))
+    got = {n: verify.sample_params(cfg, n, rng(n)) for n, cfg in configs.items()}
+    monkeypatch.setattr(verify, "min_guard_margins", _reference_min_guard_margins)
+    assert got == {n: verify.sample_params(cfg, n, rng(n)) for n, cfg in configs.items()}
