@@ -5,10 +5,12 @@ tensor factor; chain site i sits at tensor position i.  Products follow
 print order: the leftmost factor is applied last.
 
 No operator is multiplied out.  Each monodromy is applied to an array factor
-by factor with `weights.apply_pairs`, which evaluates the weights of all its
-factors at all their heights in one table first (one `face_weights` call and
-one height guard per monodromy); an explicit matrix is that application to
-an identity.  The double-row monodromy bulk @ K @ hat acts in this order:
+by factor with `weights.apply_table`, from a table that holds the weights of
+all its factors at all their heights (one `face_weights` call and one height
+guard per table).  A product of B operators, as in `partition.z_bruteforce`,
+takes the weights of all its double rows from one table (`apply_b_product`);
+an explicit matrix is an application to an identity.  The double-row
+monodromy bulk @ K @ hat acts in this order:
 the return path, site 1 first (R(lam + xi_k) with legs (site, aux)), then K
 on the auxiliary space, then the bulk, site N first (R(lam - xi_k) with legs
 (aux, site)).  Every factor at site k is height-shifted by the spins of the
@@ -18,6 +20,8 @@ the aux-up half of the image.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import weights
@@ -26,46 +30,78 @@ from .params import require_nonsingular
 sh = np.sinh
 
 
-def _apply_bulk(x, aux, lam, p, extra=()):
-    """Apply the bulk monodromy R(aux, site 1) ... R(aux, site N) to the
-    leading axis of `x`, site N first.  The chain sites are the last N tensor
-    positions; each factor is height-shifted by the spins of the later sites
-    plus the `extra` positions."""
-    n = x.shape[0].bit_length() - 1
+def _bulk_factors(n, aux, lam, p, extra=()):
+    """The bulk monodromy R(aux, site 1) ... R(aux, site N) as `apply_pairs`
+    factors in application order, site N first.  The chain sites are the
+    last N of n tensor positions; each factor is height-shifted by the spins
+    of the later sites plus the `extra` positions."""
     sites = range(n - p.n, n)
-    factors = [(aux, sites[k], tuple(sites[k + 1:]) + extra, lam - p.xis[k])
-               for k in reversed(range(p.n))]
-    return weights.apply_pairs(x, n, factors, p.theta, p.eta)
+    return [(aux, sites[k], tuple(sites[k + 1:]) + extra, lam - p.xis[k])
+            for k in reversed(range(p.n))]
+
+
+def _hat_factors(n, aux, lam, p):
+    """The return-path monodromy: legs swapped, site 1 first, spectral
+    arguments lam + xi_k, same shift rule."""
+    sites = range(n - p.n, n)
+    return [(sites[k], aux, tuple(sites[k + 1:]), lam + p.xis[k]) for k in range(p.n)]
+
+
+def _apply_bulk(x, aux, lam, p, extra=()):
+    """Apply `_bulk_factors` to the leading axis of `x`."""
+    n = x.shape[0].bit_length() - 1
+    return weights.apply_pairs(x, n, _bulk_factors(n, aux, lam, p, extra), p.theta, p.eta)
 
 
 def _apply_hat(x, aux, lam, p):
-    """Apply the return-path monodromy: legs swapped, site 1 first,
-    spectral arguments lam + xi_k, same shift rule."""
+    """Apply `_hat_factors` to the leading axis of `x`."""
     n = x.shape[0].bit_length() - 1
-    sites = range(n - p.n, n)
-    factors = [(sites[k], aux, tuple(sites[k + 1:]), lam + p.xis[k]) for k in range(p.n)]
-    return weights.apply_pairs(x, n, factors, p.theta, p.eta)
+    return weights.apply_pairs(x, n, _hat_factors(n, aux, lam, p), p.theta, p.eta)
+
+
+def _double_rows(n, aux, lams, p):
+    """The double-row monodromies bulk @ K @ hat at each of `lams`, as
+    functions that apply one to the leading axis of an array, in the order
+    of `lams`.  The R weights of all of them come from one
+    `weights.weight_table` call.  K(lams[0]) is guarded before that table
+    and each later K when its monodromy is applied; the heights do not
+    depend on lambda, so the first NearSingular raised is the one that
+    building the explicit products one by one, left to right, would raise."""
+    k_first = weights.k_matrix(lams[0], p.theta, p.zeta).diagonal()
+    paths = [(_hat_factors(n, aux, lam, p), _bulk_factors(n, aux, lam, p)) for lam in lams]
+    table = weights.weight_table([f for hat, bulk in paths for f in hat + bulk], p.theta, p.eta)
+
+    def apply(i, x):
+        k = weights.k_matrix(lams[i], p.theta, p.zeta).diagonal() if i else k_first
+        rows = table[2 * p.n * i:]
+        x = weights.apply_table(x, n, paths[i][0], rows[:p.n])
+        x = (x.reshape((1 << aux, 2, -1)) * k[:, None]).reshape(x.shape)
+        return weights.apply_table(x, n, paths[i][1], rows[p.n:])
+
+    return [functools.partial(apply, i) for i in range(len(lams))]
 
 
 def _apply_double_row(x, aux, lam, p):
-    """Apply bulk @ K @ hat.  K is guarded first and the R factors meet
-    their heights in the same order as when the product is built left to
-    right, so the first NearSingular raised is the one the explicit product
-    would raise."""
-    k = weights.k_matrix(lam, p.theta, p.zeta).diagonal()
-    x = _apply_hat(x, aux, lam, p)
-    x = (x.reshape((1 << aux, 2, -1)) * k[:, None]).reshape(x.shape)
-    return _apply_bulk(x, aux, lam, p)
+    (double_row,) = _double_rows(x.shape[0].bit_length() - 1, aux, [lam], p)
+    return double_row(x)
+
+
+def apply_b_product(v, lams, p):
+    """B(lams[0]) ... B(lams[-1]) applied to the leading axis of `v` (length
+    2^N), the rightmost first: each B sends its input into the aux-down half
+    of aux (x) chain and keeps the aux-up half of its double-row image."""
+    h = v.shape[0]
+    x = np.zeros((2 * h,) + v.shape[1:], dtype=complex)
+    for double_row in _double_rows(p.n + 1, 0, lams[::-1], p):
+        x[h:] = v
+        v = double_row(x)[:h]
+    return v
 
 
 def apply_b(v, lam, p):
-    """B(lam) applied to the leading axis of `v` (length 2^N): `v` enters the
-    aux-down half of aux (x) chain and the aux-up half of its double-row
-    image is kept."""
-    h = v.shape[0]
-    x = np.zeros((2 * h,) + v.shape[1:], dtype=complex)
-    x[h:] = v
-    return _apply_double_row(x, 0, lam, p)[:h]
+    """B(lam) applied to the leading axis of `v`: `apply_b_product` at one
+    spectral parameter."""
+    return apply_b_product(v, [lam], p)
 
 
 def double_row_full(lam, p):
@@ -137,9 +173,9 @@ def check_double_row_reflection(l1, l2, p):
 def check_b_commutation(l1, l2, p):
     """B operators at different spectral parameters commute: the max |entry|
     of B(l1) B(l2) - B(l2) B(l1), as a float."""
-    B = lambda x, lam: apply_b(x, lam, p)
     eye = np.eye(1 << p.n)
-    return float(np.max(np.abs(B(B(eye, l2), l1) - B(B(eye, l1), l2))))
+    return float(np.max(np.abs(apply_b_product(eye, (l1, l2), p)
+                                - apply_b_product(eye, (l2, l1), p))))
 
 
 def check_monodromy_inverse(lam, p):

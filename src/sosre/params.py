@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -173,16 +174,24 @@ class GuardFamily(NamedTuple):
     name: Callable
 
 
+@lru_cache(maxsize=8)
 def _upper(n):
-    """N x N mask of the entries [i, j] with i < j."""
+    """N x N mask of the entries [i, j] with i < j; read-only, built once
+    per n."""
     sites = np.arange(n)
-    return sites[:, None] < sites
+    upper = sites[:, None] < sites
+    upper.flags.writeable = False  # shared by every caller
+    return upper
 
 
+@lru_cache(maxsize=8)
 def site_pairs(n):
-    """Site pairs (a, b) with a < b, in row-major order: np.triu_indices(n, 1),
-    but several times cheaper at small n."""
-    return _upper(n).nonzero()
+    """Site pairs (a, b) with a < b, in row-major order: np.triu_indices(n, 1)
+    as read-only arrays, built once per n."""
+    pairs = _upper(n).nonzero()
+    for v in pairs:
+        v.flags.writeable = False
+    return pairs
 
 
 def guard_families(p, pair_order=None):
@@ -285,7 +294,7 @@ def _scan(p, tol=None):
     warning."""
     n = p.n
     upper = _upper(n)
-    table = guard_families(p, upper.nonzero())
+    table = guard_families(p)
     full = [(t, f, f.args()) for t, f in enumerate(table) if f.key not in _CLEARED]
     lam_xi = np.array(p.lambdas + p.xis)
     lam, xi, eta = lam_xi[:n], lam_xi[n:], p.eta

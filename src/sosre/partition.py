@@ -9,7 +9,8 @@ over- or underflows a double.  It is finite only while those factors and
 the kernel's entries are: the grid factor D1 D2 grows like exp(4 Re lambda),
 so at large real parts it overflows, a kernel row underflows to zero and
 the real part of `log_value` is NaN (the README example with lambda_0
-varied: finite up to Re lambda_0 = 177.5, NaN from 177.75).  Since exp is
+varied: finite up to Re lambda_0 = 177.5, NaN from 177.75), without a numpy
+warning; IllConditionedWarning reports the NaN pivot.  Since exp is
 2*pi*i periodic, the branch of each argument does not affect the
 exponentiated result.  The grid and pair factors pair up as differences of
 sinh^2 of the O(N) inputs, so the route costs O(N) transcendentals, O(N^2)
@@ -72,9 +73,10 @@ def z_bruteforce(p, cap=BRUTE_CAP_DEFAULT):
     """Z as the all-down/all-up matrix element of the product of B operators.
 
     The product runs over the spectral parameters in order, rightmost factor
-    applied first.  Each B is applied to the vector factor by factor, never
-    multiplied out, so Z costs O(N^2 2^N); refuses N beyond `cap` (hard
-    max 12).
+    applied first (`chain_ops.apply_b_product`).  Each B is applied to the
+    vector factor by factor, never multiplied out, with the weights of all
+    2N^2 R factors from one table, so Z costs O(N^2 2^N) arithmetic and one
+    `face_weights` call; refuses N beyond `cap` (hard max 12).
     """
     effective_cap = min(int(cap), BRUTE_CAP_HARD_MAX)
     if p.n > effective_cap:
@@ -85,8 +87,7 @@ def z_bruteforce(p, cap=BRUTE_CAP_DEFAULT):
     v = np.zeros(1 << p.n, dtype=complex)
     v[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # past a double's range: inf, NaN
-        for lam in reversed(p.lambdas):
-            v = chain_ops.apply_b(v, lam, p)
+        v = chain_ops.apply_b_product(v, p.lambdas, p)
     value = complex(v[-1])
     return PartitionResult(value, METHOD_BRUTE, time.perf_counter() - t0, p.n)
 
@@ -296,23 +297,23 @@ def z_determinant(p):
     widely).
     """
     t0 = time.perf_counter()
-    n = p.n
-    grid, pairs, boundary = _det_guards(p)
-    log_height = _height_prefactor_log(n, p.theta, p.eta)  # guards: before the LU
-    logdet, min_piv = logdet_partial_pivot(_m_matrix_entries(p, grid, boundary))
-    if not min_piv >= ILL_CONDITIONED_PIVOT:  # a NaN pivot warns too
-        warnings.warn(
-            f"smallest elimination pivot {min_piv:.2e}; determinant digits "
-            "are in doubt (see cond_hint / log_value)",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # past a double's range: inf, NaN
+        n = p.n
+        grid, pairs, boundary = _det_guards(p)
+        log_height = _height_prefactor_log(n, p.theta, p.eta)  # guards: before the LU
+        logdet, min_piv = logdet_partial_pivot(_m_matrix_entries(p, grid, boundary))
+        if not min_piv >= ILL_CONDITIONED_PIVOT:  # a NaN pivot warns too
+            warnings.warn(
+                f"smallest elimination pivot {min_piv:.2e}; determinant digits "
+                "are in doubt (see cond_hint / log_value)",
+                IllConditionedWarning,
+                stacklevel=2,
+            )
 
-    # log|.| and arg as two real passes: np.log on complex arrays is ~15x slower
-    log_pref = complex(np.sum(np.log(np.abs(grid))) - np.sum(np.log(np.abs(pairs))),
-                       np.sum(np.angle(grid)) - np.sum(np.angle(pairs)))
-    log_value = logdet + log_pref + log_height
-    with np.errstate(over="ignore"):  # past a double's range: inf
+        # log|.| and arg as two real passes: np.log on complex arrays is ~15x slower
+        log_pref = complex(np.sum(np.log(np.abs(grid))) - np.sum(np.log(np.abs(pairs))),
+                           np.sum(np.angle(grid)) - np.sum(np.angle(pairs)))
+        log_value = logdet + log_pref + log_height
         value = complex(np.exp(log_value))
     return PartitionResult(
         value,

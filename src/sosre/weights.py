@@ -92,63 +92,72 @@ SWAP_4 = np.zeros((4, 4))
 SWAP_4[0, 0] = SWAP_4[1, 2] = SWAP_4[2, 1] = SWAP_4[3, 3] = 1.0
 
 
-@lru_cache(maxsize=128)
-def _pair_layout(n, pos_a, pos_b, shift):
-    """How `apply_pairs` reads one factor; depends on the layout only.
+@lru_cache(maxsize=256)
+def _pair_gather(n, pos_a, pos_b, shift):
+    """How `apply_table` reads one factor; depends on the layout only.
 
-    `shape` splits a basis index at the legs: [positions before the lower
-    leg, its spin, positions between, the upper leg's spin, positions after].
     Weight r of (a, b_plus, c_plus, c_minus, b_minus) at d down spins in the
-    shift set sits at 5 d + r of a factor's flat weights; `keep` indexes the
-    one that keeps both leg spins, `flip` c_plus and c_minus, which swap them.
+    shift set sits at 5 d + r of a factor's flat weights.  `keep` is, per
+    basis state, the index of the weight that keeps both leg spins (a,
+    b_plus or b_minus); `states` are the states whose leg spins differ,
+    `partner` each one with its legs swapped, and `flip` the index of the
+    c_plus (legs (pos_a, pos_b) = (up, down)) or c_minus weight that feeds
+    it from its partner.  The index arrays are read-only.
     """
-    lo, hi = sorted((pos_a, pos_b))
-    shape = (1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi - 1))
-    others = [k for k in range(n) if k not in (pos_a, pos_b)]
-    mask = sum(1 << (n - 3 - others.index(k)) for k in shift)
-    d = 5 * np.bitwise_count(np.arange(1 << (n - 2)) & mask)
-    d = d.reshape(shape[0], 1, shape[2], 1, shape[4], 1)
+    if set(shift) & {pos_a, pos_b}:
+        raise ValueError(f"shift {shift} overlaps the R legs ({pos_a}, {pos_b})")
+    basis = np.arange(1 << n)
+    bit = lambda pos: 1 << (n - 1 - pos)
+    down_a, down_b = ((basis >> (n - 1 - pos)) & 1 for pos in (pos_a, pos_b))
+    d = 5 * np.bitwise_count(basis & sum(map(bit, shift)))
     by_legs = np.array([[0, 1], [4, 0]])  # a, b_plus, b_minus by (spin at pos_a, at pos_b)
-    keep = d + (by_legs if pos_a < pos_b else by_legs.T)[:, None, :, None, None]
-    flip = np.stack((d[:, 0, :, 0] + 2, d[:, 0, :, 0] + 3))
-    keep.flags.writeable = flip.flags.writeable = False  # shared by every caller
-    # the views of the leg states (pos_a, pos_b) = (up, down) and (down, up)
-    at = lambda i, j: (slice(None), i, slice(None), j)
-    up_down, down_up = (at(0, 1), at(1, 0)) if pos_a < pos_b else (at(1, 0), at(0, 1))
-    return shape, keep, flip, up_down, down_up
+    keep = d + by_legs[down_a, down_b]
+    states = (down_a != down_b).nonzero()[0]
+    partner = states ^ (bit(pos_a) | bit(pos_b))
+    flip = d[states] + 2 + down_a[states]
+    out = keep, states, partner, flip
+    for v in out:
+        v.flags.writeable = False  # shared by every caller
+    return out
 
 
-def apply_pairs(x, n, factors, theta, eta):
-    """Apply R factors to the leading axis of `x` (length 2^n; any trailing
-    axes are carried along, so `x` may be a stack of columns), the first of
-    `factors` first.  Factor (pos_a, pos_b, shift, lam) is R(lam; theta -
-    eta*m) on tensor positions (pos_a, pos_b) of n two-level spaces, identity
-    elsewhere; `m` is the total spin over the positions in `shift`, read off
-    each basis state, so the factor is block diagonal in the shift-set
-    magnetization.
-
-    Their weights come from one `face_weights` call on a table whose row f,
-    column d is factor f at height theta - eta*(s - 2d), s = len(shift), d
-    down spins in its shift set (columns past s repeat d = s, unread).
-    Row-major order is application order, so the guard raises at the first
-    failing height the factors would meet one by one.
-    """
-    for pos_a, pos_b, shift, _ in factors:
-        if set(shift) & {pos_a, pos_b}:
-            raise ValueError(f"shift {tuple(shift)} overlaps the R legs ({pos_a}, {pos_b})")
+def weight_table(factors, theta, eta):
+    """The weights of R factors (pos_a, pos_b, shift, lam), one row per
+    factor, from one `face_weights` call on a table whose row f, column d
+    is factor f at height theta - eta*(s - 2d), s = len(shift), d down spins
+    in its shift set (columns past s repeat d = s, unread).  Row-major order
+    is the order of `factors`, so the guard raises at the first failing
+    height the factors would meet one by one."""
     s = np.array([len(shift) for _, _, shift, _ in factors])
     m = s[:, None] - 2 * np.minimum(np.arange(s.max() + 1), s[:, None])
     fw = face_weights(np.array([[lam] for *_, lam in factors], dtype=complex), theta - eta * m, eta)
     table = np.stack((fw.a, fw.b_plus, fw.c_plus, fw.c_minus, fw.b_minus), axis=-1)
-    for (pos_a, pos_b, shift, _), w in zip(factors, table.reshape(len(factors), -1)):
-        shape, keep, flip, up_down, down_up = _pair_layout(n, pos_a, pos_b, tuple(shift))
-        t = x.reshape(shape + (x.size >> n,))
-        out = w[keep] * t
-        c_plus, c_minus = w[flip]
-        out[up_down] += c_plus * t[down_up]
-        out[down_up] += c_minus * t[up_down]
-        x = out.reshape(x.shape)
-    return x
+    return table.reshape(len(factors), -1)
+
+
+def apply_table(x, n, factors, table):
+    """Apply R factors to the leading axis of `x` (length 2^n; any trailing
+    axes are carried along, so `x` may be a stack of columns), the first of
+    `factors` first, with their weights from the rows of `table`
+    (`weight_table`).  Factor (pos_a, pos_b, shift, lam) is R(lam; theta -
+    eta*m) on tensor positions (pos_a, pos_b) of n two-level spaces,
+    identity elsewhere; `m` is the total spin over the positions in
+    `shift`, read off each basis state, so the factor is block diagonal in
+    the shift-set magnetization."""
+    # a vector stays 1-D: numpy indexes it several times faster than a column
+    t = x.reshape(1 << n, x.size >> n) if x.ndim > 1 else x
+    col = (slice(None), None)[:t.ndim]  # a weight per state, on every column
+    for (pos_a, pos_b, shift, _), w in zip(factors, table):
+        keep, states, partner, flip = _pair_gather(n, pos_a, pos_b, tuple(shift))
+        out = w.take(keep)[col] * t
+        out[states] += w.take(flip)[col] * t.take(partner, axis=0)
+        t = out
+    return t.reshape(x.shape)
+
+
+def apply_pairs(x, n, factors, theta, eta):
+    """`apply_table` with the factors' own weight table."""
+    return apply_table(x, n, factors, weight_table(factors, theta, eta))
 
 
 def embed_pair(n, pos_a, pos_b, shift, lam, theta, eta):

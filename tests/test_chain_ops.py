@@ -305,3 +305,98 @@ def test_monodromies_match_embedded_products(n):
     K = np.kron(weights.k_matrix(lam, p.theta, p.zeta), np.eye(1 << n))
     want = embedded_product(n + 1, bulk, p) @ K @ want_hat
     assert close(chain_ops._apply_double_row(np.eye(2 << n), 0, lam, p), want)
+
+
+def _reference_apply_pairs(x, n, factors, theta, eta):
+    # the strided kernel before the gather layout: the same weight table,
+    # each factor as ~8 numpy updates on views split at its legs
+    s = np.array([len(shift) for _, _, shift, _ in factors])
+    m = s[:, None] - 2 * np.minimum(np.arange(s.max() + 1), s[:, None])
+    fw = weights.face_weights(np.array([[lam] for *_, lam in factors], dtype=complex),
+                              theta - eta * m, eta)
+    table = np.stack((fw.a, fw.b_plus, fw.c_plus, fw.c_minus, fw.b_minus), axis=-1)
+    for (pos_a, pos_b, shift, _), w in zip(factors, table.reshape(len(factors), -1)):
+        lo, hi = sorted((pos_a, pos_b))
+        shape = (1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi - 1))
+        others = [k for k in range(n) if k not in (pos_a, pos_b)]
+        mask = sum(1 << (n - 3 - others.index(k)) for k in shift)
+        d = 5 * np.bitwise_count(np.arange(1 << (n - 2)) & mask)
+        d = d.reshape(shape[0], 1, shape[2], 1, shape[4], 1)
+        by_legs = np.array([[0, 1], [4, 0]])
+        keep = d + (by_legs if pos_a < pos_b else by_legs.T)[:, None, :, None, None]
+        flip = np.stack((d[:, 0, :, 0] + 2, d[:, 0, :, 0] + 3))
+        at = lambda i, j: (slice(None), i, slice(None), j)
+        up_down, down_up = (at(0, 1), at(1, 0)) if pos_a < pos_b else (at(1, 0), at(0, 1))
+        t = x.reshape(shape + (x.size >> n,))
+        out = w[keep] * t
+        c_plus, c_minus = w[flip]
+        out[up_down] += c_plus * t[down_up]
+        out[down_up] += c_minus * t[up_down]
+        x = out.reshape(x.shape)
+    return x
+
+
+def _reference_apply_b(v, lam, p):
+    # B(lam) with one weight table per monodromy: K, then the return path,
+    # then the bulk, each path guarded and applied on its own
+    n, h = p.n + 1, v.shape[0]
+    x = np.zeros((2 * h,) + v.shape[1:], dtype=complex)
+    x[h:] = v
+    k = weights.k_matrix(lam, p.theta, p.zeta).diagonal()
+    sites = range(1, n)
+    hat = [(sites[j], 0, tuple(sites[j + 1:]), lam + p.xis[j]) for j in range(p.n)]
+    bulk = [(0, sites[j], tuple(sites[j + 1:]), lam - p.xis[j]) for j in reversed(range(p.n))]
+    x = _reference_apply_pairs(x, n, hat, p.theta, p.eta)
+    x = (x.reshape((1, 2, -1)) * k[:, None]).reshape(x.shape)
+    return _reference_apply_pairs(x, n, bulk, p.theta, p.eta)[:h]
+
+
+def _reference_z_bruteforce(p):
+    # one B at a time, lambda_N first
+    v = np.zeros(1 << p.n, dtype=complex)
+    v[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam in reversed(p.lambdas):
+            v = _reference_apply_b(v, lam, p)
+    return complex(v[-1])
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 10, 12])
+def test_contraction_bit_identical_to_reference(n):
+    rng = np.random.default_rng(np.random.SeedSequence((90, n)))
+    for _ in range(3 if n < 10 else 1):
+        p = draw(n, rng)
+        assert partition.z_bruteforce(p, cap=12).value == _reference_z_bruteforce(p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_b_product_is_successive_b(n):
+    rng = np.random.default_rng(91 + n)
+    p = draw(n, rng)
+    lams = p.lambdas + (0.3 - 0.2j,)
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    cols = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+    for x in (v, cols):
+        want = x
+        for lam in reversed(lams):
+            want = chain_ops.apply_b(want, lam, p)
+        assert np.array_equal(chain_ops.apply_b_product(x, lams, p), want)
+        assert np.array_equal(chain_ops.apply_b(x, lams[0], p),
+                              _reference_apply_b(x, lams[0], p))
+    assert np.array_equal(chain_ops.b_operator(lams[0], p),
+                          _reference_apply_b(np.eye(1 << n), lams[0], p))
+
+
+@pytest.mark.parametrize("theta_singular", [False, True])
+def test_b_guard_at_a_later_k_matches_reference(theta_singular):
+    # K(lambda_1) singular: its B is applied last, after the whole weight
+    # table is built; with theta = 2 eta as well, the heights raise first
+    p = draw(3, np.random.default_rng(92))
+    theta = 2 * p.eta + 1e-9 if theta_singular else p.theta
+    q = ModelParams(p.eta, p.zeta, theta, p.lambdas, p.xis).replace_lambda(0, -p.zeta + 1e-9)
+    with pytest.raises(NearSingular) as ref:
+        _reference_z_bruteforce(q)
+    with pytest.raises(NearSingular) as free:
+        partition.z_bruteforce(q)
+    assert str(free.value) == str(ref.value)
+    assert ("sinh(theta)" if theta_singular else "sinh(zeta+lambda)") in str(free.value)

@@ -16,6 +16,7 @@ from sosre.params import (
     rel_diff,
     require_all_nonsingular,
     require_nonsingular,
+    site_pairs,
     validate_params,
 )
 
@@ -189,6 +190,17 @@ def test_every_guard_family_is_named(tier, label, pin):
     own, other = (1e-6, 1e-12) if tier == params.GENERIC else (1e-12, 1e-6)
     assert guard_violations(q, guard_tol=own, ratio_guard_tol=other) == [label]
     assert guard_violations(q, guard_tol=other, ratio_guard_tol=own) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_site_pairs_are_shared_and_read_only(n):
+    a, b = site_pairs(n)
+    want_a, want_b = np.triu_indices(n, 1)
+    assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+    assert site_pairs(n)[0] is a
+    for v in (a, b, params._upper(n)):
+        with pytest.raises(ValueError, match="read-only"):
+            v[...] = 0
 
 
 def _reference_min_guard_margins(p):

@@ -296,6 +296,19 @@ def test_nan_pivot_warns():
     assert np.isnan(res.cond_hint)
 
 
+@pytest.mark.parametrize("lambda_0", [177.5, 200.0, 400.0])
+def test_determinant_emits_no_numpy_warnings(lambda_0):
+    # the same example: past a double's range the factors are inf or NaN,
+    # silently, as in contraction; only IllConditionedWarning reaches the caller
+    p = ModelParams(eta=0.62, zeta=1.05, theta=0.83,
+                    lambdas=(lambda_0, 0.47), xis=(0.24, 0.11))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error")
+        warnings.simplefilter("always", IllConditionedWarning)
+        partition.z_determinant(p)
+    assert {w.category for w in caught} <= {IllConditionedWarning}
+
+
 def test_well_conditioned_no_warning(monkeypatch):
     eps = 1e-6
     p = ModelParams(eta=0.62, zeta=1.05, theta=0.83,
