@@ -6,13 +6,15 @@ zero.  This module owns the list of arguments that can appear in those
 denominators and provides the guard checks everything else relies on.
 
 The N x N grid and pair rows of that list pair up into products
-sinh(x-y) sinh(x+y) = sinh^2 x - sinh^2 y = D of O(N) squares.  Since
-|sinh z| <= cosh(Re z), a factor at or below a tolerance t forces |D| under
-`prefilter_threshold`, about t cosh(|Re x| + |Re y|); and the smaller factor
-is at most sqrt(|D|).  So the margins (`min_guard_margins`) and the guard
-checks (`guard_violations`, `validate_params`) evaluate np.sinh only at the
-entries whose |D| a bound cannot clear, and return what evaluating every
-entry would.
+sinh(x-y) sinh(x+y) = sinh^2 x - sinh^2 y = D of the four O(N) squares of
+`sinh_squares`.  Since |sinh z| <= cosh(Re z), a factor at or below a
+tolerance t forces |D| under `prefilter_threshold`, about
+t cosh(|Re x| + |Re y|); and the smaller factor is at most sqrt(|D|).  So
+the margins (`min_guard_margins`) and the guard checks (`guard_violations`,
+`validate_params`) evaluate np.sinh only at the entries whose |D| a bound
+cannot clear, and return what evaluating every entry would; the
+determinant's guards (`partition`) take their squares and bounds from
+`sinh_squares` too.
 """
 
 from __future__ import annotations
@@ -175,20 +177,10 @@ class GuardFamily(NamedTuple):
 
 
 @lru_cache(maxsize=8)
-def _upper(n):
-    """N x N mask of the entries [i, j] with i < j; read-only, built once
-    per n."""
-    sites = np.arange(n)
-    upper = sites[:, None] < sites
-    upper.flags.writeable = False  # shared by every caller
-    return upper
-
-
-@lru_cache(maxsize=8)
 def site_pairs(n):
     """Site pairs (a, b) with a < b, in row-major order: np.triu_indices(n, 1)
     as read-only arrays, built once per n."""
-    pairs = _upper(n).nonzero()
+    pairs = np.triu_indices(n, 1)
     for v in pairs:
         v.flags.writeable = False
     return pairs
@@ -256,7 +248,7 @@ def prefilter_threshold(c, tol, mod):
 
 # The sinh^2 differences that clear the grid and pair rows (see `_scan`):
 # entry [i, j] of difference g is sq[_MINUEND[g], i] - sq[_SUBTRAHEND[g], j]
-# over the squares sq = (w_eta, w, q, y).  They are, in order,
+# over the squares sq = (w_eta, w, q, y) of `sinh_squares`.  They are, in order,
 #   w_eta_i - y_j = sinh(lambda_i-xi_j+eta) sinh(lambda_i+xi_j+eta),
 #   w_i - y_j = sinh(lambda_i-xi_j) sinh(lambda_i+xi_j),
 #   q_i - q_j = sinh(lambda_i-lambda_j) sinh(lambda_i+lambda_j+eta),
@@ -271,17 +263,33 @@ _CLEARED = {"lambda-xi": _GRID, "lambda+xi": _GRID, "lambda-xi+eta": _GRID,
             "lambda+lambda": _PAIR, "xi-xi": _PAIR, "xi+xi": _PAIR}
 
 
+def sinh_squares(p):
+    """The O(N) squares under the grid and pair rows, (sq, c, mod): sq is
+    the 4 x N array (w_eta, w, q, y) = sinh^2 of (lambda+eta, lambda,
+    lambda+eta/2, xi); c lists the cosh bounds of the five differences of
+    `_MINUEND` and `_SUBTRAHEND`, and mod bounds their |x| + |y|, for
+    `prefilter_threshold`.  Opens no np.errstate: past a double's range a
+    value is inf, and the caller's error state decides what that warns."""
+    n = p.n
+    lam_xi = np.array(p.lambdas + p.xis)
+    lam, xi, eta = lam_xi[:n], lam_xi[n:], p.eta
+    x = np.concatenate([lam + eta, lam, lam + eta / 2, xi]).reshape(4, n)
+    r_eta, r_lam, r_mu, r_xi = np.abs(x.real).max(1).tolist()
+    c = np.cosh([r_eta + r_xi, r_lam + r_xi, 2 * r_mu, 2 * r_lam, 2 * r_xi]).tolist()
+    return np.square(np.sinh(x)), c, 2 * float(np.abs(lam_xi).max()) + abs(eta)
+
+
 def _scan(p, tol=None):
     """|sinh| of the guard table, with the grid and pair rows evaluated only
     where a sinh^2 difference cannot clear them: (mags, rows, bounds).  Row
-    r of `rows` is (t, family, sites) for the table's row t, its values
-    mags[bounds[r]:bounds[r + 1]]: the whole row when `sites` is None, else
-    the entries at sites (i, j).  The grid and pair rows come first.
+    r of `rows` is (t, family, ks) for the table's row t, its values
+    mags[bounds[r]:bounds[r + 1]]: the whole row when `ks` is None, else
+    the row's entries at the flat indices ks (i*N + j in a grid row, the
+    pair index in a pair row).  The grid and pair rows come first.
 
-    Four O(N) squares, w_eta = sinh^2(lambda+eta), w = sinh^2 lambda,
-    q = sinh^2(lambda+eta/2) and y = sinh^2 xi, give the differences D of
-    `_MINUEND` and `_SUBTRAHEND`.  An entry is evaluated unless its |D| is
-    above `prefilter_threshold` at generic tolerance `tol` (a NaN |D| or
+    The squares of `sinh_squares` give the differences D of `_MINUEND` and
+    `_SUBTRAHEND`.  An entry is evaluated unless its |D| is above
+    `prefilter_threshold` at generic tolerance `tol` (a NaN |D| or
     threshold keeps it), so every entry at or below `tol` is; every grid
     row is evaluated where any grid difference keeps an entry, every pair
     row where any pair difference does.  With `tol` None it is a bound on
@@ -289,37 +297,30 @@ def _scan(p, tol=None):
     the least of the O(N) generic rows' values and sqrt(min |D| + slack)
     over the first two differences, one of two factors being at most the
     square root of their product (the other three hold D = 0 on their
-    diagonals, lambda+lambda+eta's paired with sinh(0)).  There are two
-    np.sinh calls; past a double's range a value is inf, without a
-    warning."""
+    diagonals, lambda+lambda+eta's paired with sinh(0)).  Past a double's
+    range a value is inf, without a warning."""
     n = p.n
-    upper = _upper(n)
     table = guard_families(p)
     full = [(t, f, f.args()) for t, f in enumerate(table) if f.key not in _CLEARED]
-    lam_xi = np.array(p.lambdas + p.xis)
-    lam, xi, eta = lam_xi[:n], lam_xi[n:], p.eta
-    x = np.concatenate([lam + eta, lam, lam + eta / 2, xi, *(v for _, _, v in full)])
-    x4 = x[:4 * n].reshape(4, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.sinh(x)
-        mags = np.abs(s[4 * n:])
-        sq = np.square(s[:4 * n]).reshape(4, n)
+        sq, c, mod = sinh_squares(p)
+        mags = np.abs(np.sinh(np.concatenate([v for _, _, v in full])))
         d = np.abs(sq.take(_MINUEND, 0)[:, :, None] - sq.take(_SUBTRAHEND, 0)[:, None, :])
-        r_eta, r_lam, r_mu, r_xi = np.abs(x4.real).max(1).tolist()
-        c = np.cosh([r_eta + r_xi, r_lam + r_xi, 2 * r_mu, 2 * r_lam, 2 * r_xi]).tolist()
-        mod = 2 * float(np.abs(lam_xi).max()) + abs(eta)
         if tol is None:
             # the table lists its GENERIC rows first
             n_generic = sum(v.size for _, f, v in full if f.tier == GENERIC)
             tol = min(float(mags[:n_generic].min()), (1 + _PREFILTER_SLACK) * math.sqrt(
                 float(d[:2].min()) + prefilter_threshold(max(c[:2]), 0.0, mod)))
         keep = ~(d > np.array([prefilter_threshold(cg, tol, mod) for cg in c])[:, None, None])
-        sites = ((keep[0] | keep[1] | keep[2]).nonzero(), ((keep[3] | keep[4]) & upper).nonzero())
-        rows = [(t, f, sites[_CLEARED[f.key]]) for t, f in enumerate(table) if f.key in _CLEARED]
-        vals = np.abs(np.sinh(np.concatenate([f.args(*site) for _, f, site in rows])))
+        a, b = site_pairs(n)
+        ks = ((keep[0] | keep[1] | keep[2]).ravel().nonzero()[0],
+              (keep[3] | keep[4])[a, b].nonzero()[0])
+        sites = np.divmod(ks[_GRID], n), (a[ks[_PAIR]], b[ks[_PAIR]])
+        rows = [(t, f, ks[_CLEARED[f.key]]) for t, f in enumerate(table) if f.key in _CLEARED]
+        vals = np.abs(np.sinh(np.concatenate([f.args(*sites[_CLEARED[f.key]]) for _, f, _ in rows])))
     bounds = [0]
-    for _, _, (i, _) in rows:
-        bounds.append(bounds[-1] + len(i))
+    for _, _, k in rows:
+        bounds.append(bounds[-1] + k.size)
     for t, f, v in full:
         rows.append((t, f, None))
         bounds.append(bounds[-1] + v.size)
@@ -357,14 +358,10 @@ def guard_violations(p, guard_tol=None, ratio_guard_tol=None, skip=()):
     hits = (mags <= limit).nonzero()[0]
     out = []
     for r in sorted(range(len(rows)), key=lambda r: rows[r][0]) if hits.size else ():
-        _, f, sites = rows[r]
+        _, f, ks = rows[r]
         k = hits[(hits >= bounds[r]) & (hits < bounds[r + 1])] - bounds[r]
-        if sites is not None:
-            n = p.n
-            k = np.sort(sites[0][k] * n + sites[1][k])
-            if _CLEARED[f.key] == _PAIR:  # the pair indices of entries [i, j]
-                a, b = site_pairs(n)
-                k = (a * n + b).searchsorted(k)
+        if ks is not None:
+            k = ks[k]
         out += [label for label in map(f.name, k.tolist()) if label not in skip]
     return out
 

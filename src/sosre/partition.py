@@ -36,6 +36,7 @@ from .params import (
     prefilter_threshold,
     require_all_nonsingular,
     require_nonsingular,
+    sinh_squares,
     site_pairs,
 )
 
@@ -242,32 +243,29 @@ def _det_guards(p):
     lambda_j - lambda_i and lambda_j + lambda_i + eta (the lower triangle of
     that grid), each a row of `guard_families(p, (j, i))`.
 
-    The grid and pair factors pair up as differences of O(N) squares:
+    The grid and pair factors pair up as differences of the O(N) squares
+    of `params.sinh_squares`:
     D1 = sinh^2 lambda_i - sinh^2 xi_j = sinh(lambda_i-xi_j) sinh(lambda_i+xi_j),
     D2 the same at lambda+eta, P1 = sinh^2 xi_j - sinh^2 xi_i and
     P2 = sinh^2(lambda_j+eta/2) - sinh^2(lambda_i+eta/2).  Every failing
     entry of a grid or pair row has its |D| or |P| at or under
-    `params.prefilter_threshold`.  While no entry is under it, only the two
-    O(N) boundary rows are evaluated; otherwise all ten rows are, in full
-    and in order.  Either way NearSingular is what evaluating every row
-    would raise.  Returns D1 D2, P1 P2 and sinh(theta+zeta+lambda)
-    sinh(zeta+lambda), which do not depend on which rows were evaluated."""
+    `params.prefilter_threshold` at that difference's own cosh bound.
+    While no entry is under it, only the two O(N) boundary rows are
+    evaluated; otherwise all ten rows are, in full and in order.  Either
+    way NearSingular is what evaluating every row would raise.  Returns
+    D1 D2, P1 P2 and sinh(theta+zeta+lambda) sinh(zeta+lambda), which do
+    not depend on which rows were evaluated."""
     n = p.n
     iu, ju = site_pairs(n)
-    lam, xi = p.lambdas_array(), p.xis_array()
-    lam_eta, mu = lam + p.eta, lam + p.eta / 2
-    w, w_eta, y, q = (np.square(sh(v)) for v in (lam, lam_eta, xi, mu))
+    with np.errstate(over="ignore"):
+        (w_eta, w, q, y), c, mod = sinh_squares(p)
     d1, d2 = w[:, None] - y, w_eta[:, None] - y
     p1, p2 = y[ju] - y[iu], q[ju] - q[iu]
 
     # An entry above its threshold cannot fail; a NaN entry counts as under.
-    re = lambda v: np.abs(v.real).max()
-    mod = 2 * max(np.abs(lam).max(), np.abs(xi).max()) + abs(p.eta)
-    with np.errstate(over="ignore"):
-        c = np.cosh([max(re(lam), re(lam_eta)) + re(xi), 2 * re(xi), 2 * re(mu)])
-        thr_grid, thr_xi, thr_mu = prefilter_threshold(c, guard_tol_default(), mod)
-    full = not all(np.all(np.abs(d) > thr) for d, thr in
-                   ((d1, thr_grid), (d2, thr_grid), (p1, thr_xi), (p2, thr_mu)))
+    tol = guard_tol_default()
+    full = not all(np.all(np.abs(d) > prefilter_threshold(c[g], tol, mod))
+                   for d, g in ((d1, 1), (d2, 0), (p1, 4), (p2, 2)))
 
     fams = {f.key: f for f in guard_families(p, (ju, iu))}
     guard = lambda key: require_all_nonsingular(fams[key].name, fams[key].args())

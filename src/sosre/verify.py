@@ -50,8 +50,8 @@ class SuiteConfig:
     `seed` and `samples_per_case` are integers too.
     `guard_tol` is the sampler margin on |sinh| for the generic denominator
     families and `ratio_guard_tol` the wider margin for the boundary/height
-    ratio denominators; both shrink as 6/N beyond N=6 to keep rejection
-    sampling feasible.
+    ratio denominators; both are finite and > 0, and shrink as 6/N beyond
+    N=6 to keep rejection sampling feasible.
     """
 
     seed: int = 42
@@ -77,6 +77,10 @@ class SuiteConfig:
         object.__setattr__(self, "n_values", n_values)
         if not n_values or min(n_values) < 1:
             raise ValueError("n_values must be a nonempty tuple of integers >= 1")
+        for name in ("guard_tol", "ratio_guard_tol"):
+            tol = getattr(self, name)
+            if not (np.isfinite(tol) and tol > 0):  # else the sampler accepts every draw
+                raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
 
     def margins(self, n):
         scale = min(1.0, _MARGIN_PIVOT_N / n)

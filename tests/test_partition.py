@@ -756,6 +756,35 @@ def test_generic_guards_evaluate_only_the_boundary_rows(n, monkeypatch):
         assert sizes == [n, n]
 
 
+def _reference_det_guards(p):
+    """What `_det_guards` returns, written out: each square from its own
+    np.sinh call, then D1 D2, P1 P2 and the boundary product (no guards)."""
+    iu, ju = np.triu_indices(p.n, 1)
+    lam, xi, eta = p.lambdas_array(), p.xis_array(), p.eta
+    w, w_eta, y, q = (np.square(sh(v)) for v in (lam, lam + eta, xi, lam + eta / 2))
+    grid = (w[:, None] - y) * (w_eta[:, None] - y)
+    pairs = (y[ju] - y[iu]) * (q[ju] - q[iu])
+    return grid, pairs, sh(p.theta + p.zeta + lam) * sh(p.zeta + lam)
+
+
+@pytest.mark.parametrize("shift", [0, 10, 200, 400])
+def test_det_guards_match_reference_bit_for_bit(shift, monkeypatch):
+    # past Re lambda ~ 177 the grid factor overflows and log_value reads NaN;
+    # equality is of the bytes, so those cases compare too
+    got, want = [], []
+    runs = (got, partition._det_guards), (want, _reference_det_guards)
+    for n in [*range(1, 17), 50, 200]:
+        p = draw(n, np.random.default_rng((218, n)))
+        p = dataclasses.replace(p, lambdas=tuple(v + shift for v in p.lambdas))
+        for out, guards in runs:
+            monkeypatch.setattr(partition, "_det_guards", guards)
+            with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditionedWarning)
+                out.append([a.tobytes() for a in guards(p)]
+                           + [np.complex128(partition.z_determinant(p).log_value).tobytes()])
+    assert got == want
+
+
 _ORACLE = json.loads((Path(__file__).parent / "data" / "oracle_logz.json").read_text())
 _TWO_PI = Fraction("6.2831853071795864769252867665590057683943387987502")
 

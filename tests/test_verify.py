@@ -71,6 +71,10 @@ def test_suite_config_validation():
     for bad in ((0,), (-1,), (1, 2, 0), (), (1.5,), (1.7, 2.2)):
         with pytest.raises(ValueError, match="n_values"):
             verify.SuiteConfig(n_values=bad)
+    for name in ("guard_tol", "ratio_guard_tol"):
+        for bad in (float("nan"), -1.0, 0.0, float("inf")):
+            with pytest.raises(ValueError, match=name):
+                verify.SuiteConfig(**{name: bad})
 
 
 def test_unknown_suite_name():
