@@ -10,6 +10,7 @@ verification failure; 2 means bad input or a singular evaluation.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 import time
@@ -188,8 +189,10 @@ def cmd_bench(max_n, seed, cap=partition.BRUTE_CAP_DEFAULT, output=None):
 def cmd_sweep(p, vary, start, stop, points, output=None):
     """Z by determinant along a straight-line grid in one lambda.
 
-    `vary` is 1-based.  Grid points failing the genericity guards are kept in
-    the CSV but marked skipped, with no Z columns.
+    `vary` is 1-based.  Every grid point gets a CSV row with its lambda and a
+    status: `ok` with both Z columns; `skipped` where the point fails the
+    genericity guards, and `nonfinite` where Z is past a double's range or
+    NaN (at large real lambda), both with the Z columns empty.
     """
     if not 1 <= vary <= p.n:
         raise ParseError(f"--vary must be in 1..{p.n}, got {vary}")
@@ -201,15 +204,19 @@ def cmd_sweep(p, vary, start, stop, points, output=None):
     else:
         grid = start + (stop - start) * np.arange(points) / (points - 1)
     rows = ["lambda_re,lambda_im,z_re,z_im,status"]
-    for v in grid:
+    for v in grid.tolist():
+        lam = f"{v.real:.17g},{v.imag:.17g}"
         q = p.replace_lambda(i, v)
         try:
             validate_params(q)
             z = partition.z_determinant(q).value
         except SosError:
-            rows.append(f"{v.real:.17g},{v.imag:.17g},,,skipped")
+            rows.append(f"{lam},,,skipped")
             continue
-        rows.append(f"{v.real:.17g},{v.imag:.17g},{z.real:.17g},{z.imag:.17g},ok")
+        if cmath.isfinite(z):
+            rows.append(f"{lam},{z.real:.17g},{z.imag:.17g},ok")
+        else:
+            rows.append(f"{lam},,,nonfinite")
     _emit("\n".join(rows), output)
     return 0
 

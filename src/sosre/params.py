@@ -13,16 +13,18 @@ t cosh(|Re x| + |Re y|); and the smaller factor is at most sqrt(|D|).  So
 the margins (`min_guard_margins`) and the guard checks (`guard_violations`,
 `validate_params`) evaluate np.sinh only at the entries whose |D| a bound
 cannot clear, and return what evaluating every entry would; the
-determinant's guards (`partition`) take their squares and bounds from
-`sinh_squares` too.
+determinant's guards (`partition`) take their squares and bounds from the
+same place, `ModelParams.squares`, which computes them once per instance.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -92,7 +94,7 @@ def _as_complex_tuple(values, what):
         out = tuple(complex(v) for v in values)
     except TypeError:
         raise InvariantViolation(f"{what} must be a sequence of numbers") from None
-    if not all(np.isfinite(v.real) and np.isfinite(v.imag) for v in out):
+    if not all(map(cmath.isfinite, out)):
         raise InvariantViolation(f"{what} entries must be finite")
     return out
 
@@ -106,6 +108,11 @@ class ModelParams:
     checked separately by :func:`validate_params`, because several identities
     are *stated* at non-generic points (e.g. the recursions pin lambda_1 to
     xi_1 exactly).
+
+    The O(N) data every guard and determinant call reads (the parameter
+    arrays, `squares` and `guard_table`) is computed on first use and kept
+    on the instance, read-only; equality, hashing and `dataclasses.replace`
+    see the fields only.
     """
 
     eta: complex
@@ -117,7 +124,7 @@ class ModelParams:
     def __post_init__(self):
         for name in ("eta", "zeta", "theta"):
             v = complex(getattr(self, name))
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
+            if not cmath.isfinite(v):
                 raise InvariantViolation(f"{name} must be finite")
             object.__setattr__(self, name, v)
         lams = _as_complex_tuple(self.lambdas, "lambdas")
@@ -131,15 +138,44 @@ class ModelParams:
         object.__setattr__(self, "lambdas", lams)
         object.__setattr__(self, "xis", xis)
 
+    def __getstate__(self):
+        # the fields only: the cached data is rebuilt on use, and the guard
+        # table's closures do not pickle
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @property
     def n(self):
         return len(self.lambdas)
 
+    @cached_property
+    def _lambdas_xis(self):
+        v = np.array(self.lambdas + self.xis, dtype=complex)
+        v.flags.writeable = False
+        return v
+
     def lambdas_array(self):
-        return np.array(self.lambdas, dtype=complex)
+        """The lambdas as a read-only complex array."""
+        return self._lambdas_xis[: self.n]
 
     def xis_array(self):
-        return np.array(self.xis, dtype=complex)
+        """The xis as a read-only complex array."""
+        return self._lambdas_xis[self.n :]
+
+    @cached_property
+    def squares(self):
+        """`sinh_squares` of this instance, its array read-only and its
+        bounds a tuple.  Past a double's range a square is inf, without a
+        warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq, c, mod = sinh_squares(self)
+        sq.flags.writeable = False
+        return sq, tuple(c), mod
+
+    @cached_property
+    def guard_table(self):
+        """`guard_families` of this instance in the default pair order, as
+        a tuple."""
+        return tuple(guard_families(self))
 
     def replace_lambda(self, i, value):
         """New instance with lambda_i swapped out."""
@@ -268,10 +304,10 @@ def sinh_squares(p):
     the 4 x N array (w_eta, w, q, y) = sinh^2 of (lambda+eta, lambda,
     lambda+eta/2, xi); c lists the cosh bounds of the five differences of
     `_MINUEND` and `_SUBTRAHEND`, and mod bounds their |x| + |y|, for
-    `prefilter_threshold`.  Opens no np.errstate: past a double's range a
-    value is inf, and the caller's error state decides what that warns."""
+    `prefilter_threshold`.  Uncached and opening no np.errstate: callers
+    read `ModelParams.squares`, which computes this once per instance."""
     n = p.n
-    lam_xi = np.array(p.lambdas + p.xis)
+    lam_xi = p._lambdas_xis
     lam, xi, eta = lam_xi[:n], lam_xi[n:], p.eta
     x = np.concatenate([lam + eta, lam, lam + eta / 2, xi]).reshape(4, n)
     r_eta, r_lam, r_mu, r_xi = np.abs(x.real).max(1).tolist()
@@ -285,11 +321,12 @@ def _scan(p, tol=None):
     r of `rows` is (t, family, ks) for the table's row t, its values
     mags[bounds[r]:bounds[r + 1]]: the whole row when `ks` is None, else
     the row's entries at the flat indices ks (i*N + j in a grid row, the
-    pair index in a pair row).  The grid and pair rows come first.
+    pair index in a pair row).  The O(N) rows come first, in table order;
+    a grid or pair row with no entry to evaluate is left out.
 
-    The squares of `sinh_squares` give the differences D of `_MINUEND` and
-    `_SUBTRAHEND`.  An entry is evaluated unless its |D| is above
-    `prefilter_threshold` at generic tolerance `tol` (a NaN |D| or
+    The squares of `ModelParams.squares` give the differences D of
+    `_MINUEND` and `_SUBTRAHEND`.  An entry is evaluated unless its |D| is
+    above `prefilter_threshold` at generic tolerance `tol` (a NaN |D| or
     threshold keeps it), so every entry at or below `tol` is; every grid
     row is evaluated where any grid difference keeps an entry, every pair
     row where any pair difference does.  With `tol` None it is a bound on
@@ -300,31 +337,36 @@ def _scan(p, tol=None):
     diagonals, lambda+lambda+eta's paired with sinh(0)).  Past a double's
     range a value is inf, without a warning."""
     n = p.n
-    table = guard_families(p)
-    full = [(t, f, f.args()) for t, f in enumerate(table) if f.key not in _CLEARED]
+    sq, c, mod = p.squares
+    rows, args, grid_pair = [], [], []
+    for t, f in enumerate(p.guard_table):
+        if f.key in _CLEARED:
+            grid_pair.append((t, f, _CLEARED[f.key]))
+        else:
+            rows.append((t, f, None))
+            args.append(f.args())
+    sizes = [v.size for v in args]
     with np.errstate(over="ignore", invalid="ignore"):
-        sq, c, mod = sinh_squares(p)
-        mags = np.abs(np.sinh(np.concatenate([v for _, _, v in full])))
+        mags = np.abs(np.sinh(np.concatenate(args)))
         d = np.abs(sq.take(_MINUEND, 0)[:, :, None] - sq.take(_SUBTRAHEND, 0)[:, None, :])
         if tol is None:
             # the table lists its GENERIC rows first
-            n_generic = sum(v.size for _, f, v in full if f.tier == GENERIC)
+            n_generic = sum(k for (_, f, _), k in zip(rows, sizes) if f.tier == GENERIC)
             tol = min(float(mags[:n_generic].min()), (1 + _PREFILTER_SLACK) * math.sqrt(
                 float(d[:2].min()) + prefilter_threshold(max(c[:2]), 0.0, mod)))
-        keep = ~(d > np.array([prefilter_threshold(cg, tol, mod) for cg in c])[:, None, None])
+        clear = d > np.array([prefilter_threshold(cg, tol, mod) for cg in c])[:, None, None]
         a, b = site_pairs(n)
-        ks = ((keep[0] | keep[1] | keep[2]).ravel().nonzero()[0],
-              (keep[3] | keep[4])[a, b].nonzero()[0])
-        sites = np.divmod(ks[_GRID], n), (a[ks[_PAIR]], b[ks[_PAIR]])
-        rows = [(t, f, ks[_CLEARED[f.key]]) for t, f in enumerate(table) if f.key in _CLEARED]
-        vals = np.abs(np.sinh(np.concatenate([f.args(*sites[_CLEARED[f.key]]) for _, f, _ in rows])))
-    bounds = [0]
-    for _, _, k in rows:
-        bounds.append(bounds[-1] + k.size)
-    for t, f, v in full:
-        rows.append((t, f, None))
-        bounds.append(bounds[-1] + v.size)
-    return np.concatenate([vals, mags]), rows, bounds
+        ks = ((~(clear[0] & clear[1] & clear[2])).ravel().nonzero()[0],
+              (~(clear[3] & clear[4])[a, b]).nonzero()[0])
+        grid_pair = [(t, f, g) for t, f, g in grid_pair if ks[g].size]
+        if grid_pair:
+            sites = np.divmod(ks[_GRID], n), (a[ks[_PAIR]], b[ks[_PAIR]])
+            mags = np.concatenate([mags, np.abs(np.sinh(np.concatenate(
+                [f.args(*sites[g]) for _, f, g in grid_pair])))])
+    for t, f, g in grid_pair:
+        rows.append((t, f, ks[g]))
+        sizes.append(ks[g].size)
+    return mags, rows, [0, *accumulate(sizes)]
 
 
 def min_guard_margins(p):
@@ -337,10 +379,8 @@ def min_guard_margins(p):
     """
     mags, rows, bounds = _scan(p)
     low = {GENERIC: np.inf, RATIO: np.inf}
-    least = np.minimum.reduceat(mags, bounds[:-1]).tolist()
-    for (_, f, _), lo, hi, v in zip(rows, bounds, bounds[1:], least):
-        if hi > lo:
-            low[f.tier] = min(low[f.tier], v)
+    for (_, f, _), v in zip(rows, np.minimum.reduceat(mags, bounds[:-1]).tolist()):
+        low[f.tier] = min(low[f.tier], v)
     return float(low[GENERIC]), float(low[RATIO])
 
 
@@ -354,7 +394,8 @@ def guard_violations(p, guard_tol=None, ratio_guard_tol=None, skip=()):
     tol = guard_tol_default() if guard_tol is None else guard_tol
     rtol = tol if ratio_guard_tol is None else ratio_guard_tol
     mags, rows, bounds = _scan(p, tol)
-    limit = np.repeat([tol if f.tier == GENERIC else rtol for _, f, _ in rows], np.diff(bounds))
+    limit = tol if rtol == tol else np.repeat(
+        [tol if f.tier == GENERIC else rtol for _, f, _ in rows], np.diff(bounds))
     hits = (mags <= limit).nonzero()[0]
     out = []
     for r in sorted(range(len(rows)), key=lambda r: rows[r][0]) if hits.size else ():

@@ -23,6 +23,7 @@ import operator
 import time
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .params import (
     prefilter_threshold,
     require_all_nonsingular,
     require_nonsingular,
-    sinh_squares,
     site_pairs,
 )
 
@@ -49,6 +49,7 @@ ILL_CONDITIONED_PIVOT = 1e-10
 # three matrix products, a solve and a second LU, ~0.4 ms at N = 50 on top
 # of LAPACK's ~0.1 ms LU; its flops are ~13 LUs', which at N = 800 is ~0.4 s
 REFINE_MAX_N = 64
+_LOG_2 = float(np.log(2.0))
 
 SUM_FORM = "sum"
 PRODUCT_FORM = "product"
@@ -144,35 +145,55 @@ def m_matrix(p, form=PRODUCT_FORM):
 def _split(x, axis, bits):
     """x = hi + lo, the real and imaginary parts of hi rounded to multiples of
     2^(e - bits), 2^e above the largest modulus along `axis` (sigma + x - sigma,
-    Rump's extraction).  A product of such row and column parts over an inner
-    dimension n with 2n * 4^bits <= 2^53 rounds nothing."""
-    sigma = np.ldexp(0.75, np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1] + 53 - bits)
-    hi = (x.real + sigma - sigma) + 1j * (x.imag + sigma - sigma)
+    Rump's extraction, on a float view of x's parts).  A product of such row
+    and column parts over an inner dimension n with 2n * 4^bits <= 2^53
+    rounds nothing."""
+    _, e = np.frexp(np.maximum.reduce(np.abs(x), axis, keepdims=True)[..., None])
+    sigma = np.ldexp(0.75 * 2.0 ** (53 - bits), e)
+    hi = ((x[..., None].view(float) + sigma) - sigma).view(complex)[..., 0]
     return hi, x - hi
 
 
-def _lu_log_error(a, lu, piv, order):
+@lru_cache(maxsize=8)
+def _refine_constants(n):
+    """(strictly lower mask, complex identity, identity pivots) for n x n,
+    read-only, built once per n."""
+    out = np.tri(n, k=-1, dtype=bool), np.eye(n, dtype=complex), np.arange(n, dtype=np.int32)
+    for v in out:
+        v.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _lapack():
+    """scipy's zgetrf and zgetrs, imported on the first call, so importing
+    sosre does not load scipy."""
+    from scipy.linalg.lapack import zgetrf, zgetrs
+
+    return zgetrf, zgetrs
+
+
+def _lu_log_error(a, lu, order):
     """log det(a) - log det(L U) for a's LU factors, as log det(I + E) with
     E = (L U)^-1 R and R = a[order] - L U.  L U is formed without rounding
     its leading part: L by rows and U by columns are split so that the
     product of their leading parts is exact and the other three products are
     small (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012), so R is
     accurate where a product rounded in double would be all rounding.  I + E
-    is close to I, and its determinant in double is good to about N ulps."""
-    from scipy.linalg.lapack import zgetrs
-
+    is close to I, and its determinant in double is good to about N ulps.
+    R is passed in a's pivoted row order, so the solve takes identity
+    pivots."""
     n = len(a)
     bits = (52 - n.bit_length()) // 2
-    u = np.triu(lu)
-    l = lu - u
-    np.fill_diagonal(l, 1.0)
-    l_hi, l_lo = _split(l, 1, bits)
+    lower, eye, no_swaps = _refine_constants(n)
+    u = np.where(lower, 0, lu)
+    l_hi, l_lo = _split(np.where(lower, lu, eye), 1, bits)
     u_hi, u_lo = _split(u, 0, bits)
-    r = np.empty_like(a)
-    r[order] = (a[order] - l_hi @ u_hi) - (l_hi @ u_lo + l_lo @ u)
-    e, _ = zgetrs(lu, piv, r)
-    sign, logabs = np.linalg.slogdet(np.eye(n) + e)
-    return complex(logabs, np.angle(sign))
+    r = (a[order] - l_hi @ u_hi) - (l_hi @ u_lo + l_lo @ u)
+    _, zgetrs = _lapack()
+    e, _ = zgetrs(lu, no_swaps, r)
+    sign, logabs = np.linalg.slogdet(eye + e)
+    return complex(logabs, np.arctan2(sign.imag, sign.real))
 
 
 def logdet_partial_pivot(mat):
@@ -189,17 +210,15 @@ def logdet_partial_pivot(mat):
     Up to N = REFINE_MAX_N the LU's own rounding is then taken out of the log
     by one refinement step with a residual formed without rounding (see
     `_lu_log_error`), so what is left is the error of the entries; beyond,
-    that step would cost several times the LU.  scipy's LAPACK wrappers are
-    imported on the first call, so importing sosre does not load scipy."""
-    from scipy.linalg.lapack import zgetrf
-
+    that step would cost several times the LU."""
     a = np.array(mat, dtype=complex, order="F")
     n = len(a)
-    _, e_row = np.frexp(np.abs(a).max(axis=1))
+    _, e_row = np.frexp(np.maximum.reduce(np.abs(a), 1))
     a *= np.ldexp(1.0, -e_row)[:, None]
-    _, e_col = np.frexp(np.abs(a).max(axis=0))
+    _, e_col = np.frexp(np.maximum.reduce(np.abs(a), 0))
     a *= np.ldexp(1.0, -e_col)
     refine = n <= REFINE_MAX_N
+    zgetrf, _ = _lapack()
     lu, piv, info = zgetrf(a, overwrite_a=not refine)
     if info > 0:  # pivot number `info` is exactly zero
         return complex(-np.inf), 0.0
@@ -210,16 +229,17 @@ def logdet_partial_pivot(mat):
             order[k], order[r] = order[r], order[k]
             swaps += 1
     order = np.array(order)
-    d = np.diagonal(lu)
+    d = lu.diagonal()
+    d_abs = np.abs(d)
     # log|pivot| as the log of a mantissa in [1, 2) plus a power of two, so
     # that the powers of two of the scaling and of the pivots add exactly
-    mant, e_piv = np.frexp(np.abs(d))
-    e = int(e_row.sum()) + int(e_col.sum()) + int(e_piv.sum()) - n
-    logdet = complex(np.sum(np.log(2 * mant)) + e * np.log(2.0),
-                     np.sum(np.angle(d)) + np.pi * (swaps % 2))
+    mant, e_piv = np.frexp(d_abs)
+    e = sum(int(np.add.reduce(v)) for v in (e_row, e_col, e_piv)) - n
+    logdet = complex(np.add.reduce(np.log(2 * mant)) + e * _LOG_2,
+                     np.add.reduce(np.arctan2(d.imag, d.real)) + np.pi * (swaps % 2))
     if refine:
-        logdet += _lu_log_error(a, lu, piv, order)
-    min_piv = np.ldexp(np.abs(d), e_row[order] + e_col).min()
+        logdet += _lu_log_error(a, lu, order)
+    min_piv = np.ldexp(d_abs, e_row[order] + e_col).min()
     return complex(logdet), float(min_piv)
 
 
@@ -230,7 +250,8 @@ def _height_prefactor_log(n, theta, eta):
     ms = np.arange(n - 1, -1, -2)
     den = require_all_nonsingular(lambda k: f"theta{ms[k]:+d}*eta", theta + ms * eta)
     log = 1j * np.pi * ((n // 2) % 2)
-    for num_log, den_log in zip(np.log(sh(theta - (ms + 1) * eta)), np.log(den)):
+    for num_log, den_log in zip(np.log(sh(theta - (ms + 1) * eta)).tolist(),
+                                np.log(den).tolist()):
         log += num_log - den_log
     return log
 
@@ -241,10 +262,12 @@ def _det_guards(p):
     this order: the four N x N grids at lambda_i -+ xi_j (+eta),
     theta+zeta+lambda, zeta+lambda, then over i < j the pairs xi_j -+ xi_i,
     lambda_j - lambda_i and lambda_j + lambda_i + eta (the lower triangle of
-    that grid), each a row of `guard_families(p, (j, i))`.
+    that grid), each a row of `guard_families(p, (j, i))`.  That table is
+    built only when some entry must be guarded; the boundary rows come from
+    the instance's `guard_table`.
 
     The grid and pair factors pair up as differences of the O(N) squares
-    of `params.sinh_squares`:
+    of `ModelParams.squares`:
     D1 = sinh^2 lambda_i - sinh^2 xi_j = sinh(lambda_i-xi_j) sinh(lambda_i+xi_j),
     D2 the same at lambda+eta, P1 = sinh^2 xi_j - sinh^2 xi_i and
     P2 = sinh^2(lambda_j+eta/2) - sinh^2(lambda_i+eta/2).  Every failing
@@ -257,17 +280,18 @@ def _det_guards(p):
     not depend on which rows were evaluated."""
     n = p.n
     iu, ju = site_pairs(n)
-    with np.errstate(over="ignore"):
-        (w_eta, w, q, y), c, mod = sinh_squares(p)
+    (w_eta, w, q, y), c, mod = p.squares
     d1, d2 = w[:, None] - y, w_eta[:, None] - y
     p1, p2 = y[ju] - y[iu], q[ju] - q[iu]
 
-    # An entry above its threshold cannot fail; a NaN entry counts as under.
+    # An entry above its threshold cannot fail; a NaN entry counts as under
+    # (np.minimum propagates it).
     tol = guard_tol_default()
-    full = not all(np.all(np.abs(d) > prefilter_threshold(c[g], tol, mod))
+    full = not all(np.minimum.reduce(np.abs(d), None, initial=np.inf)
+                   > prefilter_threshold(c[g], tol, mod)
                    for d, g in ((d1, 1), (d2, 0), (p1, 4), (p2, 2)))
 
-    fams = {f.key: f for f in guard_families(p, (ju, iu))}
+    fams = {f.key: f for f in (guard_families(p, (ju, iu)) if full else p.guard_table)}
     guard = lambda key: require_all_nonsingular(fams[key].name, fams[key].args())
     if full:
         for key in ("lambda-xi", "lambda+xi", "lambda-xi+eta", "lambda+xi+eta"):
@@ -308,9 +332,13 @@ def z_determinant(p):
                 stacklevel=2,
             )
 
-        # log|.| and arg as two real passes: np.log on complex arrays is ~15x slower
-        log_pref = complex(np.sum(np.log(np.abs(grid))) - np.sum(np.log(np.abs(pairs))),
-                           np.sum(np.angle(grid)) - np.sum(np.angle(pairs)))
+        # log|.| and arg as two real passes: np.log on complex arrays is ~15x
+        # slower; np.add.reduce and np.arctan2 are what np.sum and np.angle
+        # run, without their Python wrappers
+        total = lambda v: np.add.reduce(v, None)
+        log_pref = complex(total(np.log(np.abs(grid))) - total(np.log(np.abs(pairs))),
+                           total(np.arctan2(grid.imag, grid.real))
+                           - total(np.arctan2(pairs.imag, pairs.real)))
         log_value = logdet + log_pref + log_height
         value = complex(np.exp(log_value))
     return PartitionResult(

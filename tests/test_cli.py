@@ -312,6 +312,27 @@ def test_sweep_marks_singular_points(tmp_path, capsys):
     assert lines[2].endswith(",ok")
 
 
+def test_sweep_marks_nonfinite_points(tmp_path, capsys):
+    # the README example with lambda_0 swept past Re 177.5, where Z leaves a
+    # double's range: the row keeps its lambda, not a NaN Z marked ok
+    doc = {
+        "eta": [0.62, 0.0], "zeta": [1.05, 0.0], "theta": [0.83, 0.0],
+        "lambdas": [[0.31, 0.0], [0.47, 0.0]], "xis": [[0.24, 0.0], [0.11, 0.0]],
+    }
+    path = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        rc = cli.main([
+            "sweep", "--config", path, "--vary", "1",
+            "--from", "170,0", "--to", "180,0", "--points", "5",
+        ])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 6
+    assert all(line.endswith(",ok") and "nan" not in line for line in lines[1:5])
+    assert lines[5] == "180,0,,,nonfinite"
+
+
 def test_sweep_negative_start(tmp_path, capsys):
     # "-0.3,0.1" starts with '-', which argparse alone would read as a flag
     path, _ = sampled_config(tmp_path, 2)

@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import pickle
 import warnings
 
 import numpy as np
@@ -40,6 +42,60 @@ def test_model_params_structural_errors():
         ModelParams(0.7, 1.1, 0.9, (np.inf,), (0.2,))
     with pytest.raises(InvariantViolation, match="sequence of numbers"):
         ModelParams(0.7, 1.1, 0.9, 0.3, (0.2,))
+
+
+_FIELDS = {"eta": 0.7, "zeta": 1.1, "theta": 0.9, "lambdas": (0.3, 0.5), "xis": (0.2, 0.4)}
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", sorted(_FIELDS))
+def test_model_params_nonfinite_entries(field, bad, part):
+    # the second entry of lambdas and xis
+    value = complex(bad, 0.4) if part == "real" else complex(0.4, bad)
+    fields = dict(_FIELDS)
+    fields[field] = (fields[field][0], value) if isinstance(fields[field], tuple) else value
+    with pytest.raises(InvariantViolation, match="finite"):
+        ModelParams(**fields)
+
+
+def _squares_bytes(p):
+    sq, c, mod = p.squares
+    return sq.tobytes(), c, mod
+
+
+def test_cached_instance_data(monkeypatch):
+    p = ModelParams(**_FIELDS)
+    for v in (p.lambdas_array(), p.xis_array(), p.squares[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            v[...] = 0
+    assert isinstance(p.guard_table, tuple) and p.guard_table is p.guard_table
+    # derived instances compute their own data, not the cache they came from
+    fresh = lambda q: ModelParams(q.eta, q.zeta, q.theta, q.lambdas, q.xis)
+    for q in (p.replace_lambda(1, 0.6), p.drop_site(0),
+              dataclasses.replace(p, eta=0.65), dataclasses.replace(p, xis=(0.25, 0.4))):
+        assert _squares_bytes(q) == _squares_bytes(fresh(q)) != _squares_bytes(p)
+        assert np.array_equal(q.lambdas_array(), np.array(q.lambdas))
+    # equality and hashing see the fields only
+    warm, cold = p, fresh(p)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert "squares" in vars(warm) and "squares" not in vars(cold)
+    assert pickle.loads(pickle.dumps(warm)) == warm
+    # one sweep point, validate_params then z_determinant, computes the
+    # squares and the guard table once
+    calls = {"sinh_squares": 0, "guard_families": 0}
+    for name in calls:
+        inner = getattr(params, name)
+
+        def counting(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(params, name, counting)
+    q = p.replace_lambda(0, 0.35)
+    validate_params(q)
+    partition.z_determinant(q)
+    assert calls == {"sinh_squares": 1, "guard_families": 1}
 
 
 def test_replace_and_drop():

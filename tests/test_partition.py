@@ -556,6 +556,81 @@ def test_logdet_refinement_leaves_only_the_entries_error(monkeypatch):
     assert abs(partition.logdet_partial_pivot(hilbert)[0].real - want) > 1e-6
 
 
+def _reference_split(x, axis, bits):
+    sigma = np.ldexp(0.75, np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1] + 53 - bits)
+    hi = (x.real + sigma - sigma) + 1j * (x.imag + sigma - sigma)
+    return hi, x - hi
+
+
+def _reference_logdet(mat):
+    """`logdet_partial_pivot` written out as first released: np.triu for
+    the factors, the split on separate real and imaginary parts, the
+    residual scattered back to a's row order and solved with zgetrs."""
+    from scipy.linalg.lapack import zgetrf, zgetrs
+
+    a = np.array(mat, dtype=complex, order="F")
+    n = len(a)
+    _, e_row = np.frexp(np.abs(a).max(axis=1))
+    a *= np.ldexp(1.0, -e_row)[:, None]
+    _, e_col = np.frexp(np.abs(a).max(axis=0))
+    a *= np.ldexp(1.0, -e_col)
+    refine = n <= partition.REFINE_MAX_N
+    lu, piv, info = zgetrf(a, overwrite_a=not refine)
+    if info > 0:
+        return complex(-np.inf), 0.0
+    order = list(range(n))
+    swaps = 0
+    for k, r in enumerate(piv.tolist()):
+        if r != k:
+            order[k], order[r] = order[r], order[k]
+            swaps += 1
+    order = np.array(order)
+    d = np.diagonal(lu)
+    mant, e_piv = np.frexp(np.abs(d))
+    e = int(e_row.sum()) + int(e_col.sum()) + int(e_piv.sum()) - n
+    logdet = complex(np.sum(np.log(2 * mant)) + e * np.log(2.0),
+                     np.sum(np.angle(d)) + np.pi * (swaps % 2))
+    if refine:
+        bits = (52 - n.bit_length()) // 2
+        u = np.triu(lu)
+        l = lu - u
+        np.fill_diagonal(l, 1.0)
+        l_hi, l_lo = _reference_split(l, 1, bits)
+        u_hi, u_lo = _reference_split(u, 0, bits)
+        r = np.empty_like(a)
+        r[order] = (a[order] - l_hi @ u_hi) - (l_hi @ u_lo + l_lo @ u)
+        err, _ = zgetrs(lu, piv, r)
+        sign, logabs = np.linalg.slogdet(np.eye(n) + err)
+        logdet += complex(logabs, np.angle(sign))
+    min_piv = np.ldexp(np.abs(d), e_row[order] + e_col).min()
+    return complex(logdet), float(min_piv)
+
+
+def _logdet_cases():
+    for n in [*range(1, 65), 65, 100]:
+        yield pytest.param(_gaussian(n, 300 + n), id=f"gaussian-{n}")
+    # real entries: the imaginary parts of the split are all exact zeros
+    yield pytest.param(1.0 / (np.arange(10)[:, None] + np.arange(10) + 1), id="hilbert-10")
+    perm = np.random.default_rng(301).permutation(12)
+    if round(np.linalg.det(np.eye(12)[perm])) == 1:
+        perm[[0, 1]] = perm[[1, 0]]
+    yield pytest.param(np.eye(12)[perm], id="odd-permutation-12")
+    singular = _gaussian(20, 302)
+    singular[:, 7] = 0.0
+    yield pytest.param(singular, id="singular-20")
+    # rows spanning 600 decades and a column scaled by 2^-60
+    scaled = np.logspace(-300, 300, 30)[:, None] * _gaussian(30, 303)
+    scaled[:, 3] *= 2.0 ** -60
+    yield pytest.param(scaled, id="scaled-30")
+
+
+@pytest.mark.parametrize("mat", _logdet_cases())
+def test_logdet_matches_reference_bit_for_bit(mat):
+    got, want = partition.logdet_partial_pivot(mat), _reference_logdet(mat)
+    as_bytes = lambda r: (np.complex128(r[0]).tobytes(), np.float64(r[1]).tobytes())
+    assert as_bytes(got) == as_bytes(want)
+
+
 @pytest.mark.parametrize("form", [partition.SUM_FORM, partition.PRODUCT_FORM])
 def test_m_matrix_bit_identical_to_kernel_formulas(form):
     # the sum form is the formula bit for bit; the product form divides by
