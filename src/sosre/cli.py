@@ -193,27 +193,36 @@ def cmd_sweep(p, vary, start, stop, points, output=None):
     status: `ok` with both Z columns; `skipped` where the point fails the
     genericity guards, and `nonfinite` where Z is past a double's range or
     NaN (at large real lambda), both with the Z columns empty.
+
+    The grid is built, and checked finite, before anything is evaluated.
+    `partition.z_sweep` then factors p's kernel once, and each point costs
+    O(N): a guard over the entries that hold the varied lambda and the
+    matrix determinant lemma.  A row may differ from `compute` at the same
+    lambda in its last digits, within the point's error estimate; a point
+    whose lemma error is over `partition.SWEEP_ACCEPT_ERR`, or whose value
+    is not finite, is computed exactly as `compute` does, and only such
+    points warn IllConditionedWarning.
     """
     if not 1 <= vary <= p.n:
         raise ParseError(f"--vary must be in 1..{p.n}, got {vary}")
-    i = vary - 1
     if points < 1:
         raise ParseError("--points must be >= 1")
     if points == 1:
         grid = np.array([start])
     else:
-        grid = start + (stop - start) * np.arange(points) / (points - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = start + (stop - start) * np.arange(points) / (points - 1)
+    bad = (~np.isfinite(grid)).nonzero()[0]
+    if bad.size:
+        raise ParseError(f"grid point {bad[0]} (from 0) between --from and --to is "
+                         f"not finite: {complex(grid[bad[0]])}")
+    res = partition.z_sweep(p, vary - 1, grid)
     rows = ["lambda_re,lambda_im,z_re,z_im,status"]
-    for v in grid.tolist():
+    for v, z, skipped in zip(grid.tolist(), res.values.tolist(), res.skipped.tolist()):
         lam = f"{v.real:.17g},{v.imag:.17g}"
-        q = p.replace_lambda(i, v)
-        try:
-            validate_params(q)
-            z = partition.z_determinant(q).value
-        except SosError:
+        if skipped:
             rows.append(f"{lam},,,skipped")
-            continue
-        if cmath.isfinite(z):
+        elif cmath.isfinite(z):
             rows.append(f"{lam},{z.real:.17g},{z.imag:.17g},ok")
         else:
             rows.append(f"{lam},,,nonfinite")
@@ -226,9 +235,12 @@ def _parse_complex_flag(text, flag):
     if len(parts) != 2:
         raise ParseError(f"{flag} expects RE,IM, got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        value = complex(float(parts[0]), float(parts[1]))
     except ValueError:
         raise ParseError(f"{flag} expects two floats, got {text!r}") from None
+    if not cmath.isfinite(value):
+        raise ParseError(f"{flag} expects finite floats, got {text!r}")
+    return value
 
 
 def build_parser():

@@ -203,13 +203,19 @@ class GuardFamily(NamedTuple):
     evaluated before it is called.  Grid and pair rows also take site arrays,
     `args(i, j)`: the entries [i[k], j[k]] of a grid, or the pair rows'
     arithmetic at the pairs (i[k], j[k]), bit for bit what the full table
-    holds there.  `name(k)` labels flat entry k.
+    holds there.  `name(k)` labels flat entry k.  `holding(lams, i)`, None
+    on rows without a lambda, evaluates the row's entries that hold
+    lambda_i in instances whose lambdas are the rows of the B x N array
+    `lams`: a B x m array, each row bit for bit those entries of that
+    instance's table (a lambda-lambda grid gives its row i, then its
+    column i).
     """
 
     tier: str
     key: str
     args: Callable
     name: Callable
+    holding: Callable | None = None
 
 
 @lru_cache(maxsize=8)
@@ -238,37 +244,50 @@ def guard_families(p, pair_order=None):
     a, b = site_pairs(n) if pair_order is None else pair_order
     ks = np.arange(-(n + 2), n + 3)
 
-    def one(tier, key, args):
-        return GuardFamily(tier, key, args, lambda k: f"{key}[{k}]")
+    def one(tier, key, f):  # entry k is f(lambda_k)
+        return GuardFamily(tier, key, lambda: f(lam), lambda k: f"{key}[{k}]",
+                           lambda lams, i: f(lams[:, i, None]))
 
-    def grid(key, f, col, label):  # entry [i, j] is f(lambda_i, col_j)
+    def grid(key, f, of_xi, label):  # entry [i, j] is f(lambda_i, col_j)
+        col = xi if of_xi else lam
+
+        def holding(lams, i):
+            row = f(lams[:, i, None], xi if of_xi else lams)
+            return row if of_xi else np.concatenate([row, f(lams, lams[:, i, None])], 1)
+
         return GuardFamily(GENERIC, key,
                            lambda i=None, j=None: f(lam[:, None], col) if i is None
                            else f(lam[i], col[j]),
-                           lambda k: label.format(k // n, k % n))
+                           lambda k: label.format(k // n, k % n), holding)
 
-    def pair(key, f, v, label):  # pair k is f(v[a[k]], v[b[k]])
+    def pair(key, f, of_lambda, label):  # pair k is f(v[a[k]], v[b[k]])
+        v = lam if of_lambda else xi
+
+        def holding(lams, i):
+            k = ((a == i) | (b == i)).nonzero()[0]
+            return f(lams[:, a[k]], lams[:, b[k]])
+
         return GuardFamily(GENERIC, key, lambda i=a, j=b: f(v[i], v[j]),
-                           lambda k: label.format(a[k], b[k]))
+                           lambda k: label.format(a[k], b[k]), holding if of_lambda else None)
 
     minus, plus = (lambda u, v: u - v), (lambda u, v: u + v)
     return [
-        one(GENERIC, "zeta-lambda", lambda: zeta - lam),
-        one(GENERIC, "theta+zeta-lambda", lambda: theta + zeta - lam),
-        one(GENERIC, "2*lambda", lambda: 2.0 * lam),
-        grid("lambda-xi", minus, xi, "lambda[{}]-xi[{}]"),
-        grid("lambda+xi", plus, xi, "lambda[{}]+xi[{}]"),
-        grid("lambda-xi+eta", lambda u, v: u - v + eta, xi, "lambda[{}]-xi[{}]+eta"),
-        grid("lambda+xi+eta", lambda u, v: u + v + eta, xi, "lambda[{}]+xi[{}]+eta"),
-        grid("lambda+lambda+eta", lambda u, v: u + v + eta, lam, "lambda[{}]+lambda[{}]+eta"),
-        pair("lambda-lambda", minus, lam, "lambda[{}]-lambda[{}]"),
-        pair("lambda+lambda", plus, lam, "lambda[{}]+lambda[{}]"),
-        pair("xi-xi", minus, xi, "xi[{}]-xi[{}]"),
-        pair("xi+xi", plus, xi, "xi[{}]+xi[{}]"),
+        one(GENERIC, "zeta-lambda", lambda v: zeta - v),
+        one(GENERIC, "theta+zeta-lambda", lambda v: theta + zeta - v),
+        one(GENERIC, "2*lambda", lambda v: 2.0 * v),
+        grid("lambda-xi", minus, True, "lambda[{}]-xi[{}]"),
+        grid("lambda+xi", plus, True, "lambda[{}]+xi[{}]"),
+        grid("lambda-xi+eta", lambda u, v: u - v + eta, True, "lambda[{}]-xi[{}]+eta"),
+        grid("lambda+xi+eta", lambda u, v: u + v + eta, True, "lambda[{}]+xi[{}]+eta"),
+        grid("lambda+lambda+eta", lambda u, v: u + v + eta, False, "lambda[{}]+lambda[{}]+eta"),
+        pair("lambda-lambda", minus, True, "lambda[{}]-lambda[{}]"),
+        pair("lambda+lambda", plus, True, "lambda[{}]+lambda[{}]"),
+        pair("xi-xi", minus, False, "xi[{}]-xi[{}]"),
+        pair("xi+xi", plus, False, "xi[{}]+xi[{}]"),
         GuardFamily(RATIO, "theta%+d*eta", lambda: theta + ks * eta,
                     lambda k: f"theta{ks[k]:+d}*eta"),
-        one(RATIO, "zeta+lambda", lambda: zeta + lam),
-        one(RATIO, "theta+zeta+lambda", lambda: theta + zeta + lam),
+        one(RATIO, "zeta+lambda", lambda v: zeta + v),
+        one(RATIO, "theta+zeta+lambda", lambda v: theta + zeta + v),
     ]
 
 
@@ -416,6 +435,19 @@ def validate_params(p):
             "parameters are non-generic (|sinh| <= "
             f"{tol:g}) at: " + ", ".join(sorted(bad))
         )
+
+
+def fails_at_lambda(p, i, values):
+    """For each value v, whether `validate_params` rejects p with lambda_i
+    set to v, for a p that passes it: only the guard entries that hold
+    lambda_i change, so only they are evaluated (`GuardFamily.holding`),
+    one np.sinh call over all of them.  A NaN entry fails nothing, as in
+    `guard_violations`."""
+    lams = np.repeat(p.lambdas_array()[None, :], len(values), 0)
+    lams[:, i] = values
+    args = np.concatenate([f.holding(lams, i) for f in p.guard_table if f.holding], 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.abs(np.sinh(args)) <= guard_tol_default()).any(1)
 
 
 def require_nonsingular(label, value):

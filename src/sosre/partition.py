@@ -24,6 +24,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .params import (
     CapExceeded,
     IllConditionedWarning,
     InvariantViolation,
+    fails_at_lambda,
     guard_families,
     guard_tol_default,
     prefilter_threshold,
@@ -45,11 +47,18 @@ sh = np.sinh
 BRUTE_CAP_DEFAULT = 8
 BRUTE_CAP_HARD_MAX = 12
 ILL_CONDITIONED_PIVOT = 1e-10
+# `z_sweep` keeps a point's matrix-determinant-lemma value while its error
+# estimate is at most this; above it the point is computed by z_determinant
+SWEEP_ACCEPT_ERR = 1e-11
+# Grid points `z_sweep` evaluates per numpy call: its memory is
+# O(SWEEP_BLOCK * N + N^2) however many points there are
+SWEEP_BLOCK = 128
 # Largest N whose log det gets a refinement step (`logdet_partial_pivot`):
 # three matrix products, a solve and a second LU, ~0.4 ms at N = 50 on top
 # of LAPACK's ~0.1 ms LU; its flops are ~13 LUs', which at N = 800 is ~0.4 s
 REFINE_MAX_N = 64
 _LOG_2 = float(np.log(2.0))
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 SUM_FORM = "sum"
 PRODUCT_FORM = "product"
@@ -108,12 +117,14 @@ def z_n1_closed(lam, xi, theta, eta, zeta):
     )
 
 
-def _m_matrix_entries(p, grid, boundary):
+def _m_matrix_entries(p, grid, boundary, lam=None):
     """Product-form kernel r_i c_j / (D1 D2)_ij from what `_det_guards`
     returns (no guards; callers guard first): `grid` is D1 D2, and
     r = sinh(2 lambda) sinh(eta) / (sinh(theta+zeta+lambda) sinh(zeta+lambda))
-    takes its denominator from `boundary`; c = sinh(theta+zeta+xi) sinh(zeta-xi)."""
-    lam, xi = p.lambdas_array(), p.xis_array()
+    takes its denominator from `boundary`; c = sinh(theta+zeta+xi) sinh(zeta-xi).
+    The rows are at p's lambdas, or at `lam` where given."""
+    lam = p.lambdas_array() if lam is None else lam
+    xi = p.xis_array()
     m = np.outer(sh(2 * lam) * sh(p.eta) / boundary,
                  sh(p.theta + p.zeta + xi) * sh(p.zeta - xi))
     m /= grid
@@ -154,6 +165,12 @@ def _split(x, axis, bits):
     return hi, x - hi
 
 
+def _split_bits(n):
+    """Bits of `_split`'s leading parts for products over an inner
+    dimension n: 2n * 4^bits <= 2^53."""
+    return (52 - n.bit_length()) // 2
+
+
 @lru_cache(maxsize=8)
 def _refine_constants(n):
     """(strictly lower mask, complex identity, identity pivots) for n x n,
@@ -184,7 +201,7 @@ def _lu_log_error(a, lu, order):
     R is passed in a's pivoted row order, so the solve takes identity
     pivots."""
     n = len(a)
-    bits = (52 - n.bit_length()) // 2
+    bits = _split_bits(n)
     lower, eye, no_swaps = _refine_constants(n)
     u = np.where(lower, 0, lu)
     l_hi, l_lo = _split(np.where(lower, lu, eye), 1, bits)
@@ -196,7 +213,19 @@ def _lu_log_error(a, lu, order):
     return complex(logabs, np.arctan2(sign.imag, sign.real))
 
 
-def logdet_partial_pivot(mat):
+class LUFactors(NamedTuple):
+    """The LU that `logdet_partial_pivot` computed: the scaled matrix `a`
+    = 2^-e_row[:, None] * mat * 2^-e_col, and zgetrf's `lu` and `piv` of
+    it, for solves against a (zgetrs)."""
+
+    a: np.ndarray
+    lu: np.ndarray
+    piv: np.ndarray
+    e_row: np.ndarray
+    e_col: np.ndarray
+
+
+def logdet_partial_pivot(mat, *, factors=False):
     """(log det, smallest pivot modulus) by LAPACK's LU with partial pivoting
     (zgetrf), after scaling rows and then columns by powers of two so that
     each one's largest modulus lies in [1/2, 1), as zgeequ/zgesvx do.  The
@@ -210,18 +239,23 @@ def logdet_partial_pivot(mat):
     Up to N = REFINE_MAX_N the LU's own rounding is then taken out of the log
     by one refinement step with a residual formed without rounding (see
     `_lu_log_error`), so what is left is the error of the entries; beyond,
-    that step would cost several times the LU."""
+    that step would cost several times the LU.
+
+    With `factors` the LU is returned too, as a third item `LUFactors`
+    (None when a pivot is exactly zero), and the refinement step is taken
+    at every N: a caller that keeps the factors solves against them many
+    times, so the step's cost is shared."""
     a = np.array(mat, dtype=complex, order="F")
     n = len(a)
     _, e_row = np.frexp(np.maximum.reduce(np.abs(a), 1))
     a *= np.ldexp(1.0, -e_row)[:, None]
     _, e_col = np.frexp(np.maximum.reduce(np.abs(a), 0))
     a *= np.ldexp(1.0, -e_col)
-    refine = n <= REFINE_MAX_N
+    refine = factors or n <= REFINE_MAX_N
     zgetrf, _ = _lapack()
     lu, piv, info = zgetrf(a, overwrite_a=not refine)
     if info > 0:  # pivot number `info` is exactly zero
-        return complex(-np.inf), 0.0
+        return (complex(-np.inf), 0.0) + ((None,) if factors else ())
     order = list(range(n))
     swaps = 0
     for k, r in enumerate(piv.tolist()):
@@ -240,6 +274,8 @@ def logdet_partial_pivot(mat):
     if refine:
         logdet += _lu_log_error(a, lu, order)
     min_piv = np.ldexp(d_abs, e_row[order] + e_col).min()
+    if factors:
+        return complex(logdet), float(min_piv), LUFactors(a, lu, piv, e_row, e_col)
     return complex(logdet), float(min_piv)
 
 
@@ -305,6 +341,25 @@ def _det_guards(p):
     return d1 * d2, p1 * p2, boundary
 
 
+def _log_sum(v, axis=None):
+    """Sum of log v over `axis` (all of v by default), as log|.| and arg:
+    np.log on complex arrays is ~15x slower than these two real passes;
+    np.add.reduce and np.arctan2 are what np.sum and np.angle run, without
+    their Python wrappers."""
+    re, im = (np.add.reduce(t, axis) for t in (np.log(np.abs(v)), np.arctan2(v.imag, v.real)))
+    if axis is None:
+        return complex(re, im)
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _log_abs_sum(v):
+    """Sum of |log| over v's entries, real and imaginary parts."""
+    return float(np.add.reduce(np.abs(np.log(np.abs(v))), None)
+                 + np.add.reduce(np.abs(np.arctan2(v.imag, v.real)), None))
+
+
 def z_determinant(p):
     """Z as a scalar prefactor times an N x N determinant; O(N^3).
 
@@ -332,14 +387,7 @@ def z_determinant(p):
                 stacklevel=2,
             )
 
-        # log|.| and arg as two real passes: np.log on complex arrays is ~15x
-        # slower; np.add.reduce and np.arctan2 are what np.sum and np.angle
-        # run, without their Python wrappers
-        total = lambda v: np.add.reduce(v, None)
-        log_pref = complex(total(np.log(np.abs(grid))) - total(np.log(np.abs(pairs))),
-                           total(np.arctan2(grid.imag, grid.real))
-                           - total(np.arctan2(pairs.imag, pairs.real)))
-        log_value = logdet + log_pref + log_height
+        log_value = logdet + (_log_sum(grid) - _log_sum(pairs)) + log_height
         value = complex(np.exp(log_value))
     return PartitionResult(
         value,
@@ -349,6 +397,139 @@ def z_determinant(p):
         cond_hint=min_piv,
         log_value=complex(log_value),
     )
+
+
+class SweepResult(NamedTuple):
+    """Z at the points of a sweep (`z_sweep`), one entry each: `values`
+    (NaN where skipped), `skipped` (the point fails `validate_params`),
+    `fallback` (computed by z_determinant) and `err`, a batch point's
+    estimated relative distance from z_determinant's value (NaN on the
+    other points)."""
+
+    values: np.ndarray
+    skipped: np.ndarray
+    fallback: np.ndarray
+    err: np.ndarray
+
+
+def _unit_solve(lu, i):
+    """(x, eps): x = a^-1 e_i as a column, against `LUFactors` of a, with two
+    refinement steps whose residuals leave the leading part of a x unrounded
+    (`_split`, as in `_lu_log_error`), so x converges to about an ulp; eps is
+    the relative size of the last correction."""
+    _, zgetrs = _lapack()
+    n = len(lu.a)
+    bits = _split_bits(n)
+    a_hi, a_lo = _split(lu.a, 1, bits)
+    e = np.zeros((n, 1), complex)
+    e[i] = 1.0
+    x, _ = zgetrs(lu.lu, lu.piv, e)
+    for _ in range(2):
+        x_hi, x_lo = _split(x, 0, bits)
+        dx, _ = zgetrs(lu.lu, lu.piv, (e - a_hi @ x_hi) - (a_hi @ x_lo + a_lo @ x))
+        x += dx
+    return x, float(np.abs(dx).max() / np.abs(x).max())
+
+
+def _lemma_rows(p, i):
+    """log Z at p with lambda_i moved, by the matrix determinant lemma: a
+    function of an array of lambda_i values giving (log Z, lemma error,
+    sum error) per value, or None when the base LU's smallest pivot is
+    under ILL_CONDITIONED_PIVOT or NaN.  Call it under np.errstate.
+
+    With a the scaled kernel of `logdet_partial_pivot` and x = a^-1 e_i
+    (`_unit_solve`), det a' = det a (row' . x) where row' is the new row i
+    of a: the new kernel row times the base's column scaling and a power of
+    two of its own.  The dot product forms the products of `_split`'s
+    leading parts unrounded.  The lemma error is rho (eps_x + 2u): rho =
+    sum|row' o x| / |row' . x| is the dot product's cancellation, eps_x
+    the relative size of x's last correction and 2u the rounding of x and
+    of the dot product (its remainder products round 2^-bits less and are
+    left out).  The new kernel rows are z_determinant's bit for bit; the
+    sum error is 2u times the moduli of the terms log Z sums, for the
+    rounding of those sums in this route and in z_determinant's."""
+    n = p.n
+    grid, pairs, boundary = _det_guards(p)
+    log_height = _height_prefactor_log(n, p.theta, p.eta)
+    logdet, min_piv, lu = logdet_partial_pivot(_m_matrix_entries(p, grid, boundary),
+                                               factors=True)
+    if not min_piv >= ILL_CONDITIONED_PIVOT:
+        return None
+    x, eps_x = _unit_solve(lu, i)
+    bits = _split_bits(n)
+    x_hi, x_lo = _split(x, 0, bits)
+    abs_x = np.abs(x)
+    col_scale = np.ldexp(1.0, -lu.e_col)
+    a, b = site_pairs(n)
+    holds = (a == i) | (b == i)
+    a, b = a[holds], b[holds]
+    (_, _, q, y), _, _ = p.squares
+    p1 = y[b] - y[a]
+    # log Z less its terms that hold lambda_i: the prefactor's other grid
+    # rows and pairs, and log det M less row i's power of two
+    log_rest = (logdet - lu.e_row[i] * _LOG_2 + log_height
+                + _log_sum(np.delete(grid, i, 0)) - _log_sum(pairs[~holds]))
+    summed = (_log_abs_sum(grid) + _log_abs_sum(pairs)
+              + sum(abs(t.real) + abs(t.imag) for t in (logdet, log_height)))
+
+    def rows(v):
+        w_eta, w, q_v = np.square(sh(np.concatenate([v + p.eta, v, v + p.eta / 2]))
+                                  ).reshape(3, -1)
+        g = (w[:, None] - y) * (w_eta[:, None] - y)
+        m = _m_matrix_entries(p, g, sh(p.theta + p.zeta + v) * sh(p.zeta + v), v)
+        m *= col_scale
+        _, e = np.frexp(np.maximum.reduce(np.abs(m), 1))
+        m *= np.ldexp(1.0, -e)[:, None]
+        m_hi, m_lo = _split(m, 1, bits)
+        dot = (m_hi @ x_hi + (m_hi @ x_lo + m_lo @ x))[:, 0]
+        lemma_err = (np.abs(m) @ abs_x)[:, 0] / np.abs(dot) * (eps_x + 2 * _UNIT_ROUNDOFF)
+        qs = np.repeat(q[None, :], len(v), 0)
+        qs[:, i] = q_v
+        log_z = (log_rest + e * _LOG_2 + np.log(dot) + _log_sum(g, 1)
+                 - _log_sum(p1 * (qs[:, b] - qs[:, a]), 1))
+        sum_err = 2 * _UNIT_ROUNDOFF * (summed + np.abs(log_z.real) + np.abs(log_z.imag))
+        return log_z, lemma_err, sum_err
+
+    return rows
+
+
+def z_sweep(p, i, values):
+    """Z at p with lambda_i set to each of `values`, for a p that passes
+    `validate_params`, as a `SweepResult`.
+
+    The base p is guarded and its kernel factored once.  Moving lambda_i
+    changes row i of the kernel and of D1 D2, the pair factors that hold
+    lambda_i and one boundary factor, so per point the guards evaluate only
+    the entries that hold lambda_i (`params.fails_at_lambda`, the decision
+    `validate_params` makes there) and Z follows from the matrix
+    determinant lemma (`_lemma_rows`): O(N) per point, in numpy calls over
+    blocks of SWEEP_BLOCK points.  A point's `err` is its lemma error plus
+    its sum error.  A point whose lemma error exceeds SWEEP_ACCEPT_ERR or
+    whose value is not finite, or every point when the base LU is
+    ill-conditioned, is computed by z_determinant, which warns as it does
+    alone."""
+    values = np.asarray(values, dtype=complex).ravel()
+    count = len(values)
+    out = SweepResult(np.full(count, complex(np.nan, np.nan)), np.zeros(count, bool),
+                      np.zeros(count, bool), np.full(count, np.nan))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rows = _lemma_rows(p, i)
+        for start in range(0, count, SWEEP_BLOCK):
+            block = slice(start, min(start + SWEEP_BLOCK, count))
+            v = values[block]
+            skip = fails_at_lambda(p, i, v)
+            ok = np.zeros(len(v), bool)
+            if rows is not None:
+                log_z, lemma_err, sum_err = rows(v)
+                z = np.exp(log_z)
+                ok = ~skip & (lemma_err <= SWEEP_ACCEPT_ERR) & np.isfinite(log_z) & np.isfinite(z)
+                out.values[block][ok] = z[ok]
+                out.err[block][ok] = (lemma_err + sum_err)[ok]
+            out.skipped[block] = skip
+            for k in (~(skip | ok)).nonzero()[0] + start:
+                out.fallback[k] = True
+                out.values[k] = z_determinant(p.replace_lambda(i, values[k])).value
+    return out
 
 
 def recursion_rhs(p, z_prev, side):

@@ -6,8 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from sosre import cli, verify, weights
-from sosre.params import IllConditionedWarning, InvariantViolation, ParseError
+from sosre import cli, partition, verify, weights
+from sosre.params import (
+    IllConditionedWarning,
+    InvariantViolation,
+    ParseError,
+    SosError,
+    validate_params,
+)
 
 FIXTURE = {
     "eta": [0.7, 0.0],
@@ -357,6 +363,76 @@ def test_sweep_flag_validation(tmp_path, capsys):
         "sweep", "--config", path, "--vary", "1",
         "--from", "zero", "--to", "1,0", "--points", "3",
     ]) == 2
+
+
+def _reference_sweep_csv(p, vary, start, stop, points):
+    """The CSV of the per-point loop `sweep` ran before its batch route:
+    validate_params then z_determinant at every grid point."""
+    grid = start + (stop - start) * np.arange(points) / (points - 1)
+    rows = ["lambda_re,lambda_im,z_re,z_im,status"]
+    for v in grid.tolist():
+        lam = f"{v.real:.17g},{v.imag:.17g}"
+        q = p.replace_lambda(vary - 1, v)
+        try:
+            validate_params(q)
+            z = partition.z_determinant(q).value
+        except SosError:
+            rows.append(f"{lam},,,skipped")
+            continue
+        if np.isfinite(z):
+            rows.append(f"{lam},{z.real:.17g},{z.imag:.17g},ok")
+        else:
+            rows.append(f"{lam},,,nonfinite")
+    return "\n".join(rows) + "\n"
+
+
+def test_sweep_fallback_is_the_per_point_route(tmp_path, capsys, monkeypatch):
+    # with an accept bound of 0 every point falls back, block after block
+    monkeypatch.setattr(partition, "SWEEP_ACCEPT_ERR", 0.0)
+    monkeypatch.setattr(partition, "SWEEP_BLOCK", 3)
+    readme = {
+        "eta": [0.62, 0.0], "zeta": [1.05, 0.0], "theta": [0.83, 0.0],
+        "lambdas": [[0.31, 0.0], [0.47, 0.0]], "xis": [[0.24, 0.0], [0.11, 0.0]],
+    }
+    sampled, _ = sampled_config(tmp_path, 3)
+    cases = [
+        (sampled, 2, complex(-0.6, 0.1), complex(0.6, -0.2), 11),
+        # the first point on lambda_1 = zeta, the last past a double's range
+        (write_config(tmp_path, FIXTURE, "fixture.json"), 1, 1.1, 1.35, 4),
+        (write_config(tmp_path, readme, "readme.json"), 1, 170.0, 180.0, 5),
+    ]
+    for path, vary, start, stop, points in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            rc = cli.main(["sweep", "--config", path, "--vary", str(vary),
+                           f"--from={start.real!r},{start.imag!r}",
+                           f"--to={stop.real!r},{stop.imag!r}", "--points", str(points)])
+            want = _reference_sweep_csv(cli.load_model_params(path), vary, complex(start),
+                                        complex(stop), points)
+        assert rc == 0
+        assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("start,stop,message", [
+    ("0,0", "1e308,1e308", "grid point 2 (from 0) between --from and --to is not finite"),
+    ("-1e308,0", "1e308,0", "grid point 0 (from 0) between --from and --to is not finite"),
+    ("nan,0", "1,0", "--from expects finite floats, got 'nan,0'"),
+    ("0,0", "1,inf", "--to expects finite floats, got '1,inf'"),
+])
+def test_sweep_rejects_a_grid_that_is_not_finite(tmp_path, capsys, monkeypatch,
+                                                 start, stop, message):
+    # before anything is evaluated, and without numpy warnings
+    def evaluate(*args):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(partition, "z_sweep", evaluate)
+    path = write_config(tmp_path, FIXTURE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["sweep", "--config", path, "--vary", "1", f"--from={start}",
+                       f"--to={stop}", "--points", "3"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_module_entrypoint_subprocess(tmp_path):

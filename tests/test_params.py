@@ -81,8 +81,8 @@ def test_cached_instance_data(monkeypatch):
     assert warm == cold and hash(warm) == hash(cold)
     assert "squares" in vars(warm) and "squares" not in vars(cold)
     assert pickle.loads(pickle.dumps(warm)) == warm
-    # one sweep point, validate_params then z_determinant, computes the
-    # squares and the guard table once
+    # compute's path, load_model_params (validate_params) then z_determinant
+    # on the same instance, computes the squares and the guard table once
     calls = {"sinh_squares": 0, "guard_families": 0}
     for name in calls:
         inner = getattr(params, name)

@@ -885,3 +885,115 @@ def test_determinant_accuracy_against_oracle(case):
         warnings.simplefilter("ignore", IllConditionedWarning)
         log_value = partition.z_determinant(p).log_value
     assert _oracle_error(log_value, case["log_z"]) <= max(4 * case["parent_err"], 1e-13)
+
+
+def _rejects(p):
+    try:
+        params.validate_params(p)
+    except InvariantViolation:
+        return True
+    return False
+
+
+def _lambda_pins(p, i, rng):
+    """lambda_i on every guard family that holds it (zeta-lambda,
+    theta+zeta-lambda, 2*lambda, the four lambda-xi grids, lambda_i +
+    lambda_k + eta and its diagonal, lambda_i -+ lambda_k, zeta+lambda,
+    theta+zeta+lambda), and just inside and outside the default tolerance
+    of each, in a random direction."""
+    eta, zeta, theta = p.eta, p.zeta, p.theta
+    roots = [zeta, -zeta, theta + zeta, -theta - zeta, 0.0, -eta / 2]
+    roots += [s * x + d for x in p.xis for s in (1, -1) for d in (0.0, -eta)]
+    roots += [r for k, lam in enumerate(p.lambdas) if k != i for r in (lam, -lam, -lam - eta)]
+    return [r + d * np.exp(2j * np.pi * rng.random())
+            for r in roots for d in (0.0, 0.999e-6, 1.001e-6)]
+
+
+def _sweep(p, i, values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        return partition.z_sweep(p, i, values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_sweep_skips_exactly_what_validate_params_rejects(n):
+    rng = np.random.default_rng((301, n))
+    p = draw(n, rng)
+    for i in sorted({0, n // 2, n - 1}):
+        values = np.concatenate([rng.uniform(-0.8, 0.8, 10) + 1j * rng.uniform(-0.8, 0.8, 10),
+                                 _lambda_pins(p, i, rng)])
+        want = [_rejects(p.replace_lambda(i, v)) for v in values]
+        assert _sweep(p, i, values).skipped.tolist() == want
+        assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 50])
+def test_sweep_values_lie_within_their_estimate(n):
+    # a line across the sampler's box; at N = 3 it spans more than one block
+    rng = np.random.default_rng((302, n))
+    p = draw(n, rng)
+    points = partition.SWEEP_BLOCK + 22 if n == 3 else 40
+    values = complex(-0.7, -0.4) + complex(1.4, 0.7) * np.arange(points) / (points - 1)
+    for i in sorted({0, n - 1}):
+        res = _sweep(p, i, values)
+        assert not res.skipped.any()
+        assert res.fallback.sum() <= points // 4
+        for v, z, fallback, err in zip(values, res.values, res.fallback, res.err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditionedWarning)
+                want = partition.z_determinant(p.replace_lambda(i, v)).value
+            if fallback:
+                assert z == want and np.isnan(err)
+            else:
+                assert rel_diff(z, want) <= err
+
+
+def test_sweep_factors_the_base_once(monkeypatch):
+    calls = {"logdet_partial_pivot": 0, "_det_guards": 0, "z_determinant": 0}
+    for name in calls:
+        inner = getattr(partition, name)
+
+        def counting(*args, name=name, inner=inner, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(partition, name, counting)
+    p = draw(16, np.random.default_rng(303))
+    values = np.linspace(-0.5, 0.5, 300) + 0.1j
+    res = partition.z_sweep(p, 5, values)
+    assert not (res.fallback | res.skipped).any()
+    assert calls == {"logdet_partial_pivot": 1, "_det_guards": 1, "z_determinant": 0}
+
+
+def test_sweep_falls_back_where_the_base_is_not_usable(monkeypatch):
+    # past Re lambda_0 ~ 177.75 the base kernel row underflows and its
+    # smallest pivot is NaN: every point is then z_determinant's, and only
+    # a point whose own matrix is ill-conditioned warns
+    p = ModelParams(0.62, 1.05, 0.83, (400.0, 0.47), (0.24, 0.11))
+    params.validate_params(p)
+    values = [0.2, 0.3 + 0.1j, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = partition.z_sweep(p, 0, values)
+    assert res.fallback.all() and np.isnan(res.err).all()
+    assert res.values.tolist() == [partition.z_determinant(p.replace_lambda(0, v)).value
+                                   for v in values]
+    # a well-conditioned base at a raised pivot bound falls back the same way
+    monkeypatch.setattr(partition, "ILL_CONDITIONED_PIVOT", np.inf)
+    q = p.replace_lambda(0, 0.31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        res = partition.z_sweep(q, 0, values)
+        want = [partition.z_determinant(q.replace_lambda(0, v)).value for v in values]
+    assert res.fallback.all() and res.values.tolist() == want
+
+
+def test_sweep_emits_no_numpy_warnings():
+    # exact pins divide by zero in their kernel rows and prefactor logs
+    rng = np.random.default_rng(304)
+    p = draw(4, rng)
+    values = np.concatenate([_lambda_pins(p, 1, rng), [300.0, -300.0 + 1j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        partition.z_sweep(p, 1, values)
