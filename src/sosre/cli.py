@@ -198,10 +198,12 @@ def cmd_sweep(p, vary, start, stop, points, output=None):
     `partition.z_sweep` then factors p's kernel once, and each point costs
     O(N): a guard over the entries that hold the varied lambda and the
     matrix determinant lemma.  A row may differ from `compute` at the same
-    lambda in its last digits, within the point's error estimate; a point
-    whose lemma error is over `partition.SWEEP_ACCEPT_ERR`, or whose value
-    is not finite, is computed exactly as `compute` does, and only such
-    points warn IllConditionedWarning.
+    lambda in its last digits, within the point's error estimate; above
+    N = 64, where `compute` takes no refinement step, also by `compute`'s
+    own LU rounding, which the estimate leaves out.  A point whose lemma
+    error is over `partition.SWEEP_ACCEPT_ERR`, or whose value is not
+    finite, is computed exactly as `compute` does, and only such points
+    warn IllConditionedWarning.
     """
     if not 1 <= vary <= p.n:
         raise ParseError(f"--vary must be in 1..{p.n}, got {vary}")

@@ -203,19 +203,13 @@ class GuardFamily(NamedTuple):
     evaluated before it is called.  Grid and pair rows also take site arrays,
     `args(i, j)`: the entries [i[k], j[k]] of a grid, or the pair rows'
     arithmetic at the pairs (i[k], j[k]), bit for bit what the full table
-    holds there.  `name(k)` labels flat entry k.  `holding(lams, i)`, None
-    on rows without a lambda, evaluates the row's entries that hold
-    lambda_i in instances whose lambdas are the rows of the B x N array
-    `lams`: a B x m array, each row bit for bit those entries of that
-    instance's table (a lambda-lambda grid gives its row i, then its
-    column i).
+    holds there.  `name(k)` labels flat entry k.
     """
 
     tier: str
     key: str
     args: Callable
     name: Callable
-    holding: Callable | None = None
 
 
 @lru_cache(maxsize=8)
@@ -245,30 +239,19 @@ def guard_families(p, pair_order=None):
     ks = np.arange(-(n + 2), n + 3)
 
     def one(tier, key, f):  # entry k is f(lambda_k)
-        return GuardFamily(tier, key, lambda: f(lam), lambda k: f"{key}[{k}]",
-                           lambda lams, i: f(lams[:, i, None]))
+        return GuardFamily(tier, key, lambda: f(lam), lambda k: f"{key}[{k}]")
 
     def grid(key, f, of_xi, label):  # entry [i, j] is f(lambda_i, col_j)
         col = xi if of_xi else lam
-
-        def holding(lams, i):
-            row = f(lams[:, i, None], xi if of_xi else lams)
-            return row if of_xi else np.concatenate([row, f(lams, lams[:, i, None])], 1)
-
         return GuardFamily(GENERIC, key,
                            lambda i=None, j=None: f(lam[:, None], col) if i is None
                            else f(lam[i], col[j]),
-                           lambda k: label.format(k // n, k % n), holding)
+                           lambda k: label.format(k // n, k % n))
 
     def pair(key, f, of_lambda, label):  # pair k is f(v[a[k]], v[b[k]])
         v = lam if of_lambda else xi
-
-        def holding(lams, i):
-            k = ((a == i) | (b == i)).nonzero()[0]
-            return f(lams[:, a[k]], lams[:, b[k]])
-
         return GuardFamily(GENERIC, key, lambda i=a, j=b: f(v[i], v[j]),
-                           lambda k: label.format(a[k], b[k]), holding if of_lambda else None)
+                           lambda k: label.format(a[k], b[k]))
 
     minus, plus = (lambda u, v: u - v), (lambda u, v: u + v)
     return [
@@ -439,15 +422,36 @@ def validate_params(p):
 
 def fails_at_lambda(p, i, values):
     """For each value v, whether `validate_params` rejects p with lambda_i
-    set to v, for a p that passes it: only the guard entries that hold
-    lambda_i change, so only they are evaluated (`GuardFamily.holding`),
-    one np.sinh call over all of them.  A NaN entry fails nothing, as in
-    `guard_violations`."""
-    lams = np.repeat(p.lambdas_array()[None, :], len(values), 0)
-    lams[:, i] = values
-    args = np.concatenate([f.holding(lams, i) for f in p.guard_table if f.holding], 1)
+    set to v, for a p that passes it.  Of the entries that hold lambda_i,
+    the six O(1) ones are evaluated with the table's arithmetic, and the
+    grid and pair ones cleared as `_scan` clears them: by the sinh^2
+    differences w_v - y, w_eta_v - y, q_v - q_j and w_v - w_j (j != i)
+    against `ModelParams.squares`, bounded at the point's own |Re v|.  A
+    point that no O(1) entry rejects, with an entry that no bound clears
+    or a NaN difference, gets `guard_violations` on p with lambda_i = v.
+    A NaN entry fails nothing, as in `guard_violations`."""
+    tol = guard_tol_default()
+    v = np.asarray(values, dtype=complex)
+    eta, zeta, theta = p.eta, p.zeta, p.theta
+    sq, _, mod = p.squares
+    lam = p.lambdas_array()
+    r_xi, r_mu, r_lam = (float(np.abs(u.real).max()) for u in (p.xis_array(), lam + eta / 2, lam))
+    # the differences, point row by base column; the last two's column i,
+    # the lambda a point replaces, holds inf and so clears
+    rows = [0, 1, 2, 0]
+    base = sq.take([3, 3, 2, 1], 0)[:, None, :]
+    base[2:, :, i] = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        return (np.abs(np.sinh(args)) <= guard_tol_default()).any(1)
+        x = np.concatenate([zeta - v, theta + zeta - v, 2.0 * v, v + v + eta, zeta + v,
+                            theta + zeta + v, v, v + eta, v + eta / 2]).reshape(9, -1)
+        s = np.sinh(x)
+        fails = (np.abs(s[:6]) <= tol).any(0)
+        c = np.cosh(np.abs(x[6:].real)[rows] + np.array([[r_xi], [r_xi], [r_mu], [r_lam]]))
+        lim = prefilter_threshold(c, tol, np.maximum(mod, 2 * np.abs(v) + abs(eta)))
+        cleared = (np.abs(np.square(s[6:])[rows, :, None] - base) > lim[:, :, None]).all((0, 2))
+    for k in (~fails & ~cleared).nonzero()[0]:
+        fails[k] = bool(guard_violations(p.replace_lambda(i, v[k]), tol))
+    return fails
 
 
 def require_nonsingular(label, value):

@@ -494,20 +494,23 @@ def _lemma_rows(p, i):
 
 
 def z_sweep(p, i, values):
-    """Z at p with lambda_i set to each of `values`, for a p that passes
-    `validate_params`, as a `SweepResult`.
+    """Z at p with lambda_i (0 <= i < N) set to each of `values`, for a p
+    that passes `validate_params`, as a `SweepResult`.
 
     The base p is guarded and its kernel factored once.  Moving lambda_i
     changes row i of the kernel and of D1 D2, the pair factors that hold
-    lambda_i and one boundary factor, so per point the guards evaluate only
-    the entries that hold lambda_i (`params.fails_at_lambda`, the decision
-    `validate_params` makes there) and Z follows from the matrix
-    determinant lemma (`_lemma_rows`): O(N) per point, in numpy calls over
-    blocks of SWEEP_BLOCK points.  A point's `err` is its lemma error plus
-    its sum error.  A point whose lemma error exceeds SWEEP_ACCEPT_ERR or
-    whose value is not finite, or every point when the base LU is
-    ill-conditioned, is computed by z_determinant, which warns as it does
-    alone."""
+    lambda_i and one boundary factor, so per point the guards look only at
+    the entries that hold lambda_i (`params.fails_at_lambda`: the decision
+    `validate_params` makes there, from O(1) sinh per point) and Z follows
+    from the matrix determinant lemma (`_lemma_rows`): O(N) per point, in
+    numpy calls over blocks of SWEEP_BLOCK points.  A point's `err` is its
+    lemma error plus its sum error.  A point whose lemma error exceeds
+    SWEEP_ACCEPT_ERR or whose value is not finite, or every point when the
+    base LU is ill-conditioned, is computed by z_determinant, which warns
+    as it does alone."""
+    i = operator.index(i)
+    if not 0 <= i < p.n:
+        raise ValueError(f"i must be in 0..{p.n - 1}, got {i}")
     values = np.asarray(values, dtype=complex).ravel()
     count = len(values)
     out = SweepResult(np.full(count, complex(np.nan, np.nan)), np.zeros(count, bool),

@@ -307,15 +307,17 @@ def test_sweep_marks_singular_points(tmp_path, capsys):
         "lambdas": [[0.3, 0.0], [0.45, 0.0]], "xis": [[0.15, 0.0], [0.6, 0.0]],
     }
     path = write_config(tmp_path, doc)
-    # the first grid point lands exactly on lambda_1 = zeta
-    rc = cli.main([
-        "sweep", "--config", path, "--vary", "1",
-        "--from", "1.1,0", "--to", "1.35,0", "--points", "2",
-    ])
-    assert rc == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[1].endswith(",,,skipped")
-    assert lines[2].endswith(",ok")
+    # the first grid point lands exactly on lambda_1 = zeta, an O(1) row,
+    # then on lambda_1 = xi_2, a lambda-xi grid entry
+    for start, stop in (("1.1,0", "1.35,0"), ("0.6,0", "0.7,0")):
+        rc = cli.main([
+            "sweep", "--config", path, "--vary", "1",
+            "--from", start, "--to", stop, "--points", "2",
+        ])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1].endswith(",,,skipped")
+        assert lines[2].endswith(",ok")
 
 
 def test_sweep_marks_nonfinite_points(tmp_path, capsys):

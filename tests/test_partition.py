@@ -915,16 +915,26 @@ def _sweep(p, i, values):
         return partition.z_sweep(p, i, values)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 50])
 def test_sweep_skips_exactly_what_validate_params_rejects(n):
+    # also with every lambda moved right, where the sinh^2 bounds' cosh
+    # factors grow and clear fewer entries, at a middle site (it has pairs
+    # on both sides); there the points the guards pass fall back to
+    # z_determinant, so the skips are taken from fails_at_lambda, which
+    # z_sweep reports as they are
     rng = np.random.default_rng((301, n))
-    p = draw(n, rng)
-    for i in sorted({0, n // 2, n - 1}):
-        values = np.concatenate([rng.uniform(-0.8, 0.8, 10) + 1j * rng.uniform(-0.8, 0.8, 10),
-                                 _lambda_pins(p, i, rng)])
-        want = [_rejects(p.replace_lambda(i, v)) for v in values]
-        assert _sweep(p, i, values).skipped.tolist() == want
-        assert 0 < sum(want) < len(want)
+    drawn = draw(n, rng)
+    for shift in (0.0, 5.0, 20.0):
+        p = dataclasses.replace(drawn, lambdas=[v + shift for v in drawn.lambdas])
+        params.validate_params(p)
+        for i in sorted({0, n // 2, n - 1} if shift == 0.0 else {n // 2}):
+            box = rng.uniform(-0.8, 0.8, 10) + 1j * rng.uniform(-0.8, 0.8, 10) + shift
+            values = np.concatenate([box, _lambda_pins(p, i, rng)])
+            want = [_rejects(p.replace_lambda(i, v)) for v in values]
+            skipped = (_sweep(p, i, values).skipped if shift == 0.0
+                       else params.fails_at_lambda(p, i, values))
+            assert skipped.tolist() == want
+            assert 0 < sum(want) < len(want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 50])
@@ -963,6 +973,27 @@ def test_sweep_factors_the_base_once(monkeypatch):
     res = partition.z_sweep(p, 5, values)
     assert not (res.fallback | res.skipped).any()
     assert calls == {"logdet_partial_pivot": 1, "_det_guards": 1, "z_determinant": 0}
+
+
+def test_sweep_guards_default_box_points_by_their_bounds(monkeypatch):
+    # every entry that holds lambda_i is cleared by a sinh^2 bound, so no
+    # point takes fails_at_lambda's exact decision over the whole table
+    rng = np.random.default_rng(306)
+    p = draw(16, rng)
+    values = rng.uniform(-0.8, 0.8, 300) + 1j * rng.uniform(-0.8, 0.8, 300)
+    calls = []
+    inner = params.guard_violations
+    monkeypatch.setattr(params, "guard_violations", lambda *a: calls.append(a) or inner(*a))
+    res = partition.z_sweep(p, 5, values)
+    assert not res.skipped.any() and calls == []
+
+
+def test_sweep_rejects_a_site_out_of_range():
+    # a negative i would leave the pairs holding lambda_(N+i) out of Z
+    p = draw(4, np.random.default_rng(305))
+    for i in (-1, 4):
+        with pytest.raises(ValueError, match=r"i must be in 0\.\.3, got " + str(i)):
+            partition.z_sweep(p, i, [0.1])
 
 
 def test_sweep_falls_back_where_the_base_is_not_usable(monkeypatch):
