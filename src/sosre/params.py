@@ -163,13 +163,13 @@ class ModelParams:
 
     @cached_property
     def squares(self):
-        """`sinh_squares` of this instance, its array read-only and its
-        bounds a tuple.  Past a double's range a square is inf, without a
-        warning."""
+        """`sinh_squares` of this instance, (sq, c, mod, r): its arrays sq
+        and r read-only, its cosh bounds c a tuple.  Past a double's range a
+        square is inf, without a warning."""
         with np.errstate(over="ignore", invalid="ignore"):
-            sq, c, mod = sinh_squares(self)
-        sq.flags.writeable = False
-        return sq, tuple(c), mod
+            sq, c, mod, r = sinh_squares(self)
+        sq.flags.writeable = r.flags.writeable = False
+        return sq, tuple(c), mod, r
 
     @cached_property
     def guard_table(self):
@@ -238,39 +238,37 @@ def guard_families(p, pair_order=None):
     a, b = site_pairs(n) if pair_order is None else pair_order
     ks = np.arange(-(n + 2), n + 3)
 
-    def one(tier, key, f):  # entry k is f(lambda_k)
-        return GuardFamily(tier, key, lambda: f(lam), lambda k: f"{key}[{k}]")
+    def one(tier, key, args):
+        return GuardFamily(tier, key, args, lambda k: f"{key}[{k}]")
 
-    def grid(key, f, of_xi, label):  # entry [i, j] is f(lambda_i, col_j)
-        col = xi if of_xi else lam
+    def grid(key, f, col, label):  # entry [i, j] is f(lambda_i, col_j)
         return GuardFamily(GENERIC, key,
                            lambda i=None, j=None: f(lam[:, None], col) if i is None
                            else f(lam[i], col[j]),
                            lambda k: label.format(k // n, k % n))
 
-    def pair(key, f, of_lambda, label):  # pair k is f(v[a[k]], v[b[k]])
-        v = lam if of_lambda else xi
+    def pair(key, f, v, label):  # pair k is f(v[a[k]], v[b[k]])
         return GuardFamily(GENERIC, key, lambda i=a, j=b: f(v[i], v[j]),
                            lambda k: label.format(a[k], b[k]))
 
     minus, plus = (lambda u, v: u - v), (lambda u, v: u + v)
     return [
-        one(GENERIC, "zeta-lambda", lambda v: zeta - v),
-        one(GENERIC, "theta+zeta-lambda", lambda v: theta + zeta - v),
-        one(GENERIC, "2*lambda", lambda v: 2.0 * v),
-        grid("lambda-xi", minus, True, "lambda[{}]-xi[{}]"),
-        grid("lambda+xi", plus, True, "lambda[{}]+xi[{}]"),
-        grid("lambda-xi+eta", lambda u, v: u - v + eta, True, "lambda[{}]-xi[{}]+eta"),
-        grid("lambda+xi+eta", lambda u, v: u + v + eta, True, "lambda[{}]+xi[{}]+eta"),
-        grid("lambda+lambda+eta", lambda u, v: u + v + eta, False, "lambda[{}]+lambda[{}]+eta"),
-        pair("lambda-lambda", minus, True, "lambda[{}]-lambda[{}]"),
-        pair("lambda+lambda", plus, True, "lambda[{}]+lambda[{}]"),
-        pair("xi-xi", minus, False, "xi[{}]-xi[{}]"),
-        pair("xi+xi", plus, False, "xi[{}]+xi[{}]"),
+        one(GENERIC, "zeta-lambda", lambda: zeta - lam),
+        one(GENERIC, "theta+zeta-lambda", lambda: theta + zeta - lam),
+        one(GENERIC, "2*lambda", lambda: 2.0 * lam),
+        grid("lambda-xi", minus, xi, "lambda[{}]-xi[{}]"),
+        grid("lambda+xi", plus, xi, "lambda[{}]+xi[{}]"),
+        grid("lambda-xi+eta", lambda u, v: u - v + eta, xi, "lambda[{}]-xi[{}]+eta"),
+        grid("lambda+xi+eta", lambda u, v: u + v + eta, xi, "lambda[{}]+xi[{}]+eta"),
+        grid("lambda+lambda+eta", lambda u, v: u + v + eta, lam, "lambda[{}]+lambda[{}]+eta"),
+        pair("lambda-lambda", minus, lam, "lambda[{}]-lambda[{}]"),
+        pair("lambda+lambda", plus, lam, "lambda[{}]+lambda[{}]"),
+        pair("xi-xi", minus, xi, "xi[{}]-xi[{}]"),
+        pair("xi+xi", plus, xi, "xi[{}]+xi[{}]"),
         GuardFamily(RATIO, "theta%+d*eta", lambda: theta + ks * eta,
                     lambda k: f"theta{ks[k]:+d}*eta"),
-        one(RATIO, "zeta+lambda", lambda v: zeta + v),
-        one(RATIO, "theta+zeta+lambda", lambda v: theta + zeta + v),
+        one(RATIO, "zeta+lambda", lambda: zeta + lam),
+        one(RATIO, "theta+zeta+lambda", lambda: theta + zeta + lam),
     ]
 
 
@@ -302,19 +300,19 @@ _CLEARED = {"lambda-xi": _GRID, "lambda+xi": _GRID, "lambda-xi+eta": _GRID,
 
 
 def sinh_squares(p):
-    """The O(N) squares under the grid and pair rows, (sq, c, mod): sq is
-    the 4 x N array (w_eta, w, q, y) = sinh^2 of (lambda+eta, lambda,
-    lambda+eta/2, xi); c lists the cosh bounds of the five differences of
-    `_MINUEND` and `_SUBTRAHEND`, and mod bounds their |x| + |y|, for
-    `prefilter_threshold`.  Uncached and opening no np.errstate: callers
-    read `ModelParams.squares`, which computes this once per instance."""
+    """The O(N) squares under the grid and pair rows, (sq, c, mod, r): sq
+    is the 4 x N array (w_eta, w, q, y) = sinh^2 of (lambda+eta, lambda,
+    lambda+eta/2, xi), r the largest |Re| of each row's arguments, c the
+    bounds cosh(r[_MINUEND] + r[_SUBTRAHEND]) of the five differences and
+    mod a bound on their |x| + |y|, for `prefilter_threshold`.  Uncached,
+    opening no np.errstate: callers read the cached `ModelParams.squares`."""
     n = p.n
     lam_xi = p._lambdas_xis
     lam, xi, eta = lam_xi[:n], lam_xi[n:], p.eta
     x = np.concatenate([lam + eta, lam, lam + eta / 2, xi]).reshape(4, n)
-    r_eta, r_lam, r_mu, r_xi = np.abs(x.real).max(1).tolist()
-    c = np.cosh([r_eta + r_xi, r_lam + r_xi, 2 * r_mu, 2 * r_lam, 2 * r_xi]).tolist()
-    return np.square(np.sinh(x)), c, 2 * float(np.abs(lam_xi).max()) + abs(eta)
+    r = np.abs(x.real).max(1)
+    c = np.cosh(r[_MINUEND] + r[_SUBTRAHEND]).tolist()
+    return np.square(np.sinh(x)), c, 2 * float(np.abs(lam_xi).max()) + abs(eta), r
 
 
 def _scan(p, tol=None):
@@ -339,7 +337,7 @@ def _scan(p, tol=None):
     diagonals, lambda+lambda+eta's paired with sinh(0)).  Past a double's
     range a value is inf, without a warning."""
     n = p.n
-    sq, c, mod = p.squares
+    sq, c, mod, _ = p.squares
     rows, args, grid_pair = [], [], []
     for t, f in enumerate(p.guard_table):
         if f.key in _CLEARED:
@@ -422,36 +420,37 @@ def validate_params(p):
 
 def fails_at_lambda(p, i, values):
     """For each value v, whether `validate_params` rejects p with lambda_i
-    set to v, for a p that passes it.  Of the entries that hold lambda_i,
-    the six O(1) ones are evaluated with the table's arithmetic, and the
-    grid and pair ones cleared as `_scan` clears them: by the sinh^2
-    differences w_v - y, w_eta_v - y, q_v - q_j and w_v - w_j (j != i)
-    against `ModelParams.squares`, bounded at the point's own |Re v|.  A
-    point that no O(1) entry rejects, with an entry that no bound clears
+    set to v, for a p that passes it, and what deciding it evaluated:
+    (fails, d, sinh(theta+zeta+v) sinh(zeta+v)).  The six O(1) entries that
+    hold lambda_i are a hand copy of `guard_families`' O(1) rows and of
+    lambda+lambda+eta's diagonal; the grid and pair ones are cleared as
+    `_scan` clears them, by d: the first four differences of `_MINUEND` and
+    `_SUBTRAHEND`, the point's squares of (v+eta, v, v+eta/2) less the
+    base's, bounded at the point's own |Re|.  d[2] is the pair factor
+    q_b - q_a, so q_j - q_v at j > i; d[2:, :, i] is infinite and clears.
+    A point that no O(1) entry rejects, with an entry that no bound clears
     or a NaN difference, gets `guard_violations` on p with lambda_i = v.
     A NaN entry fails nothing, as in `guard_violations`."""
     tol = guard_tol_default()
     v = np.asarray(values, dtype=complex)
     eta, zeta, theta = p.eta, p.zeta, p.theta
-    sq, _, mod = p.squares
-    lam = p.lambdas_array()
-    r_xi, r_mu, r_lam = (float(np.abs(u.real).max()) for u in (p.xis_array(), lam + eta / 2, lam))
-    # the differences, point row by base column; the last two's column i,
-    # the lambda a point replaces, holds inf and so clears
-    rows = [0, 1, 2, 0]
-    base = sq.take([3, 3, 2, 1], 0)[:, None, :]
+    sq, _, mod, r = p.squares
+    base = sq.take(_SUBTRAHEND[:4], 0)[:, None, :]
     base[2:, :, i] = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.concatenate([zeta - v, theta + zeta - v, 2.0 * v, v + v + eta, zeta + v,
-                            theta + zeta + v, v, v + eta, v + eta / 2]).reshape(9, -1)
+                            theta + zeta + v, v + eta, v, v + eta / 2]).reshape(9, -1)
         s = np.sinh(x)
         fails = (np.abs(s[:6]) <= tol).any(0)
-        c = np.cosh(np.abs(x[6:].real)[rows] + np.array([[r_xi], [r_xi], [r_mu], [r_lam]]))
+        c = np.cosh(np.abs(x[6:].real)[_MINUEND[:4]] + r[_SUBTRAHEND[:4], None])
         lim = prefilter_threshold(c, tol, np.maximum(mod, 2 * np.abs(v) + abs(eta)))
-        cleared = (np.abs(np.square(s[6:])[rows, :, None] - base) > lim[:, :, None]).all((0, 2))
+        sq_v = np.square(s[6:])
+        d = sq_v[_MINUEND[:4], :, None] - base
+        d[2, :, i + 1:] = base[2, :, i + 1:] - sq_v[2, :, None]
+        cleared = (np.abs(d) > lim[:, :, None]).all((0, 2))
     for k in (~fails & ~cleared).nonzero()[0]:
         fails[k] = bool(guard_violations(p.replace_lambda(i, v[k]), tol))
-    return fails
+    return fails, d, s[5] * s[4]
 
 
 def require_nonsingular(label, value):

@@ -316,7 +316,7 @@ def _det_guards(p):
     not depend on which rows were evaluated."""
     n = p.n
     iu, ju = site_pairs(n)
-    (w_eta, w, q, y), c, mod = p.squares
+    (w_eta, w, q, y), c, mod, _ = p.squares
     d1, d2 = w[:, None] - y, w_eta[:, None] - y
     p1, p2 = y[ju] - y[iu], q[ju] - q[iu]
 
@@ -433,7 +433,8 @@ def _unit_solve(lu, i):
 
 def _lemma_rows(p, i):
     """log Z at p with lambda_i moved, by the matrix determinant lemma: a
-    function of an array of lambda_i values giving (log Z, lemma error,
+    function rows(v, d, boundary) of lambda_i values v and what
+    `params.fails_at_lambda` returns for them, giving (log Z, lemma error,
     sum error) per value, or None when the base LU's smallest pivot is
     under ILL_CONDITIONED_PIVOT or NaN.  Call it under np.errstate.
 
@@ -445,9 +446,11 @@ def _lemma_rows(p, i):
     sum|row' o x| / |row' . x| is the dot product's cancellation, eps_x
     the relative size of x's last correction and 2u the rounding of x and
     of the dot product (its remainder products round 2^-bits less and are
-    left out).  The new kernel rows are z_determinant's bit for bit; the
-    sum error is 2u times the moduli of the terms log Z sums, for the
-    rounding of those sums in this route and in z_determinant's."""
+    left out).  The new rows of D1 D2 (d[1] d[0]), of the pair factors
+    (d[2] at each pair's other site) and of the kernel are z_determinant's
+    bit for bit; the sum error is 2u times the moduli of the terms log Z
+    sums, for the rounding of those sums in this route and in
+    z_determinant's."""
     n = p.n
     grid, pairs, boundary = _det_guards(p)
     log_height = _height_prefactor_log(n, p.theta, p.eta)
@@ -463,7 +466,7 @@ def _lemma_rows(p, i):
     a, b = site_pairs(n)
     holds = (a == i) | (b == i)
     a, b = a[holds], b[holds]
-    (_, _, q, y), _, _ = p.squares
+    y = p.squares[0][3]
     p1 = y[b] - y[a]
     # log Z less its terms that hold lambda_i: the prefactor's other grid
     # rows and pairs, and log det M less row i's power of two
@@ -472,21 +475,17 @@ def _lemma_rows(p, i):
     summed = (_log_abs_sum(grid) + _log_abs_sum(pairs)
               + sum(abs(t.real) + abs(t.imag) for t in (logdet, log_height)))
 
-    def rows(v):
-        w_eta, w, q_v = np.square(sh(np.concatenate([v + p.eta, v, v + p.eta / 2]))
-                                  ).reshape(3, -1)
-        g = (w[:, None] - y) * (w_eta[:, None] - y)
-        m = _m_matrix_entries(p, g, sh(p.theta + p.zeta + v) * sh(p.zeta + v), v)
+    def rows(v, d, boundary):
+        g = d[1] * d[0]
+        m = _m_matrix_entries(p, g, boundary, v)
         m *= col_scale
         _, e = np.frexp(np.maximum.reduce(np.abs(m), 1))
         m *= np.ldexp(1.0, -e)[:, None]
         m_hi, m_lo = _split(m, 1, bits)
         dot = (m_hi @ x_hi + (m_hi @ x_lo + m_lo @ x))[:, 0]
         lemma_err = (np.abs(m) @ abs_x)[:, 0] / np.abs(dot) * (eps_x + 2 * _UNIT_ROUNDOFF)
-        qs = np.repeat(q[None, :], len(v), 0)
-        qs[:, i] = q_v
         log_z = (log_rest + e * _LOG_2 + np.log(dot) + _log_sum(g, 1)
-                 - _log_sum(p1 * (qs[:, b] - qs[:, a]), 1))
+                 - _log_sum(p1 * d[2][:, a + b - i], 1))
         sum_err = 2 * _UNIT_ROUNDOFF * (summed + np.abs(log_z.real) + np.abs(log_z.imag))
         return log_z, lemma_err, sum_err
 
@@ -502,8 +501,9 @@ def z_sweep(p, i, values):
     lambda_i and one boundary factor, so per point the guards look only at
     the entries that hold lambda_i (`params.fails_at_lambda`: the decision
     `validate_params` makes there, from O(1) sinh per point) and Z follows
-    from the matrix determinant lemma (`_lemma_rows`): O(N) per point, in
-    numpy calls over blocks of SWEEP_BLOCK points.  A point's `err` is its
+    from the matrix determinant lemma (`_lemma_rows`, on the differences
+    the guard evaluated): O(N) per point, in numpy calls over blocks of
+    SWEEP_BLOCK points.  A point's `err` is its
     lemma error plus its sum error.  A point whose lemma error exceeds
     SWEEP_ACCEPT_ERR or whose value is not finite, or every point when the
     base LU is ill-conditioned, is computed by z_determinant, which warns
@@ -520,10 +520,10 @@ def z_sweep(p, i, values):
         for start in range(0, count, SWEEP_BLOCK):
             block = slice(start, min(start + SWEEP_BLOCK, count))
             v = values[block]
-            skip = fails_at_lambda(p, i, v)
+            skip, d, boundary = fails_at_lambda(p, i, v)
             ok = np.zeros(len(v), bool)
             if rows is not None:
-                log_z, lemma_err, sum_err = rows(v)
+                log_z, lemma_err, sum_err = rows(v, d, boundary)
                 z = np.exp(log_z)
                 ok = ~skip & (lemma_err <= SWEEP_ACCEPT_ERR) & np.isfinite(log_z) & np.isfinite(z)
                 out.values[block][ok] = z[ok]

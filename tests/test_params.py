@@ -60,8 +60,8 @@ def test_model_params_nonfinite_entries(field, bad, part):
 
 
 def _squares_bytes(p):
-    sq, c, mod = p.squares
-    return sq.tobytes(), c, mod
+    sq, c, mod, r = p.squares
+    return sq.tobytes(), c, mod, r.tobytes()
 
 
 def test_cached_instance_data(monkeypatch):

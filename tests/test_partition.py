@@ -932,7 +932,7 @@ def test_sweep_skips_exactly_what_validate_params_rejects(n):
             values = np.concatenate([box, _lambda_pins(p, i, rng)])
             want = [_rejects(p.replace_lambda(i, v)) for v in values]
             skipped = (_sweep(p, i, values).skipped if shift == 0.0
-                       else params.fails_at_lambda(p, i, values))
+                       else params.fails_at_lambda(p, i, values)[0])
             assert skipped.tolist() == want
             assert 0 < sum(want) < len(want)
 
@@ -956,6 +956,33 @@ def test_sweep_values_lie_within_their_estimate(n):
                 assert z == want and np.isnan(err)
             else:
                 assert rel_diff(z, want) <= err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 50])
+def test_sweep_rows_are_the_replaced_instances_factors(n):
+    # what the lemma builds from fails_at_lambda's differences and boundary
+    # factor is, bit for bit, what z_determinant's guards and kernel give
+    # the instance with lambda_i replaced: its D1 D2 row, boundary entry,
+    # pair factors that hold lambda_i and kernel row
+    rng = np.random.default_rng((307, n))
+    p = draw(n, rng)
+    y = p.squares[0][3]
+    a, b = params.site_pairs(n)
+    for i in sorted({0, n // 2, n - 1}):
+        values = rng.uniform(-0.8, 0.8, 20) + 1j * rng.uniform(-0.8, 0.8, 20)
+        _, d, boundary = params.fails_at_lambda(p, i, values)
+        holds = (a == i) | (b == i)
+        grid = d[1] * d[0]
+        pairs = (y[b] - y[a])[holds] * d[2][:, (a + b - i)[holds]]
+        kernel = partition._m_matrix_entries(p, grid, boundary, values)
+        for k, v in enumerate(values):
+            q = p.replace_lambda(i, v)
+            grid_q, pairs_q, boundary_q = partition._det_guards(q)
+            assert grid_q[i].tobytes() == grid[k].tobytes()
+            assert boundary_q[i].tobytes() == boundary[k].tobytes()
+            assert pairs_q[holds].tobytes() == pairs[k].tobytes()
+            kernel_q = partition._m_matrix_entries(q, grid_q, boundary_q)
+            assert kernel_q[i].tobytes() == kernel[k].tobytes()
 
 
 def test_sweep_factors_the_base_once(monkeypatch):
