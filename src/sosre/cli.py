@@ -1,4 +1,4 @@
-"""Command-line interface: compute, verify, bench, sweep.
+"""Command-line interface: compute, verify, sweep.
 
 Complex numbers cross the wire as two-element arrays [re, im], and a number
 that is not finite (a Z past a double's range, a NaN rel_diff) as null.  JSON
@@ -13,15 +13,11 @@ import argparse
 import cmath
 import json
 import sys
-import time
-import warnings
 
 import numpy as np
 
 from . import partition, verify
 from .params import (
-    IllConditionedWarning,
-    InvariantViolation,
     ModelParams,
     ParseError,
     SosError,
@@ -160,32 +156,6 @@ def cmd_verify(suite, seed, samples, max_n, output=None):
     return 0 if report.summary["failed"] == 0 else 1
 
 
-def cmd_bench(max_n, seed, cap=partition.BRUTE_CAP_DEFAULT, output=None):
-    """Time both routes per chain size; CSV to stdout.
-
-    Ill-conditioning warnings are suppressed here: at large N the determinant
-    value is expected to lose digits, and the benchmark measures time only.
-    """
-    cfg = verify.SuiteConfig(seed=seed)
-    rows = ["n,t_det_ms,t_brute_ms,rel_diff"]
-    for n in range(1, max_n + 1):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
-        p = verify.sample_params(cfg, n, rng)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IllConditionedWarning)
-            det = partition.z_determinant(p)
-        if n <= min(cap, partition.BRUTE_CAP_HARD_MAX):
-            brute = partition.z_bruteforce(p, cap=cap)
-            rows.append(
-                f"{n},{det.elapsed * 1000.0:.3f},{brute.elapsed * 1000.0:.3f},"
-                f"{rel_diff(det.value, brute.value):.3e}"
-            )
-        else:
-            rows.append(f"{n},{det.elapsed * 1000.0:.3f},-,-")
-    _emit("\n".join(rows), output)
-    return 0
-
-
 def cmd_sweep(p, vary, start, stop, points, output=None):
     """Z by determinant along a straight-line grid in one lambda.
 
@@ -248,7 +218,7 @@ def _parse_complex_flag(text, flag):
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="sosre",
-        description="Reflecting-end SOS partition function: compute, verify, bench, sweep.",
+        description="Reflecting-end SOS partition function: compute, verify, sweep.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -267,12 +237,6 @@ def build_parser():
                    help="drop the default chain sizes (1, 2, 3) above this; "
                         "it adds no larger ones")
     v.add_argument("--output", default=None)
-
-    b = sub.add_parser("bench", help="time determinant vs brute force per N")
-    b.add_argument("--max-n", type=int, required=True)
-    b.add_argument("--seed", type=int, default=42)
-    b.add_argument("--cap", type=int, default=partition.BRUTE_CAP_DEFAULT)
-    b.add_argument("--output", default=None)
 
     s = sub.add_parser("sweep", help="Z along a grid in one lambda")
     s.add_argument("--config", required=True)
@@ -293,6 +257,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "compute":
+            if args.cap < 1:
+                raise ParseError("--cap must be >= 1")
             p = load_model_params(args.config)
             return cmd_compute(p, args.method, cap=args.cap, output=args.output)
         if args.command == "verify":
@@ -303,12 +269,6 @@ def main(argv=None):
             return cmd_verify(
                 args.suite, args.seed, args.samples, args.max_n, output=args.output
             )
-        if args.command == "bench":
-            if args.max_n < 1:
-                raise ParseError("--max-n must be >= 1")
-            if args.seed < 0:
-                raise ParseError("--seed must be nonnegative")
-            return cmd_bench(args.max_n, args.seed, cap=args.cap, output=args.output)
         if args.command == "sweep":
             p = load_model_params(args.config)
             start = _parse_complex_flag(args.start, "--from")

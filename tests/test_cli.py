@@ -203,6 +203,9 @@ def test_compute_brute_cap_exit2(tmp_path, capsys):
     rc = cli.main(["compute", "--config", path, "--method", "brute"])
     assert rc == 2
     assert "N <= 8" in capsys.readouterr().err
+    for cap in ("0", "-5"):
+        assert cli.main(["compute", "--config", path, "--method", "brute", "--cap", cap]) == 2
+        assert capsys.readouterr().err == "error: --cap must be >= 1\n"
 
 
 def test_compute_large_chain_is_fast(tmp_path, capsys):
@@ -267,23 +270,11 @@ def test_verify_exit1_on_failure(capsys, monkeypatch):
     assert cli.main(["verify", "--suite", "weights"]) == 1
 
 
-def test_bench_csv(capsys):
-    assert cli.main(["bench", "--max-n", "6", "--seed", "42"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "n,t_det_ms,t_brute_ms,rel_diff"
-    assert len(lines) == 7
-    for k, line in enumerate(lines[1:], start=1):
-        n, t_det, t_brute, rd = line.split(",")
-        assert int(n) == k
-        assert float(t_det) >= 0 and float(t_brute) >= 0
-        assert float(rd) < 1e-9
-
-
-def test_bench_marks_rows_beyond_cap(capsys):
-    assert cli.main(["bench", "--max-n", "9", "--seed", "1"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[9].startswith("9,") and lines[9].endswith(",-,-")
-    assert cli.main(["bench", "--max-n", "0"]) == 2
+def test_removed_bench_command_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--max-n", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_sweep_grid(tmp_path, capsys):

@@ -26,6 +26,7 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_readme_quickstart_runs():

@@ -80,6 +80,12 @@ def test_suite_config_validation():
 def test_unknown_suite_name():
     with pytest.raises(ValueError, match="unknown suite"):
         verify.run_suite("everything")
+    # contraction's cap is checked before any case runs
+    for name in ("partition", "all"):
+        with pytest.raises(ValueError, match="partition: contraction needs N <= 8, got N = 9"):
+            verify.run_suite(name, verify.SuiteConfig(n_values=(9,), samples_per_case=1))
+    for name in ("weights", "algebra"):
+        assert verify._case_plan(name, verify.SuiteConfig(n_values=(9,)))
 
 
 def test_weights_suite_never_builds_chain_operators(monkeypatch):
