@@ -8,9 +8,14 @@ No operator is multiplied out.  Each monodromy is applied to an array factor
 by factor with `weights.apply_table`, from a table that holds the weights of
 all its factors at all their heights (one `face_weights` call and one height
 guard per table).  A product of B operators, as in `partition.z_bruteforce`,
-takes the weights of all its double rows from one table (`apply_b_product`);
-an explicit matrix is an application to an identity.  The double-row
-monodromy bulk @ K @ hat acts in this order:
+takes the weights of all its double rows from one table (`apply_b_product`).
+Every R and K keeps the number of down spins on aux (x) chain, so the
+product carries each chain-magnetization sector of its input on its own:
+from the all-up state the k-th B acts on the C(N+1, k) states with k down
+spins, not on all 2^(N+1), and a Z costs O(N 2^N) arithmetic.  A double
+row's gather plan is built once per (N, sector) and cached; an explicit
+matrix is an application to an identity.  The double-row monodromy
+bulk @ K @ hat acts in this order:
 the return path, site 1 first (R(lam + xi_k) with legs (site, aux)), then K
 on the auxiliary space, then the bulk, site N first (R(lam - xi_k) with legs
 (aux, site)).  Every factor at site k is height-shifted by the spins of the
@@ -21,6 +26,7 @@ the aux-up half of the image.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -30,53 +36,74 @@ from .params import require_nonsingular
 sh = np.sinh
 
 
-def _bulk_factors(n, aux, lam, p, extra=()):
-    """The bulk monodromy R(aux, site 1) ... R(aux, site N) as `apply_pairs`
-    factors in application order, site N first.  The chain sites are the
-    last N of n tensor positions; each factor is height-shifted by the spins
-    of the later sites plus the `extra` positions."""
-    sites = range(n - p.n, n)
-    return [(aux, sites[k], tuple(sites[k + 1:]) + extra, lam - p.xis[k])
-            for k in reversed(range(p.n))]
+def _bulk_layout(n, aux, n_sites, extra=()):
+    """The bulk monodromy R(aux, site 1) ... R(aux, site N) as factor
+    layouts (pos_a, pos_b, shift) in application order, site N first.  The
+    chain sites are the last N of n tensor positions; each factor is
+    height-shifted by the spins of the later sites plus the `extra`
+    positions.  Its spectral arguments are lam - xi_k."""
+    sites = range(n - n_sites, n)
+    return tuple((aux, sites[k], tuple(sites[k + 1:]) + extra) for k in reversed(range(n_sites)))
 
 
-def _hat_factors(n, aux, lam, p):
+def _hat_layout(n, aux, n_sites):
     """The return-path monodromy: legs swapped, site 1 first, spectral
     arguments lam + xi_k, same shift rule."""
-    sites = range(n - p.n, n)
-    return [(sites[k], aux, tuple(sites[k + 1:]), lam + p.xis[k]) for k in range(p.n)]
+    sites = range(n - n_sites, n)
+    return tuple((sites[k], aux, tuple(sites[k + 1:])) for k in range(n_sites))
 
 
 def _apply_bulk(x, aux, lam, p, extra=()):
-    """Apply `_bulk_factors` to the leading axis of `x`."""
+    """Apply the bulk monodromy to the leading axis of `x`."""
     n = x.shape[0].bit_length() - 1
-    return weights.apply_pairs(x, n, _bulk_factors(n, aux, lam, p, extra), p.theta, p.eta)
+    factors = [(*f, lam - xi) for f, xi in zip(_bulk_layout(n, aux, p.n, extra), p.xis[::-1])]
+    return weights.apply_pairs(x, n, factors, p.theta, p.eta)
 
 
 def _apply_hat(x, aux, lam, p):
-    """Apply `_hat_factors` to the leading axis of `x`."""
+    """Apply the return-path monodromy to the leading axis of `x`."""
     n = x.shape[0].bit_length() - 1
-    return weights.apply_pairs(x, n, _hat_factors(n, aux, lam, p), p.theta, p.eta)
+    factors = [(*f, lam + xi) for f, xi in zip(_hat_layout(n, aux, p.n), p.xis)]
+    return weights.apply_pairs(x, n, factors, p.theta, p.eta)
+
+
+@functools.lru_cache(maxsize=128)
+def _double_row_plan(n, aux, n_sites, sector=None):
+    """How a double row on n positions reads its factors: the `gather_plan`
+    of its return path and of its bulk, on the full space or on the states
+    with `sector` down spins, built once per (n, aux, N, sector)."""
+    width = 5 * n_sites  # the table's shift sets have at most N - 1 sites
+    return (weights.gather_plan(n, _hat_layout(n, aux, n_sites), width, sector),
+            weights.gather_plan(n, _bulk_layout(n, aux, n_sites), width, sector))
 
 
 def _double_rows(n, aux, lams, p):
     """The double-row monodromies bulk @ K @ hat at each of `lams`, as
     functions that apply one to the leading axis of an array, in the order
-    of `lams`.  The R weights of all of them come from one
-    `weights.weight_table` call.  K(lams[0]) is guarded before that table
-    and each later K when its monodromy is applied; the heights do not
+    of `lams`: on the full space of n positions, or, given a sector, on its
+    states in increasing order (aux must then be position 0).  The R weights
+    of all of them come from one `weights.weight_table` call.  K(lams[0]) is
+    guarded before that table and each later K after it; the heights do not
     depend on lambda, so the first NearSingular raised is the one that
     building the explicit products one by one, left to right, would raise."""
     k_first = weights.k_matrix(lams[0], p.theta, p.zeta).diagonal()
-    paths = [(_hat_factors(n, aux, lam, p), _bulk_factors(n, aux, lam, p)) for lam in lams]
-    table = weights.weight_table([f for hat, bulk in paths for f in hat + bulk], p.theta, p.eta)
+    col = np.array(lams, dtype=complex)[:, None]
+    xis = np.array(p.xis, dtype=complex)
+    spectral = np.hstack((col + xis, col - xis[::-1])).ravel()
+    sizes = (*range(p.n - 1, -1, -1), *range(p.n))  # shift sets: return path, bulk
+    table = weights.weight_table(sizes * len(lams), spectral, p.theta, p.eta)
+    ks = [k_first] + [weights.k_matrix(lam, p.theta, p.zeta).diagonal() for lam in lams[1:]]
 
-    def apply(i, x):
-        k = weights.k_matrix(lams[i], p.theta, p.zeta).diagonal() if i else k_first
+    def apply(i, x, sector=None):
+        hat, bulk = _double_row_plan(n, aux, p.n, sector)
         rows = table[2 * p.n * i:]
-        x = weights.apply_table(x, n, paths[i][0], rows[:p.n])
-        x = (x.reshape((1 << aux, 2, -1)) * k[:, None]).reshape(x.shape)
-        return weights.apply_table(x, n, paths[i][1], rows[p.n:])
+        x = weights.apply_table(x, hat, rows[:p.n])
+        if sector is None:
+            x = (x.reshape((1 << aux, 2, -1)) * ks[i][:, None]).reshape(x.shape)
+        else:  # the sector's aux-up states come first
+            up = math.comb(n - 1, sector)
+            x = np.concatenate((x[:up] * ks[i][0], x[up:] * ks[i][1]))
+        return weights.apply_table(x, bulk, rows[p.n:])
 
     return [functools.partial(apply, i) for i in range(len(lams))]
 
@@ -86,16 +113,39 @@ def _apply_double_row(x, aux, lam, p):
     return double_row(x)
 
 
+@functools.lru_cache(maxsize=16)
+def _chain_sectors(n_sites):
+    """Chain basis states by their number of down spins, each in increasing
+    order, as read-only arrays."""
+    basis = np.arange(1 << n_sites)
+    downs = np.bitwise_count(basis)
+    sectors = tuple(basis[downs == k] for k in range(n_sites + 1))
+    for v in sectors:
+        v.flags.writeable = False  # shared by every caller
+    return sectors
+
+
 def apply_b_product(v, lams, p):
     """B(lams[0]) ... B(lams[-1]) applied to the leading axis of `v` (length
     2^N), the rightmost first: each B sends its input into the aux-down half
-    of aux (x) chain and keeps the aux-up half of its double-row image."""
-    h = v.shape[0]
-    x = np.zeros((2 * h,) + v.shape[1:], dtype=complex)
-    for double_row in _double_rows(p.n + 1, 0, lams[::-1], p):
-        x[h:] = v
-        v = double_row(x)[:h]
-    return v
+    of aux (x) chain and keeps the aux-up half of its double-row image.
+
+    B adds one down spin to the chain and every R and K keeps the number of
+    down spins on aux (x) chain, so the rows of `v` with k down spins are
+    carried on their own: the j-th B acts on the C(N+1, k+j) states with
+    k + j down spins, whose aux-up states (chain sector k + j) come first
+    and aux-down states (chain sector k + j - 1) after.  Output rows that
+    no input row reaches are zero."""
+    sectors = _chain_sectors(p.n)
+    double_rows = _double_rows(p.n + 1, 0, lams[::-1], p)
+    out = np.zeros(v.shape, dtype=complex)
+    for k in range(p.n + 1 - len(lams)):
+        x = v[sectors[k]]
+        for j, double_row in enumerate(double_rows, start=k + 1):
+            up = np.zeros((len(sectors[j]),) + x.shape[1:], dtype=complex)
+            x = double_row(np.concatenate((up, x)), j)[:len(up)]
+        out[sectors[k + len(lams)]] = x
+    return out
 
 
 def apply_b(v, lam, p):

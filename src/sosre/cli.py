@@ -249,12 +249,17 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; returns the exit code, also for argparse's usage
+    errors (2) and --help (0), which it would otherwise raise."""
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads "--from -0.3,0.1" as two flags; attach: "--from=-0.3,0.1"
     for i in range(len(argv) - 2, -1, -1):
         if argv[i] in ("--from", "--to"):
             argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        return e.code
     try:
         if args.command == "compute":
             if args.cap < 1:

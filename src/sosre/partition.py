@@ -86,8 +86,10 @@ def z_bruteforce(p, cap=BRUTE_CAP_DEFAULT):
     The product runs over the spectral parameters in order, rightmost factor
     applied first (`chain_ops.apply_b_product`).  Each B is applied to the
     vector factor by factor, never multiplied out, with the weights of all
-    2N^2 R factors from one table, so Z costs O(N^2 2^N) arithmetic and one
-    `face_weights` call; refuses N beyond `cap` (hard max 12).
+    2N^2 R factors from one table.  The k-th B acts only on the C(N+1, k)
+    states of aux (x) chain with k down spins, the sector the all-up state
+    reaches, so Z costs O(N 2^N) arithmetic and one `face_weights` call;
+    refuses N beyond `cap` (hard max 12).
     """
     effective_cap = min(int(cap), BRUTE_CAP_HARD_MAX)
     if p.n > effective_cap:

@@ -36,23 +36,28 @@ def face_weights(lam, theta, eta):
     """Statistical weights at spectral parameter `lam` and height `theta`.
 
     The arguments broadcast; each weight has their common shape (a scalar
-    for scalars) and comes from numpy's array loops on flat operands, so a
-    table entry has the bits of the scalar call at its point (numpy's scalar
-    complex multiply can differ in the last bit).  The "theta" guard raises
-    at the first failing height in flat order.
+    for scalars).  Each sinh is taken on its own operand's shape: sinh(lam)
+    and sinh(lam + eta) once per lam, the four height sinh (theta, -theta,
+    +-theta - eta) once per theta, and only sinh(+-theta - lam) once per
+    table cell.  The products and quotients come from numpy's array loops on
+    flat operands, so a table entry has the bits of the scalar call at its
+    point (numpy's scalar complex multiply can differ in the last bit).  The
+    "theta" guard raises at the first failing height in flat order.
 
     The minus weights are the plus weights at reflected height, literally the
     same code path, so b_minus(lam, theta) == b_plus(lam, -theta) bit-exactly.
     """
+    lam, theta, eta = (np.asarray(v, dtype=complex) for v in (lam, theta, eta))
     shape = np.broadcast(lam, theta, eta).shape
-    lam, theta, eta = (np.full(shape, v, dtype=complex).ravel() for v in (lam, theta, eta))
-    sh_lam, sh_eta, sh_theta, sh_minus = sh(lam), sh(eta), sh(theta), sh(-theta)
-    for t in theta[np.abs(sh_theta) <= guard_tol_default()]:
+    flat = lambda v: np.full(shape, v).ravel()
+    sh_theta = sh(theta)
+    for t in np.ravel(theta)[np.ravel(np.abs(sh_theta) <= guard_tol_default())]:
         require_nonsingular("theta", t)
-    b = lambda t, sh_t: sh_lam * sh(t - eta) / sh_t
-    c = lambda t, sh_t: sh_eta * sh(t - lam) / sh_t
-    w = (sh(lam + eta), b(theta, sh_theta), b(-theta, sh_minus),
-         c(theta, sh_theta), c(-theta, sh_minus))
+    sh_lam, sh_eta, sh_plus, sh_minus = (flat(v) for v in (sh(lam), sh(eta), sh_theta, sh(-theta)))
+    b = lambda t, sh_t: sh_lam * flat(sh(t - eta)) / sh_t
+    c = lambda t, sh_t: sh_eta * flat(sh(t - lam)) / sh_t
+    w = (flat(sh(lam + eta)), b(theta, sh_plus), b(-theta, sh_minus),
+         c(theta, sh_plus), c(-theta, sh_minus))
     return FaceWeightSet(*(v.reshape(shape)[()] for v in w))
 
 
@@ -92,72 +97,125 @@ SWAP_4 = np.zeros((4, 4))
 SWAP_4[0, 0] = SWAP_4[1, 2] = SWAP_4[2, 1] = SWAP_4[3, 3] = 1.0
 
 
-@lru_cache(maxsize=256)
-def _pair_gather(n, pos_a, pos_b, shift):
+def _pair_gather(n, pos_a, pos_b, shift, sector=None):
     """How `apply_table` reads one factor; depends on the layout only.
 
+    The factor acts on the basis states of n positions, or, given a
+    `sector`, on those with `sector` down spins in increasing order (R
+    conserves the number of down spins, so a sector maps into itself).
     Weight r of (a, b_plus, c_plus, c_minus, b_minus) at d down spins in the
     shift set sits at 5 d + r of a factor's flat weights.  `keep` is, per
-    basis state, the index of the weight that keeps both leg spins (a,
-    b_plus or b_minus); `states` are the states whose leg spins differ,
-    `partner` each one with its legs swapped, and `flip` the index of the
-    c_plus (legs (pos_a, pos_b) = (up, down)) or c_minus weight that feeds
-    it from its partner.  The index arrays are read-only.
+    state, the index of the weight that keeps both leg spins (a, b_plus or
+    b_minus); `states` are the states whose leg spins differ, `partner` each
+    one with its legs swapped, and `flip` the index of the c_plus (legs
+    (pos_a, pos_b) = (up, down)) or c_minus weight that feeds it from its
+    partner.  States are positions in the sector's list.
     """
     if set(shift) & {pos_a, pos_b}:
         raise ValueError(f"shift {shift} overlaps the R legs ({pos_a}, {pos_b})")
     basis = np.arange(1 << n)
+    if sector is not None:
+        basis = basis[np.bitwise_count(basis) == sector]
     bit = lambda pos: 1 << (n - 1 - pos)
     down_a, down_b = ((basis >> (n - 1 - pos)) & 1 for pos in (pos_a, pos_b))
     d = 5 * np.bitwise_count(basis & sum(map(bit, shift)))
     by_legs = np.array([[0, 1], [4, 0]])  # a, b_plus, b_minus by (spin at pos_a, at pos_b)
     keep = d + by_legs[down_a, down_b]
     states = (down_a != down_b).nonzero()[0]
-    partner = states ^ (bit(pos_a) | bit(pos_b))
+    partner = np.searchsorted(basis, basis[states] ^ (bit(pos_a) | bit(pos_b)))
     flip = d[states] + 2 + down_a[states]
-    out = keep, states, partner, flip
-    for v in out:
+    return keep, states, partner, flip
+
+
+@lru_cache(maxsize=256)
+def gather_plan(n, layouts, width, sector=None):
+    """How `apply_table` reads factors with layouts (pos_a, pos_b, shift) on
+    n positions, or on the states of a sector, from a weight table `width`
+    entries wide; cached per argument set.  Returns (keep, flip, steps):
+    the factors' `_pair_gather` keep and flip indices moved to each
+    factor's row of the flattened table and joined, and per factor its
+    `states`, `partner` and the slice of `flip` that is its own.  The index
+    arrays are read-only."""
+    gathers = [_pair_gather(n, *f, sector) for f in layouts]
+    ends = np.cumsum([len(states) for _, states, _, _ in gathers]).tolist()
+    keep = np.concatenate([keep + f * width for f, (keep, *_) in enumerate(gathers)])
+    flip = np.concatenate([flip + f * width for f, (*_, flip) in enumerate(gathers)])
+    steps = tuple((states, partner, lo, hi) for (_, states, partner, _), lo, hi
+                  in zip(gathers, [0] + ends, ends))
+    for v in (keep, flip, *(a for step in steps for a in step[:2])):
         v.flags.writeable = False  # shared by every caller
-    return out
+    return keep, flip, steps
 
 
-def weight_table(factors, theta, eta):
-    """The weights of R factors (pos_a, pos_b, shift, lam), one row per
-    factor, from one `face_weights` call on a table whose row f, column d
-    is factor f at height theta - eta*(s - 2d), s = len(shift), d down spins
-    in its shift set (columns past s repeat d = s, unread).  Row-major order
-    is the order of `factors`, so the guard raises at the first failing
-    height the factors would meet one by one."""
-    s = np.array([len(shift) for _, _, shift, _ in factors])
-    m = s[:, None] - 2 * np.minimum(np.arange(s.max() + 1), s[:, None])
-    fw = face_weights(np.array([[lam] for *_, lam in factors], dtype=complex), theta - eta * m, eta)
+@lru_cache(maxsize=64)
+def _table_layout(sizes):
+    """How `weight_table` lays out factors whose shift sets have `sizes`
+    sites: grouped by size, the groups in the order the factors first meet
+    them.  Returns `rows`, the factor at each (group, slot), short groups
+    padded with their first factor; `heights`, the m of theta - eta*m at
+    each (group, d), d = 0..max(sizes) down spins in the shift set, past s
+    repeating d = s; and the (group, slot) arrays of the factors.  The
+    arrays are read-only."""
+    kinds = list(dict.fromkeys(sizes))
+    groups = [[f for f, s in enumerate(sizes) if s == k] for k in kinds]
+    rows = np.array([g + g[:1] * (max(map(len, groups)) - len(g)) for g in groups])
+    where = {f: (i, j) for i, g in enumerate(groups) for j, f in enumerate(g)}
+    s = np.array(kinds)[:, None]
+    heights = s - 2 * np.minimum(np.arange(s.max() + 1), s)
+    group, slot = np.array([where[f] for f in range(len(sizes))]).T
+    for v in (rows, heights, group, slot):
+        v.flags.writeable = False  # shared by every caller
+    return rows, heights, (group, slot)
+
+
+def weight_table(sizes, lams, theta, eta):
+    """The weights of R factors with shift sets of `sizes` sites and
+    spectral parameters `lams`, one row per factor; row f, column d holds
+    factor f at height theta - eta*(s - 2d), s = sizes[f], d down spins in
+    its shift set (columns past s repeat d = s, unread).
+
+    They come from one `face_weights` call on a table of the factors
+    grouped by shift-set size times their heights, so sinh(lam) is taken
+    once per factor, the height sinh once per (size, d) and only
+    sinh(+-theta - lam) per cell.  The groups come in the order the factors
+    first meet them, and a group's factors all read the same heights, so the
+    guard raises at the first failing height the factors would meet one by
+    one."""
+    rows, heights, at = _table_layout(tuple(sizes))
+    fw = face_weights(np.asarray(lams, dtype=complex)[rows, None],
+                      (theta - eta * heights)[:, None], eta)
     table = np.stack((fw.a, fw.b_plus, fw.c_plus, fw.c_minus, fw.b_minus), axis=-1)
-    return table.reshape(len(factors), -1)
+    return table[at].reshape(len(sizes), -1)
 
 
-def apply_table(x, n, factors, table):
-    """Apply R factors to the leading axis of `x` (length 2^n; any trailing
-    axes are carried along, so `x` may be a stack of columns), the first of
-    `factors` first, with their weights from the rows of `table`
-    (`weight_table`).  Factor (pos_a, pos_b, shift, lam) is R(lam; theta -
-    eta*m) on tensor positions (pos_a, pos_b) of n two-level spaces,
-    identity elsewhere; `m` is the total spin over the positions in
-    `shift`, read off each basis state, so the factor is block diagonal in
-    the shift-set magnetization."""
+def apply_table(x, plan, table):
+    """Apply R factors to the leading axis of `x` (one entry per state of
+    the plan's space; any trailing axes are carried along, so `x` may be a
+    stack of columns), the first of them first: `plan` is their
+    `gather_plan` and `table` their weights (`weight_table`), one row per
+    factor.  Factor (pos_a, pos_b, shift, lam) is R(lam; theta - eta*m) on
+    tensor positions (pos_a, pos_b), identity elsewhere; `m` is the total
+    spin over the positions in `shift`, read off each basis state, so the
+    factor is block diagonal in the shift-set magnetization."""
     # a vector stays 1-D: numpy indexes it several times faster than a column
-    t = x.reshape(1 << n, x.size >> n) if x.ndim > 1 else x
-    col = (slice(None), None)[:t.ndim]  # a weight per state, on every column
-    for (pos_a, pos_b, shift, _), w in zip(factors, table):
-        keep, states, partner, flip = _pair_gather(n, pos_a, pos_b, tuple(shift))
-        out = w.take(keep)[col] * t
-        out[states] += w.take(flip)[col] * t.take(partner, axis=0)
+    t = x.reshape(x.shape[0], -1) if x.ndim > 1 else x
+    col = (1,) * (t.ndim - 1)  # a weight per state, on every column
+    keep, flip, steps = plan
+    keep = table.take(keep).reshape((len(steps), -1) + col)
+    flip = table.take(flip).reshape((-1,) + col)
+    for w, (states, partner, lo, hi) in zip(keep, steps):
+        out = w * t
+        out[states] += flip[lo:hi] * t.take(partner, axis=0)
         t = out
     return t.reshape(x.shape)
 
 
 def apply_pairs(x, n, factors, theta, eta):
-    """`apply_table` with the factors' own weight table."""
-    return apply_table(x, n, factors, weight_table(factors, theta, eta))
+    """`apply_table` on the full space of n positions with the factors' own
+    weight table."""
+    table = weight_table([len(f[2]) for f in factors], [f[3] for f in factors], theta, eta)
+    layouts = tuple((a, b, tuple(shift)) for a, b, shift, _ in factors)
+    return apply_table(x, gather_plan(n, layouts, table.shape[1]), table)
 
 
 def embed_pair(n, pos_a, pos_b, shift, lam, theta, eta):

@@ -271,10 +271,25 @@ def test_verify_exit1_on_failure(capsys, monkeypatch):
 
 
 def test_removed_bench_command_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["bench", "--max-n", "2"])
-    assert exc.value.code == 2
+    assert cli.main(["bench", "--max-n", "2"]) == 2
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--config", "p.json", "--vary", "1", "--from", "0,0", "--to", "1,0",
+      "--points", "abc"], "invalid int value: 'abc'"),
+    (["compute", "--method", "det"], "the following arguments are required: --config"),
+])
+def test_usage_errors_return_2(capsys, argv, message):
+    # argparse's usage errors come back as exit code 2, like a bad file or
+    # flag value, instead of raising SystemExit
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_help_returns_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert "{compute,verify,sweep}" in capsys.readouterr().out
 
 
 def test_sweep_grid(tmp_path, capsys):

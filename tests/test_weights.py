@@ -106,6 +106,46 @@ def test_face_weights_table_guard_names_the_first_failing_height():
     assert str(table.value) == str(scalar.value)
 
 
+@pytest.mark.parametrize("sizes", [(2, 1, 0, 0, 1, 2) * 3, (1, 0, 3, 1, 1, 2)])
+def test_weight_table_cells_are_the_scalar_call(sizes):
+    # a double row's shift-set sizes over three lambdas, and sizes that
+    # repeat unevenly: every cell apply_table reads has the bits of the
+    # scalar call at its (lambda, height)
+    rng = np.random.default_rng(104)
+    p = draw(1, rng)
+    lams = rng.normal(size=len(sizes)) + 1j * rng.normal(size=len(sizes))
+    table = weights.weight_table(sizes, lams, p.theta, p.eta)
+    assert table.shape == (len(sizes), 5 * (max(sizes) + 1))
+    for f, (s, lam) in enumerate(zip(sizes, lams)):
+        for d in range(s + 1):
+            w = weights.face_weights(lam, p.theta - p.eta * (s - 2 * d), p.eta)
+            want = np.array([w.a, w.b_plus, w.c_plus, w.c_minus, w.b_minus])
+            assert table[f, 5 * d:5 * d + 5].tobytes() == want.tobytes(), (f, d)
+
+
+def test_weight_table_guard_names_the_first_height_in_factor_order():
+    # eta = i pi/2 and theta near 0: every even height fails, sinh(theta -
+    # eta m) reading about +-1e-12 by the sign of (-1)^(m/2); the table
+    # names the height the factors would meet first one by one (m = 2, the
+    # first height of the second factor), not the lowest, highest or
+    # smallest-size one
+    sizes, lams = (1, 2, 0, 3), [0.3 + 0.1j] * 4
+    theta, eta = 1e-12 + 0j, 0.5j * np.pi
+    with pytest.raises(NearSingular) as table:
+        weights.weight_table(sizes, lams, theta, eta)
+    with pytest.raises(NearSingular) as one_by_one:
+        for s, lam in zip(sizes, lams):
+            for d in range(s + 1):
+                weights.face_weights(lam, theta - eta * (s - 2 * d), eta)
+    assert str(table.value) == str(one_by_one.value)
+    with pytest.raises(NearSingular) as m2:
+        weights.face_weights(lams[0], theta - 2 * eta, eta)
+    assert str(table.value) == str(m2.value)
+    with pytest.raises(NearSingular) as m0:
+        weights.face_weights(lams[0], theta, eta)
+    assert str(table.value) != str(m0.value)
+
+
 def test_r_matrix_layout():
     w = weights.face_weights(0.3, 1.1, 0.7)
     R = weights.r_matrix(0.3, 1.1, 0.7)
