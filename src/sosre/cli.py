@@ -125,13 +125,13 @@ def _emit(text, output):
         print(text)
 
 
-def cmd_compute(p, method, cap=partition.BRUTE_CAP_DEFAULT, output=None):
+def cmd_compute(p, method, output=None):
     """Evaluate Z by the requested route(s) and emit JSON."""
     results = []
     if method in ("det", "both"):
         results.append(partition.z_determinant(p))
     if method in ("brute", "both"):
-        results.append(partition.z_bruteforce(p, cap=cap))
+        results.append(partition.z_bruteforce(p))
     if method == "both":
         doc = {
             "results": [_result_doc(r) for r in results],
@@ -225,8 +225,6 @@ def build_parser():
     c = sub.add_parser("compute", help="evaluate Z for a parameter file")
     c.add_argument("--config", required=True, help="ModelParams JSON file")
     c.add_argument("--method", choices=("det", "brute", "both"), default="det")
-    c.add_argument("--cap", type=int, default=partition.BRUTE_CAP_DEFAULT,
-                   help=f"brute-force chain-size cap (hard max {partition.BRUTE_CAP_HARD_MAX})")
     c.add_argument("--output", default=None)
 
     v = sub.add_parser("verify", help="run a verification suite")
@@ -262,10 +260,8 @@ def main(argv=None):
         return e.code
     try:
         if args.command == "compute":
-            if args.cap < 1:
-                raise ParseError("--cap must be >= 1")
             p = load_model_params(args.config)
-            return cmd_compute(p, args.method, cap=args.cap, output=args.output)
+            return cmd_compute(p, args.method, output=args.output)
         if args.command == "verify":
             if args.seed < 0:
                 raise ParseError("--seed must be nonnegative")

@@ -44,8 +44,10 @@ from .params import (
 
 sh = np.sinh
 
-BRUTE_CAP_DEFAULT = 8
-BRUTE_CAP_HARD_MAX = 12
+# Largest N `z_bruteforce` contracts: the range its agreement with the
+# determinant is tested over.  Its worst error over 300 default draws per N
+# was 1.6e-7 at N = 8 and 2.5e-3 at N = 11
+BRUTE_CAP = 8
 ILL_CONDITIONED_PIVOT = 1e-10
 # `z_sweep` keeps a point's matrix-determinant-lemma value while its error
 # estimate is at most this; above it the point is computed by z_determinant
@@ -80,7 +82,7 @@ class PartitionResult:
     log_value: complex | None = None
 
 
-def z_bruteforce(p, cap=BRUTE_CAP_DEFAULT):
+def z_bruteforce(p):
     """Z as the all-down/all-up matrix element of the product of B operators.
 
     The product runs over the spectral parameters in order, rightmost factor
@@ -88,14 +90,11 @@ def z_bruteforce(p, cap=BRUTE_CAP_DEFAULT):
     vector factor by factor, never multiplied out, with the weights of all
     2N^2 R factors from one table.  The k-th B acts only on the C(N+1, k)
     states of aux (x) chain with k down spins, the sector the all-up state
-    reaches, so Z costs O(N 2^N) arithmetic and one `face_weights` call;
-    refuses N beyond `cap` (hard max 12).
+    reaches, so Z costs O(N 2^N) arithmetic and one `face_weights` call.
+    Refuses N above `BRUTE_CAP`, past which its digits are untested.
     """
-    effective_cap = min(int(cap), BRUTE_CAP_HARD_MAX)
-    if p.n > effective_cap:
-        raise CapExceeded(
-            f"brute-force contraction needs N <= {effective_cap}, got N = {p.n}"
-        )
+    if p.n > BRUTE_CAP:
+        raise CapExceeded(f"brute-force contraction needs N <= {BRUTE_CAP}, got N = {p.n}")
     t0 = time.perf_counter()
     v = np.zeros(1 << p.n, dtype=complex)
     v[0] = 1.0

@@ -391,7 +391,7 @@ def _case_plan(name, cfg):
     Weight-level cases are chain-size independent and recorded with n = 0."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if name in ("partition", "all") and max(cfg.n_values) > (cap := partition.BRUTE_CAP_DEFAULT):
+    if name in ("partition", "all") and max(cfg.n_values) > (cap := partition.BRUTE_CAP):
         raise ValueError(f"partition: contraction needs N <= {cap}, got N = {max(cfg.n_values)}")
     plan = []
     for suite in ("weights", "algebra", "partition"):

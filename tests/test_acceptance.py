@@ -235,7 +235,7 @@ def test_criterion_09_performance(capsys):
     except CapExceeded:
         pass
     try:
-        partition.z_bruteforce(draw(13, rng), cap=99)
+        partition.z_bruteforce(draw(13, rng))
         cap_ok = False
     except CapExceeded:
         pass

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sosre import chain_ops, partition, verify, weights
-from sosre.params import ModelParams, NearSingular
+from sosre.params import CapExceeded, ModelParams, NearSingular
 
 CFG = verify.SuiteConfig()
 
@@ -404,20 +404,34 @@ def _reference_b_product(v, lams, p):
     return v
 
 
+def _contract(p):
+    # Z by the sector B product, also above partition.BRUTE_CAP
+    e0 = np.zeros(1 << p.n, dtype=complex)
+    e0[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return chain_ops.apply_b_product(e0, p.lambdas, p)[-1]
+
+
 @pytest.mark.parametrize("n", [*range(1, 10), 10, 12])
 def test_contraction_bit_identical_to_reference(n):
     # against one B at a time on views, and against the full-space product
-    # from one table, whose B's act on all 2^(N+1) states, to the last bit
+    # from one table, whose B's act on all 2^(N+1) states, to the last bit;
+    # z_bruteforce is the same product up to its cap and refuses past it
     rng = np.random.default_rng(np.random.SeedSequence((90, n)))
     e0 = np.zeros(1 << n, dtype=complex)
     e0[0] = 1.0
     for _ in range(3 if n < 10 else 1):
         p = draw(n, rng)
-        z = partition.z_bruteforce(p, cap=12).value
+        z = _contract(p)
         assert z == _reference_z_bruteforce(p)
         with np.errstate(over="ignore", invalid="ignore"):
             full = _reference_b_product(e0, p.lambdas, p)[-1]
-        assert np.complex128(z).tobytes() == full.tobytes()
+        assert z.tobytes() == full.tobytes()
+        if n <= partition.BRUTE_CAP:
+            assert np.complex128(partition.z_bruteforce(p).value).tobytes() == z.tobytes()
+        else:
+            with pytest.raises(CapExceeded):
+                partition.z_bruteforce(p)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -480,14 +494,14 @@ def test_b_operator_maps_each_sector_to_the_next(n):
 
 
 def test_contraction_at_the_hard_cap_matches_the_determinant():
-    # N = 12 on a sampled instance: agreement within 1e-8 (1.1e-9 recorded
-    # when this test was written), and the warm calls reuse the sector
-    # plans the first call built
+    # the sector B product at N = 12 on a sampled instance: agreement within
+    # 1e-8 (1.1e-9 recorded when this test was written), and the warm calls
+    # reuse the sector plans the first call built
     p = draw(12, np.random.default_rng(np.random.SeedSequence((95, 12))))
     chain_ops._double_row_plan.cache_clear()
     weights.gather_plan.cache_clear()
     t0 = time.perf_counter()
-    z = partition.z_bruteforce(p, cap=12).value
+    z = _contract(p)
     cold = time.perf_counter() - t0
     want = partition.z_determinant(p).value
     assert abs(z - want) <= 1e-8 * abs(want)
@@ -495,7 +509,7 @@ def test_contraction_at_the_hard_cap_matches_the_determinant():
     warm = []
     for _ in range(3):
         t0 = time.perf_counter()
-        assert partition.z_bruteforce(p, cap=12).value == z
+        assert _contract(p) == z
         warm.append(time.perf_counter() - t0)
     assert chain_ops._double_row_plan.cache_info().misses == built
     assert min(warm) <= cold

@@ -203,9 +203,17 @@ def test_compute_brute_cap_exit2(tmp_path, capsys):
     rc = cli.main(["compute", "--config", path, "--method", "brute"])
     assert rc == 2
     assert "N <= 8" in capsys.readouterr().err
-    for cap in ("0", "-5"):
-        assert cli.main(["compute", "--config", path, "--method", "brute", "--cap", cap]) == 2
-        assert capsys.readouterr().err == "error: --cap must be >= 1\n"
+
+
+def test_compute_brute_refuses_the_n11_draw(tmp_path, capsys):
+    # verify's N = 11 draw, where contraction was 1.25 off a 50-digit value
+    p = verify.sample_params(verify.SuiteConfig(), 11,
+                             np.random.default_rng(np.random.SeedSequence((42, 49, 0))))
+    path = tmp_path / "params11.json"
+    path.write_text(cli.dump_model_params(p))
+    assert cli.main(["compute", "--config", str(path), "--method", "brute"]) == 2
+    assert capsys.readouterr().err == (
+        "error: brute-force contraction needs N <= 8, got N = 11\n")
 
 
 def test_compute_large_chain_is_fast(tmp_path, capsys):
@@ -279,6 +287,8 @@ def test_removed_bench_command_exits_2(capsys):
     (["sweep", "--config", "p.json", "--vary", "1", "--from", "0,0", "--to", "1,0",
       "--points", "abc"], "invalid int value: 'abc'"),
     (["compute", "--method", "det"], "the following arguments are required: --config"),
+    # contraction's one limit is partition.BRUTE_CAP; the --cap flag is gone
+    (["compute", "--config", "p.json", "--cap", "8"], "unrecognized arguments: --cap 8"),
 ])
 def test_usage_errors_return_2(capsys, argv, message):
     # argparse's usage errors come back as exit code 2, like a bad file or

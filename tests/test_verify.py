@@ -175,7 +175,7 @@ def test_corrupted_weight_is_detected(monkeypatch):
 
 
 def test_near_singular_retries_count_as_skipped(monkeypatch):
-    def always_singular(p, cap=8):
+    def always_singular(p):
         raise NearSingular("synthetic")
 
     monkeypatch.setattr(partition, "z_bruteforce", always_singular)
