@@ -4,23 +4,21 @@ Operators live on aux (x) chain with the auxiliary space as the slowest
 tensor factor; chain site i sits at tensor position i.  Products follow
 print order: the leftmost factor is applied last.
 
-No operator is multiplied out.  Each monodromy is applied to an array factor
-by factor with `weights.apply_table`, from a table that holds the weights of
-all its factors at all their heights (one `face_weights` call and one height
-guard per table).  A product of B operators, as in `partition.z_bruteforce`,
-takes the weights of all its double rows from one table (`apply_b_product`).
-Every R and K keeps the number of down spins on aux (x) chain, so the
-product carries each chain-magnetization sector of its input on its own:
-from the all-up state the k-th B acts on the C(N+1, k) states with k down
-spins, not on all 2^(N+1), and a Z costs O(N 2^N) arithmetic.  A double
-row's gather plan is built once per (N, sector) and cached; an explicit
-matrix is an application to an identity.  The double-row monodromy
-bulk @ K @ hat acts in this order:
-the return path, site 1 first (R(lam + xi_k) with legs (site, aux)), then K
-on the auxiliary space, then the bulk, site N first (R(lam - xi_k) with legs
+No operator is multiplied out: an array is carried factor by factor
+(`weights.run_steps`) with the weights of all factors read from one
+`weights.weight_table`, and an explicit matrix is an application to an
+identity.  A product of B operators (`apply_b_product`, used by
+`partition.z_bruteforce`, `b_operator` and the commutation check) runs one
+cached program per (N, number of B's, start sector): every R and K keeps
+the number of down spins on aux (x) chain, so from the all-up state the
+k-th B acts on the C(N+1, k) states with k down spins, and a Z costs
+O(N 2^N) arithmetic, one weight table, one K pass and two takes per B.
+The double-row monodromy bulk @ K @ hat acts in this order: the return
+path, site 1 first (R(lam + xi_k) with legs (site, aux)), then K on the
+auxiliary space, then the bulk, site N first (R(lam - xi_k) with legs
 (aux, site)).  Every factor at site k is height-shifted by the spins of the
-sites after k.  B(lam) sends a chain vector into the aux-down half and keeps
-the aux-up half of the image.
+sites after k.  B(lam) sends a chain vector into the aux-down half and
+keeps the aux-up half of the image.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import math
 import numpy as np
 
 from . import weights
-from .params import require_nonsingular
+from .params import NearSingular, require_nonsingular
 
 sh = np.sinh
 
@@ -67,62 +65,59 @@ def _apply_hat(x, aux, lam, p):
     return weights.apply_pairs(x, n, factors, p.theta, p.eta)
 
 
-@functools.lru_cache(maxsize=128)
-def _double_row_plan(n, aux, n_sites, sector=None):
-    """How a double row on n positions reads its factors: the `gather_plan`
-    of its return path and of its bulk, on the full space or on the states
-    with `sector` down spins, built once per (n, aux, N, sector)."""
-    width = 5 * n_sites  # the table's shift sets have at most N - 1 sites
-    return (weights.gather_plan(n, _hat_layout(n, aux, n_sites), width, sector),
-            weights.gather_plan(n, _bulk_layout(n, aux, n_sites), width, sector))
+def _apply_double_row(x, aux, lam, p):
+    """Apply the double-row monodromy bulk @ K @ hat to the leading axis of
+    `x`; K is guarded before the heights."""
+    k = weights.k_matrix(lam, p.theta, p.zeta).diagonal()
+    x = _apply_hat(x, aux, lam, p)
+    x = (x.reshape((1 << aux, 2, -1)) * k[:, None]).reshape(x.shape)
+    return _apply_bulk(x, aux, lam, p)
 
 
-def _double_rows(n, aux, lams, p):
-    """The double-row monodromies bulk @ K @ hat at each of `lams`, as
-    functions that apply one to the leading axis of an array, in the order
-    of `lams`: on the full space of n positions, or, given a sector, on its
-    states in increasing order (aux must then be position 0).  The R weights
-    of all of them come from one `weights.weight_table` call.  K(lams[0]) is
-    guarded before that table and each later K after it; the heights do not
-    depend on lambda, so the first NearSingular raised is the one that
-    building the explicit products one by one, left to right, would raise."""
-    k_first = weights.k_matrix(lams[0], p.theta, p.zeta).diagonal()
+def _b_weights(lams, p):
+    """The weights of B's at `lams`, in application order: the
+    `weights.weight_table` of their double rows, return path then bulk for
+    each, and their K diagonals, two per B, from one K pass.  A failing
+    guard raises what applying the B's one by one raises first: K of the
+    first B, then the heights (they do not depend on lambda), then the later
+    K's."""
     col = np.array(lams, dtype=complex)[:, None]
     xis = np.array(p.xis, dtype=complex)
-    spectral = np.hstack((col + xis, col - xis[::-1])).ravel()
-    sizes = (*range(p.n - 1, -1, -1), *range(p.n))  # shift sets: return path, bulk
-    table = weights.weight_table(sizes * len(lams), spectral, p.theta, p.eta)
-    ks = [k_first] + [weights.k_matrix(lam, p.theta, p.zeta).diagonal() for lam in lams[1:]]
-
-    def apply(i, x, sector=None):
-        hat, bulk = _double_row_plan(n, aux, p.n, sector)
-        rows = table[2 * p.n * i:]
-        x = weights.apply_table(x, hat, rows[:p.n])
-        if sector is None:
-            x = (x.reshape((1 << aux, 2, -1)) * ks[i][:, None]).reshape(x.shape)
-        else:  # the sector's aux-up states come first
-            up = math.comb(n - 1, sector)
-            x = np.concatenate((x[:up] * ks[i][0], x[up:] * ks[i][1]))
-        return weights.apply_table(x, bulk, rows[p.n:])
-
-    return [functools.partial(apply, i) for i in range(len(lams))]
+    spectral = np.concatenate((col + xis, col - xis[::-1]), axis=1).ravel()
+    sizes = (*range(p.n - 1, -1, -1), *range(p.n)) * len(lams)  # shift sets: return path, bulk
+    try:
+        ks = weights.k_diagonals(lams, p.theta, p.zeta)
+    except NearSingular:
+        weights.k_matrix(lams[0], p.theta, p.zeta)
+        weights.weight_table(sizes, spectral, p.theta, p.eta)
+        raise
+    return weights.weight_table(sizes, spectral, p.theta, p.eta), ks.ravel()
 
 
-def _apply_double_row(x, aux, lam, p):
-    (double_row,) = _double_rows(x.shape[0].bit_length() - 1, aux, [lam], p)
-    return double_row(x)
-
-
-@functools.lru_cache(maxsize=16)
-def _chain_sectors(n_sites):
-    """Chain basis states by their number of down spins, each in increasing
-    order, as read-only arrays."""
+@functools.lru_cache(maxsize=128)
+def _b_program(n_sites, n_b, k):
+    """How `apply_b_product` carries chain sector k through n_b B's on N =
+    n_sites sites: the chain states with k and with k + n_b down spins, in
+    increasing order, and per B, the j-th acting on the states of aux (x)
+    chain with k + j down spins: its aux-up state count (they come first),
+    the index of its R weights in the table of `_b_weights` and of each
+    state's K entry among the K diagonals, and its return-path and bulk
+    steps (the `weights.gather_plan` of its double row).  Built once per
+    argument set; the arrays are read-only."""
+    n = n_sites + 1
     basis = np.arange(1 << n_sites)
-    downs = np.bitwise_count(basis)
-    sectors = tuple(basis[downs == k] for k in range(n_sites + 1))
-    for v in sectors:
+    rows = [basis[np.bitwise_count(basis) == j] for j in (k, k + n_b)]
+    double_row = _hat_layout(n, 0, n_sites) + _bulk_layout(n, 0, n_sites)
+    cells = sum(len(shift) + 1 for *_, shift in double_row)  # its share of the table
+    blocks = []
+    for i, j in enumerate(range(k + 1, k + n_b + 1)):
+        index, steps = weights.gather_plan(n, double_row, j, i * cells, n_b * cells)
+        up = math.comb(n_sites, j)
+        k_at = np.repeat((2 * i, 2 * i + 1), (up, math.comb(n, j) - up))
+        blocks.append((up, index, k_at, steps[:n_sites], steps[n_sites:]))
+    for v in (*rows, *(block[2] for block in blocks)):
         v.flags.writeable = False  # shared by every caller
-    return sectors
+    return rows, tuple(blocks)
 
 
 def apply_b_product(v, lams, p):
@@ -132,19 +127,24 @@ def apply_b_product(v, lams, p):
 
     B adds one down spin to the chain and every R and K keeps the number of
     down spins on aux (x) chain, so the rows of `v` with k down spins are
-    carried on their own: the j-th B acts on the C(N+1, k+j) states with
-    k + j down spins, whose aux-up states (chain sector k + j) come first
-    and aux-down states (chain sector k + j - 1) after.  Output rows that
+    carried on their own by `_b_program`: the j-th B acts on the C(N+1, k+j)
+    states with k + j down spins, whose aux-up states (chain sector k + j)
+    come first and aux-down states (chain sector k + j - 1) after.  Each B
+    takes its R weights and its K's with one take each.  Output rows that
     no input row reaches are zero."""
-    sectors = _chain_sectors(p.n)
-    double_rows = _double_rows(p.n + 1, 0, lams[::-1], p)
+    table, ks = _b_weights(lams[::-1], p)
+    col = (1,) * (v.ndim - 1)  # a weight per state, on every column
     out = np.zeros(v.shape, dtype=complex)
     for k in range(p.n + 1 - len(lams)):
-        x = v[sectors[k]]
-        for j, double_row in enumerate(double_rows, start=k + 1):
-            up = np.zeros((len(sectors[j]),) + x.shape[1:], dtype=complex)
-            x = double_row(np.concatenate((up, x)), j)[:len(up)]
-        out[sectors[k + len(lams)]] = x
+        (rows_in, rows_out), blocks = _b_program(p.n, len(lams), k)
+        x = v[rows_in]
+        for up, index, k_at, hat, bulk in blocks:
+            w, k_state = (a.take(i).reshape((-1,) + col) for a, i in ((table, index), (ks, k_at)))
+            t = np.zeros((len(k_state),) + x.shape[1:], dtype=complex)
+            t[up:] = x
+            t = weights.run_steps(t, w, hat) * k_state
+            x = weights.run_steps(t, w, bulk)[:up]
+        out[rows_out] = x
     return out
 
 

@@ -1,5 +1,7 @@
-"""Face weights, the dynamical R-matrix, the boundary K-matrix, and direct
-numerical checks of the identities that define them.
+"""Face weights, the dynamical R-matrix, the boundary K-matrix, the kernel
+that applies R factors to arrays with weights from an unpadded table, and
+direct numerical checks of the identities.  All weights come from one
+formula, `_cell_weights`.
 
 Basis conventions, fixed once and used everywhere: spin up sorts before spin
 down, tensor factors are ordered with the auxiliary space first, and in
@@ -32,33 +34,38 @@ class FaceWeightSet:
     c_minus: complex
 
 
-def face_weights(lam, theta, eta):
-    """Statistical weights at spectral parameter `lam` and height `theta`.
-
-    The arguments broadcast; each weight has their common shape (a scalar
-    for scalars).  Each sinh is taken on its own operand's shape: sinh(lam)
-    and sinh(lam + eta) once per lam, the four height sinh (theta, -theta,
-    +-theta - eta) once per theta, and only sinh(+-theta - lam) once per
-    table cell.  The products and quotients come from numpy's array loops on
-    flat operands, so a table entry has the bits of the scalar call at its
-    point (numpy's scalar complex multiply can differ in the last bit).  The
-    "theta" guard raises at the first failing height in flat order.
-
-    The minus weights are the plus weights at reflected height, literally the
-    same code path, so b_minus(lam, theta) == b_plus(lam, -theta) bit-exactly.
-    """
-    lam, theta, eta = (np.asarray(v, dtype=complex) for v in (lam, theta, eta))
-    shape = np.broadcast(lam, theta, eta).shape
-    flat = lambda v: np.full(shape, v).ravel()
+def _cell_weights(lam, theta, eta, cells):
+    """The one copy of the weight formulas: the five weights, in the field
+    order of `FaceWeightSet`, at the cells (lam[i], theta[j]), (i, j) =
+    `cells`, of 1-d `lam` and `theta`, one flat array each.  sinh(lam) and
+    sinh(lam + eta) are taken once per lam, the four height sinh once per
+    theta and only sinh(+-theta - lam) once per cell, all products and
+    quotients in numpy's array loops, so a cell's bits depend on its point
+    only.  The minus weights are the plus weights at reflected height by the
+    same code path.  The "theta" guard raises at the first failing cell."""
+    at_lam, at_theta = cells
     sh_theta = sh(theta)
-    for t in np.ravel(theta)[np.ravel(np.abs(sh_theta) <= guard_tol_default())]:
-        require_nonsingular("theta", t)
-    sh_lam, sh_eta, sh_plus, sh_minus = (flat(v) for v in (sh(lam), sh(eta), sh_theta, sh(-theta)))
-    b = lambda t, sh_t: sh_lam * flat(sh(t - eta)) / sh_t
-    c = lambda t, sh_t: sh_eta * flat(sh(t - lam)) / sh_t
-    w = (flat(sh(lam + eta)), b(theta, sh_plus), b(-theta, sh_minus),
-         c(theta, sh_plus), c(-theta, sh_minus))
-    return FaceWeightSet(*(v.reshape(shape)[()] for v in w))
+    for j in at_theta[(np.abs(sh_theta) <= guard_tol_default())[at_theta]]:
+        require_nonsingular("theta", theta[j])
+    lam_c, sh_lam, a = (v.take(at_lam) for v in (lam, sh(lam), sh(lam + eta)))
+    plus, minus, sh_plus_eta, sh_minus_eta, sh_plus, sh_minus = (v.take(at_theta) for v in (
+        theta, -theta, sh(theta - eta), sh(-theta - eta), sh_theta, sh(-theta)))
+    sh_eta = sh(eta)
+    return (a, sh_lam * sh_plus_eta / sh_plus, sh_lam * sh_minus_eta / sh_minus,
+            sh_eta * sh(plus - lam_c) / sh_plus, sh_eta * sh(minus - lam_c) / sh_minus)
+
+
+def face_weights(lam, theta, eta):
+    """Statistical weights at spectral parameter `lam` and height `theta`,
+    which broadcast; each weight has their common shape (a scalar for
+    scalars), and `eta` is one number.  Every entry has the bits of the
+    scalar call at its point; the guard names the first failing height in
+    flat order."""
+    lam, theta = (np.asarray(v, dtype=complex) for v in (lam, theta))
+    at = np.broadcast_arrays(*(np.arange(v.size).reshape(v.shape) for v in (lam, theta)))
+    w = _cell_weights(lam.ravel(), theta.ravel(), np.asarray(eta, dtype=complex),
+                      [v.ravel() for v in at])
+    return FaceWeightSet(*(v.reshape(at[0].shape)[()] for v in w))
 
 
 def r_matrix(lam, theta, eta):
@@ -68,25 +75,27 @@ def r_matrix(lam, theta, eta):
     entries are populated; the other ten stay exactly zero (ice rule).
     """
     w = face_weights(lam, theta, eta)
-    R = np.zeros((4, 4), dtype=complex)
-    R[0, 0] = w.a
-    R[1, 1] = w.b_plus
-    R[1, 2] = w.c_plus
-    R[2, 1] = w.c_minus
-    R[2, 2] = w.b_minus
-    R[3, 3] = w.a
-    return R
+    return np.array([[w.a, 0, 0, 0], [0, w.b_plus, w.c_plus, 0],
+                     [0, w.c_minus, w.b_minus, 0], [0, 0, 0, w.a]], dtype=complex)
 
 
 def k_matrix(lam, theta, zeta):
     """Diagonal 2x2 boundary matrix; K(0) is the identity."""
     lam, theta, zeta = complex(lam), complex(theta), complex(zeta)
-    return np.diag(
-        [
-            sh(theta + zeta - lam) / require_nonsingular("theta+zeta+lambda", theta + zeta + lam),
-            sh(zeta - lam) / require_nonsingular("zeta+lambda", zeta + lam),
-        ]
-    )
+    up = sh(theta + zeta - lam) / require_nonsingular("theta+zeta+lambda", theta + zeta + lam)
+    return np.diag([up, sh(zeta - lam) / require_nonsingular("zeta+lambda", zeta + lam)])
+
+
+def k_diagonals(lams, theta, zeta):
+    """The diagonals of `k_matrix` at each of `lams`, one row each: one
+    vectorised pass with its bits, or, if a denominator fails the guard,
+    `k_matrix` lam by lam, so the same NearSingular is raised first."""
+    col = np.asarray(lams, dtype=complex)[:, None]
+    shifts = np.array([complex(theta) + complex(zeta), complex(zeta)])
+    den = sh(col + shifts)
+    if (np.abs(den) <= guard_tol_default()).any():
+        return np.array([k_matrix(lam, theta, zeta).diagonal() for lam in lams])
+    return sh(shifts - col) / den
 
 
 # Bit layout: tensor position pos of n is bit n-1-pos of a basis index, so
@@ -98,7 +107,7 @@ SWAP_4[0, 0] = SWAP_4[1, 2] = SWAP_4[2, 1] = SWAP_4[3, 3] = 1.0
 
 
 def _pair_gather(n, pos_a, pos_b, shift, sector=None):
-    """How `apply_table` reads one factor; depends on the layout only.
+    """How `run_steps` reads one factor; depends on the layout only.
 
     The factor acts on the basis states of n positions, or, given a
     `sector`, on those with `sector` down spins in increasing order (R
@@ -128,94 +137,81 @@ def _pair_gather(n, pos_a, pos_b, shift, sector=None):
 
 
 @lru_cache(maxsize=256)
-def gather_plan(n, layouts, width, sector=None):
-    """How `apply_table` reads factors with layouts (pos_a, pos_b, shift) on
-    n positions, or on the states of a sector, from a weight table `width`
-    entries wide; cached per argument set.  Returns (keep, flip, steps):
-    the factors' `_pair_gather` keep and flip indices moved to each
-    factor's row of the flattened table and joined, and per factor its
-    `states`, `partner` and the slice of `flip` that is its own.  The index
+def gather_plan(n, layouts, sector=None, at=0, width=None):
+    """How `run_steps` reads factors with layouts (pos_a, pos_b, shift) on n
+    positions, or on the states of a sector, from a `weight_table` whose
+    cells from `at` on are theirs, `width` cells in all (by default, theirs
+    alone); cached per argument set.  Returns (index, steps): the factors'
+    `_pair_gather` keep indices, then their flip indices, each moved to its
+    factor's cells, and per factor its `states`, `partner` and the slices
+    of the taken weights that are its keep and flip weights.  The index
     arrays are read-only."""
     gathers = [_pair_gather(n, *f, sector) for f in layouts]
-    ends = np.cumsum([len(states) for _, states, _, _ in gathers]).tolist()
-    keep = np.concatenate([keep + f * width for f, (keep, *_) in enumerate(gathers)])
-    flip = np.concatenate([flip + f * width for f, (*_, flip) in enumerate(gathers)])
-    steps = tuple((states, partner, lo, hi) for (_, states, partner, _), lo, hi
-                  in zip(gathers, [0] + ends, ends))
-    for v in (keep, flip, *(a for step in steps for a in step[:2])):
+    sizes = [len(shift) + 1 for _, _, shift in layouts]
+    starts, width = at + np.cumsum([0] + sizes[:-1]), width or sum(sizes)
+    keep, states, partner, flip = ([g[i] for g in gathers] for i in range(4))
+    # weight r at cell d of a factor: 5 d + r in its own weights, r * width + start + d in the table
+    index = np.concatenate([v % 5 * width + v // 5 + start
+                            for parts in (keep, flip) for v, start in zip(parts, starts)])
+    lengths = [len(v) for v in keep + flip]
+    cut = [slice(end - size, end) for size, end in zip(lengths, np.cumsum(lengths).tolist())]
+    steps = tuple(zip(states, partner, cut[:len(keep)], cut[len(keep):]))
+    for v in (index, *states, *partner):
         v.flags.writeable = False  # shared by every caller
-    return keep, flip, steps
+    return index, steps
 
 
 @lru_cache(maxsize=64)
-def _table_layout(sizes):
-    """How `weight_table` lays out factors whose shift sets have `sizes`
-    sites: grouped by size, the groups in the order the factors first meet
-    them.  Returns `rows`, the factor at each (group, slot), short groups
-    padded with their first factor; `heights`, the m of theta - eta*m at
-    each (group, d), d = 0..max(sizes) down spins in the shift set, past s
-    repeating d = s; and the (group, slot) arrays of the factors.  The
-    arrays are read-only."""
-    kinds = list(dict.fromkeys(sizes))
-    groups = [[f for f, s in enumerate(sizes) if s == k] for k in kinds]
-    rows = np.array([g + g[:1] * (max(map(len, groups)) - len(g)) for g in groups])
-    where = {f: (i, j) for i, g in enumerate(groups) for j, f in enumerate(g)}
-    s = np.array(kinds)[:, None]
-    heights = s - 2 * np.minimum(np.arange(s.max() + 1), s)
-    group, slot = np.array([where[f] for f in range(len(sizes))]).T
-    for v in (rows, heights, group, slot):
+def _table_cells(sizes):
+    """Per cell of `weight_table` its factor, the distinct heights m of
+    theta - eta*m, and per cell the index of its height among them, as
+    read-only arrays."""
+    sizes = np.array(sizes)
+    factor = np.repeat(np.arange(len(sizes)), sizes + 1)
+    d = np.arange(len(factor)) - np.repeat(np.cumsum(sizes + 1) - sizes - 1, sizes + 1)
+    heights, at = np.unique(sizes[factor] - 2 * d, return_inverse=True)
+    for v in (factor, heights, at):
         v.flags.writeable = False  # shared by every caller
-    return rows, heights, (group, slot)
+    return factor, heights, at
 
 
 def weight_table(sizes, lams, theta, eta):
     """The weights of R factors with shift sets of `sizes` sites and
-    spectral parameters `lams`, one row per factor; row f, column d holds
-    factor f at height theta - eta*(s - 2d), s = sizes[f], d down spins in
-    its shift set (columns past s repeat d = s, unread).
-
-    They come from one `face_weights` call on a table of the factors
-    grouped by shift-set size times their heights, so sinh(lam) is taken
-    once per factor, the height sinh once per (size, d) and only
-    sinh(+-theta - lam) per cell.  The groups come in the order the factors
-    first meet them, and a group's factors all read the same heights, so the
-    guard raises at the first failing height the factors would meet one by
-    one."""
-    rows, heights, at = _table_layout(tuple(sizes))
-    fw = face_weights(np.asarray(lams, dtype=complex)[rows, None],
-                      (theta - eta * heights)[:, None], eta)
-    table = np.stack((fw.a, fw.b_plus, fw.c_plus, fw.c_minus, fw.b_minus), axis=-1)
-    return table[at].reshape(len(sizes), -1)
+    spectral parameters `lams`, as one flat array: a, b_plus, c_plus,
+    c_minus and b_minus, each over all cells.  Factor f has the s + 1 cells
+    d = 0..s, s = sizes[f], at height theta - eta*(s - 2d) for d down spins
+    in its shift set, after the cells of the factors before it; the guard
+    raises at the first failing height the factors would meet one by one."""
+    factor, heights, at = _table_cells(tuple(sizes))
+    w = _cell_weights(np.asarray(lams, dtype=complex), theta - eta * heights, eta, (factor, at))
+    return np.concatenate((w[0], w[1], w[3], w[4], w[2]))
 
 
-def apply_table(x, plan, table):
-    """Apply R factors to the leading axis of `x` (one entry per state of
-    the plan's space; any trailing axes are carried along, so `x` may be a
-    stack of columns), the first of them first: `plan` is their
-    `gather_plan` and `table` their weights (`weight_table`), one row per
-    factor.  Factor (pos_a, pos_b, shift, lam) is R(lam; theta - eta*m) on
-    tensor positions (pos_a, pos_b), identity elsewhere; `m` is the total
-    spin over the positions in `shift`, read off each basis state, so the
-    factor is block diagonal in the shift-set magnetization."""
-    # a vector stays 1-D: numpy indexes it several times faster than a column
-    t = x.reshape(x.shape[0], -1) if x.ndim > 1 else x
-    col = (1,) * (t.ndim - 1)  # a weight per state, on every column
-    keep, flip, steps = plan
-    keep = table.take(keep).reshape((len(steps), -1) + col)
-    flip = table.take(flip).reshape((-1,) + col)
-    for w, (states, partner, lo, hi) in zip(keep, steps):
-        out = w * t
-        out[states] += flip[lo:hi] * t.take(partner, axis=0)
+def run_steps(t, w, steps):
+    """Apply the R factors of `steps`, part of a `gather_plan`, to the
+    leading axis of `t`, the first of them first; `w` is what the plan's
+    index takes from its table."""
+    for states, partner, keep, flip in steps:
+        out = w[keep] * t
+        out[states] += w[flip] * t.take(partner, axis=0)
         t = out
-    return t.reshape(x.shape)
+    return t
 
 
 def apply_pairs(x, n, factors, theta, eta):
-    """`apply_table` on the full space of n positions with the factors' own
-    weight table."""
+    """Apply R factors to the leading axis of `x` (one entry per basis state
+    of n positions; any trailing axes are carried along, so `x` may be a
+    stack of columns), the first of them first.  Factor (pos_a, pos_b,
+    shift, lam) is R(lam; theta - eta*m) on tensor positions (pos_a,
+    pos_b), identity elsewhere; `m` is the total spin over the positions in
+    `shift`, read off each basis state, so the factor is block diagonal in
+    the shift-set magnetization."""
     table = weight_table([len(f[2]) for f in factors], [f[3] for f in factors], theta, eta)
-    layouts = tuple((a, b, tuple(shift)) for a, b, shift, _ in factors)
-    return apply_table(x, gather_plan(n, layouts, table.shape[1]), table)
+    index, steps = gather_plan(n, tuple((a, b, tuple(shift)) for a, b, shift, _ in factors))
+    # a vector stays 1-D: numpy indexes it several times faster than a column
+    t = x.reshape(x.shape[0], -1) if x.ndim > 1 else x
+    w = table.take(index).reshape((-1,) + (1,) * (t.ndim - 1))  # per state, on every column
+    return run_steps(t, w, steps).reshape(x.shape)
 
 
 def embed_pair(n, pos_a, pos_b, shift, lam, theta, eta):

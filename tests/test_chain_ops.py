@@ -1,4 +1,6 @@
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,6 +436,20 @@ def test_contraction_bit_identical_to_reference(n):
                 partition.z_bruteforce(p)
 
 
+
+_BRUTE_Z = json.loads((Path(__file__).parent / "data" / "brute_z_bytes.json").read_text())
+
+
+@pytest.mark.parametrize("case", _BRUTE_Z["instances"], ids=lambda c: f"n{c['n']}-seed{c['seed']}")
+def test_z_bruteforce_bytes_match_fixture(case):
+    # tests/data/make_brute_z_bytes.py wrote these bytes with the contraction
+    # that built one plan per double row; they pin Z without the reference
+    # helpers above, which share _pair_gather and k_matrix with the library
+    c = lambda v: complex(*v)
+    p = ModelParams(c(case["eta"]), c(case["zeta"]), c(case["theta"]),
+                    [c(v) for v in case["lambdas"]], [c(v) for v in case["xis"]])
+    assert np.complex128(partition.z_bruteforce(p).value).tobytes().hex() == case["z_hex"]
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_b_product_is_successive_b(n):
     rng = np.random.default_rng(91 + n)
@@ -498,18 +514,18 @@ def test_contraction_at_the_hard_cap_matches_the_determinant():
     # 1e-8 (1.1e-9 recorded when this test was written), and the warm calls
     # reuse the sector plans the first call built
     p = draw(12, np.random.default_rng(np.random.SeedSequence((95, 12))))
-    chain_ops._double_row_plan.cache_clear()
+    chain_ops._b_program.cache_clear()
     weights.gather_plan.cache_clear()
     t0 = time.perf_counter()
     z = _contract(p)
     cold = time.perf_counter() - t0
     want = partition.z_determinant(p).value
     assert abs(z - want) <= 1e-8 * abs(want)
-    built = chain_ops._double_row_plan.cache_info().misses
+    built = chain_ops._b_program.cache_info().misses
     warm = []
     for _ in range(3):
         t0 = time.perf_counter()
         assert _contract(p) == z
         warm.append(time.perf_counter() - t0)
-    assert chain_ops._double_row_plan.cache_info().misses == built
+    assert chain_ops._b_program.cache_info().misses == built
     assert min(warm) <= cold

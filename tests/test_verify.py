@@ -156,15 +156,16 @@ def test_plan_order_is_pinned():
 
 
 def test_corrupted_weight_is_detected(monkeypatch):
-    # flip the sign of one vertex weight: every identity that exercises it
-    # must fail, and the report must still be produced
-    original = weights.face_weights
+    # flip the sign of one vertex weight in the one kernel every weight
+    # comes from: every identity that exercises it must fail, and the
+    # report must still be produced
+    original = weights._cell_weights
 
-    def crooked(lam, theta, eta):
-        w = original(lam, theta, eta)
-        return weights.FaceWeightSet(w.a, w.b_plus, w.b_minus, -w.c_plus, w.c_minus)
+    def crooked(*args):
+        a, b_plus, b_minus, c_plus, c_minus = original(*args)
+        return a, b_plus, b_minus, -c_plus, c_minus
 
-    monkeypatch.setattr(weights, "face_weights", crooked)
+    monkeypatch.setattr(weights, "_cell_weights", crooked)
     report = verify.run_suite("all", small_cfg())
     failed = {c.name for c in report.cases if not c.passed}
     assert "dybe" in failed

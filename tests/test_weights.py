@@ -109,18 +109,21 @@ def test_face_weights_table_guard_names_the_first_failing_height():
 @pytest.mark.parametrize("sizes", [(2, 1, 0, 0, 1, 2) * 3, (1, 0, 3, 1, 1, 2)])
 def test_weight_table_cells_are_the_scalar_call(sizes):
     # a double row's shift-set sizes over three lambdas, and sizes that
-    # repeat unevenly: every cell apply_table reads has the bits of the
-    # scalar call at its (lambda, height)
+    # repeat unevenly: every cell run_steps reads has the bits of the
+    # scalar call at its (lambda, height); factor f's s + 1 cells follow
+    # those of the factors before it, in each of the five weights' blocks
     rng = np.random.default_rng(104)
     p = draw(1, rng)
     lams = rng.normal(size=len(sizes)) + 1j * rng.normal(size=len(sizes))
-    table = weights.weight_table(sizes, lams, p.theta, p.eta)
-    assert table.shape == (len(sizes), 5 * (max(sizes) + 1))
+    table = weights.weight_table(sizes, lams, p.theta, p.eta).reshape(5, -1)
+    cell = 0
     for f, (s, lam) in enumerate(zip(sizes, lams)):
         for d in range(s + 1):
             w = weights.face_weights(lam, p.theta - p.eta * (s - 2 * d), p.eta)
             want = np.array([w.a, w.b_plus, w.c_plus, w.c_minus, w.b_minus])
-            assert table[f, 5 * d:5 * d + 5].tobytes() == want.tobytes(), (f, d)
+            assert table[:, cell].tobytes() == want.tobytes(), (f, d)
+            cell += 1
+    assert table.shape[1] == cell
 
 
 def test_weight_table_guard_names_the_first_height_in_factor_order():
@@ -198,6 +201,31 @@ def test_k_matrix_guard_names_denominator():
     with pytest.raises(NearSingular, match=r"theta\+zeta\+lambda"):
         weights.k_matrix(-2.0 + 1e-9, 0.9, 1.1)
 
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_k_diagonals_are_k_matrix_bytes(n):
+    # the one vectorised pass over a draw's lambdas, and over lambdas spread
+    # wider, has the bits of k_matrix at each
+    rng = np.random.default_rng(np.random.SeedSequence((105, n)))
+    for _ in range(5):
+        p = draw(n, rng)
+        lams = np.concatenate((p.lambdas, 3 * (rng.normal(size=n) + 1j * rng.normal(size=n))))
+        got = weights.k_diagonals(lams, p.theta, p.zeta)
+        want = np.array([weights.k_matrix(lam, p.theta, p.zeta).diagonal() for lam in lams])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_k_diagonals_guard_is_the_first_failing_lambda():
+    # two failing lambdas: the first in order raises, not the more singular
+    lams = [0.3, -1.1 + 1e-9, -2.0 + 1e-10]
+    with pytest.raises(NearSingular) as one_by_one:
+        for lam in lams:
+            weights.k_matrix(lam, 0.9, 1.1)
+    with pytest.raises(NearSingular) as vectorised:
+        weights.k_diagonals(lams, 0.9, 1.1)
+    assert str(vectorised.value) == str(one_by_one.value)
+    assert "sinh(zeta+lambda)" in str(vectorised.value)
 
 def test_dybe_random():
     rng = np.random.default_rng(11)
