@@ -8,8 +8,9 @@ No operator is multiplied out: an array is carried factor by factor
 (`weights.run_steps`) with the weights of all factors read from one
 `weights.weight_table`, and an explicit matrix is an application to an
 identity.  A product of B operators (`apply_b_product`, used by
-`partition.z_bruteforce`, `b_operator` and the commutation check) runs one
-cached program per (N, number of B's, start sector): every R and K keeps
+`partition.z_bruteforce`, `b_operator` and the commutation check; in the
+precision of its input, guards in double) runs one cached program per
+(N, number of B's, start sector): every R and K keeps
 the number of down spins on aux (x) chain, so from the all-up state the
 k-th B acts on the C(N+1, k) states with k down spins, and a Z costs
 O(N 2^N) arithmetic, one weight table, one K pass and two takes per B.
@@ -68,27 +69,26 @@ def _apply_hat(x, aux, lam, p):
 def _apply_double_row(x, aux, lam, p):
     """Apply the double-row monodromy bulk @ K @ hat to the leading axis of
     `x`; K is guarded before the heights."""
-    k = weights.k_matrix(lam, p.theta, p.zeta).diagonal()
+    k = weights.k_diagonals([lam], p.theta, p.zeta)[0]
     x = _apply_hat(x, aux, lam, p)
     x = (x.reshape((1 << aux, 2, -1)) * k[:, None]).reshape(x.shape)
     return _apply_bulk(x, aux, lam, p)
 
 
-def _b_weights(lams, p):
-    """The weights of B's at `lams`, in application order: the
-    `weights.weight_table` of their double rows, return path then bulk for
-    each, and their K diagonals, two per B, from one K pass.  A failing
+def _b_weights(lams, p, dtype):
+    """The weights of B's at `lams`, in application order and in `dtype`:
+    the `weights.weight_table` of their double rows, return path then bulk
+    for each, and their K diagonals, two per B, from one K pass.  A failing
     guard raises what applying the B's one by one raises first: K of the
     first B, then the heights (they do not depend on lambda), then the later
     K's."""
-    col = np.array(lams, dtype=complex)[:, None]
-    xis = np.array(p.xis, dtype=complex)
+    col, xis = np.array(lams, dtype)[:, None], np.array(p.xis, dtype)
     spectral = np.concatenate((col + xis, col - xis[::-1]), axis=1).ravel()
     sizes = (*range(p.n - 1, -1, -1), *range(p.n)) * len(lams)  # shift sets: return path, bulk
     try:
-        ks = weights.k_diagonals(lams, p.theta, p.zeta)
+        ks = weights.k_diagonals(col[:, 0], p.theta, p.zeta)
     except NearSingular:
-        weights.k_matrix(lams[0], p.theta, p.zeta)
+        weights.k_matrix(col[0, 0], p.theta, p.zeta)
         weights.weight_table(sizes, spectral, p.theta, p.eta)
         raise
     return weights.weight_table(sizes, spectral, p.theta, p.eta), ks.ravel()
@@ -131,27 +131,23 @@ def apply_b_product(v, lams, p):
     states with k + j down spins, whose aux-up states (chain sector k + j)
     come first and aux-down states (chain sector k + j - 1) after.  Each B
     takes its R weights and its K's with one take each.  Output rows that
-    no input row reaches are zero."""
-    table, ks = _b_weights(lams[::-1], p)
+    no input row reaches are zero.  The weights, K's and arithmetic are in
+    the precision of `v` (complex at least); the guards decide in double."""
+    dtype = np.promote_types(v.dtype, complex)
+    table, ks = _b_weights(lams[::-1], p, dtype)
     col = (1,) * (v.ndim - 1)  # a weight per state, on every column
-    out = np.zeros(v.shape, dtype=complex)
+    out = np.zeros(v.shape, dtype)
     for k in range(p.n + 1 - len(lams)):
         (rows_in, rows_out), blocks = _b_program(p.n, len(lams), k)
         x = v[rows_in]
         for up, index, k_at, hat, bulk in blocks:
             w, k_state = (a.take(i).reshape((-1,) + col) for a, i in ((table, index), (ks, k_at)))
-            t = np.zeros((len(k_state),) + x.shape[1:], dtype=complex)
+            t = np.zeros((len(k_state),) + x.shape[1:], dtype)
             t[up:] = x
             t = weights.run_steps(t, w, hat) * k_state
             x = weights.run_steps(t, w, bulk)[:up]
         out[rows_out] = x
     return out
-
-
-def apply_b(v, lam, p):
-    """B(lam) applied to the leading axis of `v`: `apply_b_product` at one
-    spectral parameter."""
-    return apply_b_product(v, [lam], p)
 
 
 def double_row_full(lam, p):
@@ -162,7 +158,7 @@ def double_row_full(lam, p):
 def b_operator(lam, p):
     """The creation-like block of the double-row monodromy (lowers chain
     magnetization by 2), as an explicit 2^N matrix."""
-    return apply_b(np.eye(1 << p.n), lam, p)
+    return apply_b_product(np.eye(1 << p.n), [lam], p)
 
 
 def gamma_hat(lam, p):

@@ -86,13 +86,10 @@ def z_bruteforce(p):
     """Z as the all-down/all-up matrix element of the product of B operators.
 
     The product runs over the spectral parameters in order, rightmost factor
-    applied first (`chain_ops.apply_b_product`).  Each B is applied to the
-    vector factor by factor, never multiplied out, by one cached program
-    that reads the weights of all 2N^2 R factors from one table of their
-    N^2 (N + 1) cells and all N K's from one pass.  The k-th B acts only on
-    the C(N+1, k) states of aux (x) chain with k down spins, the sector the
-    all-up state reaches, so Z costs O(N 2^N) arithmetic.
-    Refuses N above `BRUTE_CAP`, past which its digits are untested.
+    applied first, on a complex128 vector (`chain_ops.apply_b_product`: the
+    k-th B acts only on the C(N+1, k) states with k down spins, so Z costs
+    O(N 2^N) arithmetic).  Refuses N above `BRUTE_CAP`, past which its
+    digits are untested.
     """
     if p.n > BRUTE_CAP:
         raise CapExceeded(f"brute-force contraction needs N <= {BRUTE_CAP}, got N = {p.n}")

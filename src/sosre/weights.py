@@ -1,7 +1,8 @@
 """Face weights, the dynamical R-matrix, the boundary K-matrix, the kernel
 that applies R factors to arrays with weights from an unpadded table, and
 direct numerical checks of the identities.  All weights come from one
-formula, `_cell_weights`.
+formula, `_cell_weights`, and every K from one, `k_diagonals`; both work
+in the precision of their spectral parameters, guards in double.
 
 Basis conventions, fixed once and used everywhere: spin up sorts before spin
 down, tensor factors are ordered with the auxiliary space first, and in
@@ -34,7 +35,7 @@ class FaceWeightSet:
     c_minus: complex
 
 
-def _cell_weights(lam, theta, eta, cells):
+def _cell_weights(lam, theta, eta, cells, theta_64):
     """The one copy of the weight formulas: the five weights, in the field
     order of `FaceWeightSet`, at the cells (lam[i], theta[j]), (i, j) =
     `cells`, of 1-d `lam` and `theta`, one flat array each.  sinh(lam) and
@@ -42,11 +43,13 @@ def _cell_weights(lam, theta, eta, cells):
     theta and only sinh(+-theta - lam) once per cell, all products and
     quotients in numpy's array loops, so a cell's bits depend on its point
     only.  The minus weights are the plus weights at reflected height by the
-    same code path.  The "theta" guard raises at the first failing cell."""
+    same code path.  The weights are in the dtype of `lam` and `theta`; the
+    "theta" guard decides on `theta_64`, the same heights formed in double,
+    and raises at the first failing cell."""
     at_lam, at_theta = cells
+    for j in at_theta[(np.abs(sh(theta_64)) <= guard_tol_default())[at_theta]]:
+        require_nonsingular("theta", theta_64[j])
     sh_theta = sh(theta)
-    for j in at_theta[(np.abs(sh_theta) <= guard_tol_default())[at_theta]]:
-        require_nonsingular("theta", theta[j])
     lam_c, sh_lam, a = (v.take(at_lam) for v in (lam, sh(lam), sh(lam + eta)))
     plus, minus, sh_plus_eta, sh_minus_eta, sh_plus, sh_minus = (v.take(at_theta) for v in (
         theta, -theta, sh(theta - eta), sh(-theta - eta), sh_theta, sh(-theta)))
@@ -64,7 +67,7 @@ def face_weights(lam, theta, eta):
     lam, theta = (np.asarray(v, dtype=complex) for v in (lam, theta))
     at = np.broadcast_arrays(*(np.arange(v.size).reshape(v.shape) for v in (lam, theta)))
     w = _cell_weights(lam.ravel(), theta.ravel(), np.asarray(eta, dtype=complex),
-                      [v.ravel() for v in at])
+                      [v.ravel() for v in at], theta.ravel())
     return FaceWeightSet(*(v.reshape(at[0].shape)[()] for v in w))
 
 
@@ -80,22 +83,23 @@ def r_matrix(lam, theta, eta):
 
 
 def k_matrix(lam, theta, zeta):
-    """Diagonal 2x2 boundary matrix; K(0) is the identity."""
-    lam, theta, zeta = complex(lam), complex(theta), complex(zeta)
-    up = sh(theta + zeta - lam) / require_nonsingular("theta+zeta+lambda", theta + zeta + lam)
-    return np.diag([up, sh(zeta - lam) / require_nonsingular("zeta+lambda", zeta + lam)])
+    """Diagonal 2x2 boundary matrix, a row of `k_diagonals`; K(0) is the identity."""
+    return np.diag(k_diagonals([lam], theta, zeta)[0])
 
 
 def k_diagonals(lams, theta, zeta):
-    """The diagonals of `k_matrix` at each of `lams`, one row each: one
-    vectorised pass with its bits, or, if a denominator fails the guard,
-    `k_matrix` lam by lam, so the same NearSingular is raised first."""
-    col = np.asarray(lams, dtype=complex)[:, None]
-    shifts = np.array([complex(theta) + complex(zeta), complex(zeta)])
-    den = sh(col + shifts)
-    if (np.abs(den) <= guard_tol_default()).any():
-        return np.array([k_matrix(lam, theta, zeta).diagonal() for lam in lams])
-    return sh(shifts - col) / den
+    """The one copy of the K formula: the diagonals of `k_matrix` at each
+    of `lams`, one row each, in the precision of `lams` (complex at least).
+    The guard decides in double at every precision and raises at the first
+    failing lam, its theta+zeta+lambda before its zeta+lambda."""
+    lams = np.asarray(lams)
+    dtype = np.promote_types(lams.dtype, complex)
+    col, shifts = lams.astype(dtype)[:, None], np.array([theta, zeta], dtype)
+    shifts[0] += shifts[1]  # theta + zeta, zeta
+    arg = lams.astype(complex)[:, None] + [complex(theta) + complex(zeta), complex(zeta)]
+    for k in np.flatnonzero(np.abs(sh(arg)) <= guard_tol_default())[:1]:  # in double
+        require_nonsingular(("theta+zeta+lambda", "zeta+lambda")[k % 2], arg.flat[k])
+    return sh(shifts - col) / sh(col + shifts)
 
 
 # Bit layout: tensor position pos of n is bit n-1-pos of a basis index, so
@@ -181,9 +185,12 @@ def weight_table(sizes, lams, theta, eta):
     c_minus and b_minus, each over all cells.  Factor f has the s + 1 cells
     d = 0..s, s = sizes[f], at height theta - eta*(s - 2d) for d down spins
     in its shift set, after the cells of the factors before it; the guard
-    raises at the first failing height the factors would meet one by one."""
+    raises at the first failing height the factors would meet one by one,
+    in double; the table is in the precision of `lams` (complex at least)."""
     factor, heights, at = _table_cells(tuple(sizes))
-    w = _cell_weights(np.asarray(lams, dtype=complex), theta - eta * heights, eta, (factor, at))
+    dtype = np.promote_types(np.asarray(lams).dtype, complex)
+    lams, theta_x, eta_x = (np.asarray(v, dtype) for v in (lams, theta, eta))
+    w = _cell_weights(lams, theta_x - eta_x * heights, eta_x, (factor, at), theta - eta * heights)
     return np.concatenate((w[0], w[1], w[3], w[4], w[2]))
 
 

@@ -15,6 +15,13 @@ def draw(n, rng, extra=None):
     return verify.sample_params(CFG, n, rng, extra_guards=extra)
 
 
+def _e0(n, dtype=complex):
+    # the all-up chain state, the vector z_bruteforce starts from
+    e0 = np.zeros(1 << n, dtype)
+    e0[0] = 1.0
+    return e0
+
+
 def site_r(i, x, p, n, aux_second=False):
     # R coupling the auxiliary space (position 0) with chain site i, height
     # shifted by the spins of the sites after i: the factor layout of the
@@ -210,7 +217,7 @@ def test_matrix_free_b_matches_dense_product(n):
         scale = np.max(np.abs(want))
         assert np.max(np.abs(chain_ops.b_operator(lam, p) - want)) <= 1e-13 * scale
         v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        got = chain_ops.apply_b(v, lam, p)
+        got = chain_ops.apply_b_product(v, [lam], p)
         assert np.max(np.abs(got - want @ v)) <= 1e-13 * np.max(np.abs(got))
 
 
@@ -257,6 +264,10 @@ def test_b_guard_order_is_application_order(theta_eta):
     with pytest.raises(NearSingular) as op:
         chain_ops.b_operator(q.lambdas[-1], q)
     assert str(op.value) == str(dense.value)
+    for dtype in (np.complex128, np.clongdouble):  # the guards decide in double
+        with pytest.raises(NearSingular) as wide:
+            chain_ops.apply_b_product(_e0(q.n, dtype), q.lambdas, q)
+        assert str(wide.value) == str(dense.value)
 
 
 def test_exchange_guard_reaches_the_extra_shift():
@@ -460,9 +471,9 @@ def test_b_product_is_successive_b(n):
     for x in (v, cols):
         want = x
         for lam in reversed(lams):
-            want = chain_ops.apply_b(want, lam, p)
+            want = chain_ops.apply_b_product(want, [lam], p)
         assert np.array_equal(chain_ops.apply_b_product(x, lams, p), want)
-        assert np.array_equal(chain_ops.apply_b(x, lams[0], p),
+        assert np.array_equal(chain_ops.apply_b_product(x, [lams[0]], p),
                               _reference_apply_b(x, lams[0], p))
     assert np.array_equal(chain_ops.b_operator(lams[0], p),
                           _reference_apply_b(np.eye(1 << n), lams[0], p))
@@ -481,6 +492,10 @@ def test_b_guard_at_a_later_k_matches_reference(theta_singular):
         partition.z_bruteforce(q)
     assert str(free.value) == str(ref.value)
     assert ("sinh(theta)" if theta_singular else "sinh(zeta+lambda)") in str(free.value)
+    for dtype in (np.complex128, np.clongdouble):  # the guards decide in double
+        with pytest.raises(NearSingular) as wide:
+            chain_ops.apply_b_product(_e0(q.n, dtype), q.lambdas, q)
+        assert str(wide.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

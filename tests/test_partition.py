@@ -855,10 +855,11 @@ _TWO_PI = Fraction("6.2831853071795864769252867665590057683943387987502")
 
 
 def _oracle_error(log_value, log_z):
-    """|Z / Z_ref - 1| from a double log Z on any branch and the reference's
-    decimal log, exact up to the final expm1."""
-    d_re = Fraction(log_value.real) - Fraction(log_z[0])
-    d_im = Fraction(log_value.imag) - Fraction(log_z[1])
+    """|Z / Z_ref - 1| from a double or clongdouble log Z on any branch and
+    the reference's decimal log, exact up to the final expm1."""
+    exact = lambda x: Fraction(*np.longdouble(x).as_integer_ratio())
+    d_re = exact(log_value.real) - Fraction(log_z[0])
+    d_im = exact(log_value.imag) - Fraction(log_z[1])
     d_im -= round(d_im / _TWO_PI) * _TWO_PI
     return abs(np.expm1(complex(float(d_re), float(d_im))))
 
@@ -868,13 +869,37 @@ def test_determinant_accuracy_against_oracle(case):
     # tests/data/make_oracle_logz.py wrote the 50-digit log Z and the error
     # of the determinant code of the day (parent_err; its docstring says
     # which code wrote which rows)
-    c = lambda v: complex(*v)
-    p = ModelParams(c(case["eta"]), c(case["zeta"]), c(case["theta"]),
-                    [c(v) for v in case["lambdas"]], [c(v) for v in case["xis"]])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
-        log_value = partition.z_determinant(p).log_value
+        log_value = partition.z_determinant(_oracle_params(case)).log_value
     assert _oracle_error(log_value, case["log_z"]) <= max(4 * case["parent_err"], 1e-13)
+
+
+def _oracle_params(case):
+    c = lambda v: complex(*v)
+    return ModelParams(c(case["eta"]), c(case["zeta"]), c(case["theta"]),
+                       [c(v) for v in case["lambdas"]], [c(v) for v in case["xis"]])
+
+
+@pytest.mark.skipif(np.finfo(np.clongdouble).eps == np.finfo(float).eps,
+                    reason="np.clongdouble is plain double on this platform")
+@pytest.mark.parametrize("case", [c for c in _ORACLE["instances"] if c["n"] == 16 and c["seed"] <= 4],
+                         ids=lambda c: f"n{c['n']}-seed{c['seed']}")
+def test_clongdouble_contraction_beats_double_against_oracle(case):
+    # contraction at N = 16 loses most of double's digits to cancellation;
+    # the same programs on a clongdouble vector form their weights and K's in
+    # it and come at least 100x closer to the 50-digit log Z (476x-10,579x
+    # over the fixture's twelve N = 16 rows on an 80-bit x86-64 clongdouble)
+    p = _oracle_params(case)
+    errors = []
+    for dtype in (np.complex128, np.clongdouble):
+        e0 = np.zeros(1 << p.n, dtype)
+        e0[0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = chain_ops.apply_b_product(e0, p.lambdas, p)[-1]
+        assert z.dtype == dtype
+        errors.append(_oracle_error(np.log(z), case["log_z"]))
+    assert errors[1] * 100 <= errors[0]
 
 
 def _rejects(p):

@@ -1,4 +1,6 @@
 import cmath
+import decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,11 +190,73 @@ def test_k_matrix_values():
     assert abs(K[1, 1] - sh(zeta - lam) / sh(zeta + lam)) < 1e-15
 
 
+def _scalar_k(lam, theta, zeta):
+    # K as one scalar evaluation per entry, in Python complex: the bits
+    # k_matrix had before it became a row of k_diagonals
+    lam, theta, zeta = complex(lam), complex(theta), complex(zeta)
+    sh = np.sinh
+    return np.diag([sh(theta + zeta - lam) / sh(theta + zeta + lam), sh(zeta - lam) / sh(zeta + lam)])
+
+
 def test_k_matrix_special_points():
     theta, zeta = 0.9, 1.1
     assert np.allclose(weights.k_matrix(0.0, theta, zeta), np.eye(2), rtol=1e-14, atol=0)
     assert weights.k_matrix(zeta, theta, zeta)[1, 1] == 0.0
     assert weights.k_matrix(theta + zeta, theta, zeta)[0, 0] == 0.0
+    # real and integer arguments work in complex128, not in their own dtype
+    for args in ((0.0, 0.9 + 0.1j, 1.1), (0, 1, 1), (0.3, theta, zeta)):
+        K = weights.k_matrix(*args)
+        assert K.dtype == np.complex128
+        assert K.tobytes() == _scalar_k(*args).tobytes()
+    k = weights.k_diagonals(np.array([0.3]), theta, zeta)
+    assert k.dtype == np.complex128
+    assert k.tobytes() == _scalar_k(0.3, theta, zeta).diagonal().tobytes()
+
+
+def _sinh_exact(x):
+    # sinh of an exact real at 40 digits, as a Fraction
+    with decimal.localcontext(decimal.Context(prec=40)):
+        x = decimal.Decimal(x.numerator) / x.denominator
+        return Fraction((x.exp() - (-x).exp()) / 2)
+
+
+@pytest.mark.skipif(np.finfo(np.clongdouble).eps == np.finfo(float).eps,
+                    reason="np.clongdouble is plain double on this platform")
+def test_k_and_heights_are_formed_in_the_input_precision():
+    # theta + zeta + lambda and the height theta - 3 eta are 1e-5 (the guard
+    # passes): formed in double, the rounding of theta + zeta and of 3 eta
+    # leaves ~11 digits of the weight that divides by their sinh; formed in
+    # clongdouble from the same double inputs they are exact, and it keeps ~19
+    theta, zeta = 0.9, 1.1
+    lam = -(theta + zeta) + 1e-5
+    ex = lambda *v: sum(map(Fraction, v))
+    want = _sinh_exact(ex(theta, zeta, -lam)) / _sinh_exact(ex(theta, zeta, lam))
+    eta, lam_h = 0.62, 0.35
+    theta_h = 3 * eta + 1e-5  # b_plus at height theta_h - 3 eta: cell 0 of factor size 3
+    height = ex(theta_h, -3 * Fraction(eta))
+    want_h = _sinh_exact(ex(lam_h)) * _sinh_exact(height - ex(eta)) / _sinh_exact(height)
+    errors = []
+    for dtype in (np.complex128, np.clongdouble):
+        k = weights.k_diagonals(np.array([lam], dtype), theta, zeta)[0, 0]
+        b_plus = weights.weight_table([3], np.array([lam_h], dtype), theta_h, eta)[4]
+        assert k.dtype == b_plus.dtype == dtype
+        errors.append([abs(Fraction(*np.longdouble(got.real).as_integer_ratio()) / ref - 1)
+                       for got, ref in ((k, want), (b_plus, want_h))])
+    assert all(wide * 1000 <= narrow for narrow, wide in zip(*errors))
+
+
+def test_height_guard_decides_on_the_double_heights(monkeypatch):
+    # formed in 80 bits and rounded, this height is an ulp above the double
+    # theta - 3 eta; at a tolerance of exactly its |sinh| in double, both
+    # dtypes must still refuse it, with complex128's message
+    theta, eta = 1.878544350724238, 0.626175
+    monkeypatch.setenv("SOS_GUARD_TOL", repr(float(abs(np.sinh(complex(theta - 3 * eta))))))
+    messages = []
+    for dtype in (np.complex128, np.clongdouble):
+        with pytest.raises(NearSingular, match=r"sinh\(theta\)") as err:
+            weights.weight_table([3], np.array([0.35], dtype), theta, eta)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_k_matrix_guard_names_denominator():
@@ -206,7 +270,7 @@ def test_k_matrix_guard_names_denominator():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_k_diagonals_are_k_matrix_bytes(n):
     # the one vectorised pass over a draw's lambdas, and over lambdas spread
-    # wider, has the bits of k_matrix at each
+    # wider, has the bits of k_matrix and of the scalar formula at each
     rng = np.random.default_rng(np.random.SeedSequence((105, n)))
     for _ in range(5):
         p = draw(n, rng)
@@ -214,6 +278,8 @@ def test_k_diagonals_are_k_matrix_bytes(n):
         got = weights.k_diagonals(lams, p.theta, p.zeta)
         want = np.array([weights.k_matrix(lam, p.theta, p.zeta).diagonal() for lam in lams])
         assert got.tobytes() == want.tobytes()
+        scalar = np.array([_scalar_k(lam, p.theta, p.zeta).diagonal() for lam in lams])
+        assert got.tobytes() == scalar.tobytes()
 
 
 def test_k_diagonals_guard_is_the_first_failing_lambda():
