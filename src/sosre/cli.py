@@ -182,8 +182,11 @@ def cmd_sweep(p, vary, start, stop, points, output=None):
     if points == 1:
         grid = np.array([start])
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            grid = start + (stop - start) * np.arange(points) / (points - 1)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                grid = start + (stop - start) * np.arange(points) / (points - 1)
+        except MemoryError:
+            raise ParseError(f"--points {points} is more grid points than memory holds") from None
     bad = (~np.isfinite(grid)).nonzero()[0]
     if bad.size:
         raise ParseError(f"grid point {bad[0]} (from 0) between --from and --to is "

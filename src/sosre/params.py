@@ -11,10 +11,10 @@ sinh(x-y) sinh(x+y) = sinh^2 x - sinh^2 y = D of the four O(N) squares of
 tolerance t forces |D| under `prefilter_threshold`, about
 t cosh(|Re x| + |Re y|); and the smaller factor is at most sqrt(|D|).  So
 the margins (`min_guard_margins`) and the guard checks (`guard_violations`,
-`validate_params`) evaluate np.sinh only at the entries whose |D| a bound
-cannot clear, and return what evaluating every entry would; the
-determinant's guards (`partition`) take their squares and bounds from the
-same place, `ModelParams.squares`, which computes them once per instance.
+`validate_params`) evaluate np.sinh at an entry only where the bound
+cannot clear the |D| that holds it as a factor, and return what evaluating
+every entry would; the determinant's guards (`partition`) clear by the same
+rule, from the squares and guard table `ModelParams` computes once.
 """
 
 from __future__ import annotations
@@ -173,8 +173,7 @@ class ModelParams:
 
     @cached_property
     def guard_table(self):
-        """`guard_families` of this instance in the default pair order, as
-        a tuple."""
+        """`guard_families` of this instance, as a tuple."""
         return tuple(guard_families(self))
 
     def replace_lambda(self, i, value):
@@ -203,7 +202,8 @@ class GuardFamily(NamedTuple):
     evaluated before it is called.  Grid and pair rows also take site arrays,
     `args(i, j)`: the entries [i[k], j[k]] of a grid, or the pair rows'
     arithmetic at the pairs (i[k], j[k]), bit for bit what the full table
-    holds there.  `name(k)` labels flat entry k.
+    holds there.  `name(k)` labels flat entry k of `args()`, and
+    `name(k, i, j)` entry k of `args(i, j)`.
     """
 
     tier: str
@@ -222,20 +222,20 @@ def site_pairs(n):
     return pairs
 
 
-def guard_families(p, pair_order=None):
+def guard_families(p):
     """Every sinh denominator of the model, declared once: `GuardFamily` rows
     in guard order, each a closure over its own arithmetic.
 
-    Pair rows run over (a[k], b[k]) for `pair_order` = (a, b), by default
-    i < j.  RATIO rows sit under the large coupling-dependent ratios (factors
-    like sinh(theta + k eta) in denominators with sizeable numerators), so
-    the sampler keeps them further from zero than the GENERIC rows.
+    Pair rows run over the pairs (a[k], b[k]) of `site_pairs`, a < b.  RATIO
+    rows sit under the large coupling-dependent ratios (factors like
+    sinh(theta + k eta) in denominators with sizeable numerators), so the
+    sampler keeps them further from zero than the GENERIC rows.
     """
     lam = p.lambdas_array()
     xi = p.xis_array()
     n = p.n
     eta, zeta, theta = p.eta, p.zeta, p.theta
-    a, b = site_pairs(n) if pair_order is None else pair_order
+    a, b = site_pairs(n)
     ks = np.arange(-(n + 2), n + 3)
 
     def one(tier, key, args):
@@ -245,11 +245,12 @@ def guard_families(p, pair_order=None):
         return GuardFamily(GENERIC, key,
                            lambda i=None, j=None: f(lam[:, None], col) if i is None
                            else f(lam[i], col[j]),
-                           lambda k: label.format(k // n, k % n))
+                           lambda k, i=None, j=None: label.format(k // n, k % n)
+                           if i is None else label.format(i[k], j[k]))
 
     def pair(key, f, v, label):  # pair k is f(v[a[k]], v[b[k]])
         return GuardFamily(GENERIC, key, lambda i=a, j=b: f(v[i], v[j]),
-                           lambda k: label.format(a[k], b[k]))
+                           lambda k, i=a, j=b: label.format(i[k], j[k]))
 
     minus, plus = (lambda u, v: u - v), (lambda u, v: u + v)
     return [
@@ -289,14 +290,13 @@ def prefilter_threshold(c, tol, mod):
 #   w_i - y_j = sinh(lambda_i-xi_j) sinh(lambda_i+xi_j),
 #   q_i - q_j = sinh(lambda_i-lambda_j) sinh(lambda_i+lambda_j+eta),
 #   w_i - w_j = sinh(lambda_i-lambda_j) sinh(lambda_i+lambda_j),
-#   y_i - y_j = sinh(xi_i-xi_j) sinh(xi_i+xi_j):
-# the first three clear the N x N grid rows entry for entry, the last two
-# the pair rows at [i, j] with i < j.
+#   y_i - y_j = sinh(xi_i-xi_j) sinh(xi_i+xi_j);
+# `_CLEARED` maps each grid and pair row to the one that holds its argument
+# as a factor, entry for entry (the last two at the pairs [i, j], i < j).
 _MINUEND, _SUBTRAHEND = np.array([0, 1, 2, 1, 3]), np.array([3, 3, 2, 1, 3])
-_GRID, _PAIR = 0, 1
-_CLEARED = {"lambda-xi": _GRID, "lambda+xi": _GRID, "lambda-xi+eta": _GRID,
-            "lambda+xi+eta": _GRID, "lambda+lambda+eta": _GRID, "lambda-lambda": _PAIR,
-            "lambda+lambda": _PAIR, "xi-xi": _PAIR, "xi+xi": _PAIR}
+_CLEARED = {"lambda-xi": 1, "lambda+xi": 1, "lambda-xi+eta": 0, "lambda+xi+eta": 0,
+            "lambda+lambda+eta": 2, "lambda-lambda": 3, "lambda+lambda": 3,
+            "xi-xi": 4, "xi+xi": 4}
 
 
 def sinh_squares(p):
@@ -316,26 +316,25 @@ def sinh_squares(p):
 
 
 def _scan(p, tol=None):
-    """|sinh| of the guard table, with the grid and pair rows evaluated only
-    where a sinh^2 difference cannot clear them: (mags, rows, bounds).  Row
-    r of `rows` is (t, family, ks) for the table's row t, its values
-    mags[bounds[r]:bounds[r + 1]]: the whole row when `ks` is None, else
-    the row's entries at the flat indices ks (i*N + j in a grid row, the
-    pair index in a pair row).  The O(N) rows come first, in table order;
-    a grid or pair row with no entry to evaluate is left out.
+    """|sinh| of the guard table, with each grid and pair row evaluated only
+    where its own sinh^2 difference (`_CLEARED`) cannot clear it: (mags,
+    rows, bounds).  Row r of `rows` is (t, family, sites) for the table's
+    row t, its values mags[bounds[r]:bounds[r + 1]] = |sinh(family.args(
+    *sites))|: the whole row when `sites` is (), else the row's entries at
+    the site arrays (i, j), in row-major order (i < j in a pair row).  The
+    O(N) rows come first, in table order; a grid or pair row with no entry
+    to evaluate is left out.
 
     The squares of `ModelParams.squares` give the differences D of
     `_MINUEND` and `_SUBTRAHEND`.  An entry is evaluated unless its |D| is
     above `prefilter_threshold` at generic tolerance `tol` (a NaN |D| or
-    threshold keeps it), so every entry at or below `tol` is; every grid
-    row is evaluated where any grid difference keeps an entry, every pair
-    row where any pair difference does.  With `tol` None it is a bound on
-    the smallest generic |sinh|, so the entry that holds it is evaluated:
-    the least of the O(N) generic rows' values and sqrt(min |D| + slack)
-    over the first two differences, one of two factors being at most the
-    square root of their product (the other three hold D = 0 on their
-    diagonals, lambda+lambda+eta's paired with sinh(0)).  Past a double's
-    range a value is inf, without a warning."""
+    threshold keeps it), so every entry at or below `tol` is.  With `tol`
+    None it is a bound on the smallest generic |sinh|, so the entry that
+    holds it is evaluated: the least of the O(N) generic rows' values and
+    sqrt(min |D| + slack) over the first two differences, one of two factors
+    being at most the square root of their product (the other three hold
+    D = 0 on their diagonals, lambda+lambda+eta's paired with sinh(0)).
+    Past a double's range a value is inf, without a warning."""
     n = p.n
     sq, c, mod, _ = p.squares
     rows, args, grid_pair = [], [], []
@@ -343,7 +342,7 @@ def _scan(p, tol=None):
         if f.key in _CLEARED:
             grid_pair.append((t, f, _CLEARED[f.key]))
         else:
-            rows.append((t, f, None))
+            rows.append((t, f, ()))
             args.append(f.args())
     sizes = [v.size for v in args]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -354,18 +353,15 @@ def _scan(p, tol=None):
             n_generic = sum(k for (_, f, _), k in zip(rows, sizes) if f.tier == GENERIC)
             tol = min(float(mags[:n_generic].min()), (1 + _PREFILTER_SLACK) * math.sqrt(
                 float(d[:2].min()) + prefilter_threshold(max(c[:2]), 0.0, mod)))
-        clear = d > np.array([prefilter_threshold(cg, tol, mod) for cg in c])[:, None, None]
-        a, b = site_pairs(n)
-        ks = ((~(clear[0] & clear[1] & clear[2])).ravel().nonzero()[0],
-              (~(clear[3] & clear[4])[a, b]).nonzero()[0])
-        grid_pair = [(t, f, g) for t, f, g in grid_pair if ks[g].size]
+        keep = ~(d > np.array([prefilter_threshold(cg, tol, mod) for cg in c])[:, None, None])
+        sites = [np.divmod(np.flatnonzero(v), n) for v in keep]
+        sites[3:] = [(i[i < j], j[i < j]) for i, j in sites[3:]]  # the pairs, i < j
+        grid_pair = [(t, f, sites[g]) for t, f, g in grid_pair if sites[g][0].size]
         if grid_pair:
-            sites = np.divmod(ks[_GRID], n), (a[ks[_PAIR]], b[ks[_PAIR]])
             mags = np.concatenate([mags, np.abs(np.sinh(np.concatenate(
-                [f.args(*sites[g]) for _, f, g in grid_pair])))])
-    for t, f, g in grid_pair:
-        rows.append((t, f, ks[g]))
-        sizes.append(ks[g].size)
+                [f.args(*ij) for _, f, ij in grid_pair])))])
+    rows += grid_pair
+    sizes += [ij[0].size for _, _, ij in grid_pair]
     return mags, rows, [0, *accumulate(sizes)]
 
 
@@ -399,11 +395,9 @@ def guard_violations(p, guard_tol=None, ratio_guard_tol=None, skip=()):
     hits = (mags <= limit).nonzero()[0]
     out = []
     for r in sorted(range(len(rows)), key=lambda r: rows[r][0]) if hits.size else ():
-        _, f, ks = rows[r]
+        _, f, sites = rows[r]
         k = hits[(hits >= bounds[r]) & (hits < bounds[r + 1])] - bounds[r]
-        if ks is not None:
-            k = ks[k]
-        out += [label for label in map(f.name, k.tolist()) if label not in skip]
+        out += [label for label in (f.name(m, *sites) for m in k.tolist()) if label not in skip]
     return out
 
 
@@ -424,10 +418,11 @@ def fails_at_lambda(p, i, values):
     (fails, d, sinh(theta+zeta+v) sinh(zeta+v)).  The six O(1) entries that
     hold lambda_i are a hand copy of `guard_families`' O(1) rows and of
     lambda+lambda+eta's diagonal; the grid and pair ones are cleared as
-    `_scan` clears them, by d: the first four differences of `_MINUEND` and
-    `_SUBTRAHEND`, the point's squares of (v+eta, v, v+eta/2) less the
-    base's, bounded at the point's own |Re|.  d[2] is the pair factor
-    q_b - q_a, so q_j - q_v at j > i; d[2:, :, i] is infinite and clears.
+    `_scan` clears them, each by its own difference, in d: the first four
+    differences of `_MINUEND` and `_SUBTRAHEND`, the point's squares of
+    (v+eta, v, v+eta/2) less the base's, bounded at the point's own |Re|.
+    d[2] is the pair factor q_b - q_a, so q_j - q_v at j > i; d[2:, :, i]
+    is infinite and clears.
     A point that no O(1) entry rejects, with an entry that no bound clears
     or a NaN difference, gets `guard_violations` on p with lambda_i = v.
     A NaN entry fails nothing, as in `guard_violations`."""

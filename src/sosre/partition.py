@@ -34,7 +34,6 @@ from .params import (
     IllConditionedWarning,
     InvariantViolation,
     fails_at_lambda,
-    guard_families,
     guard_tol_default,
     prefilter_threshold,
     require_all_nonsingular,
@@ -296,10 +295,8 @@ def _det_guards(p):
     pair factors (`_height_prefactor_log` guards the height factor's), in
     this order: the four N x N grids at lambda_i -+ xi_j (+eta),
     theta+zeta+lambda, zeta+lambda, then over i < j the pairs xi_j -+ xi_i,
-    lambda_j - lambda_i and lambda_j + lambda_i + eta (the lower triangle of
-    that grid), each a row of `guard_families(p, (j, i))`.  That table is
-    built only when some entry must be guarded; the boundary rows come from
-    the instance's `guard_table`.
+    lambda_j - lambda_i and lambda_j + lambda_i + eta, each a row of the
+    instance's `guard_table`, the pair rows at sites (j, i).
 
     The grid and pair factors pair up as differences of the O(N) squares
     of `ModelParams.squares`:
@@ -307,36 +304,37 @@ def _det_guards(p):
     D2 the same at lambda+eta, P1 = sinh^2 xi_j - sinh^2 xi_i and
     P2 = sinh^2(lambda_j+eta/2) - sinh^2(lambda_i+eta/2).  Every failing
     entry of a grid or pair row has its |D| or |P| at or under
-    `params.prefilter_threshold` at that difference's own cosh bound.
-    While no entry is under it, only the two O(N) boundary rows are
-    evaluated; otherwise all ten rows are, in full and in order.  Either
-    way NearSingular is what evaluating every row would raise.  Returns
-    D1 D2, P1 P2 and sinh(theta+zeta+lambda) sinh(zeta+lambda), which do
-    not depend on which rows were evaluated."""
+    `params.prefilter_threshold` at that difference's own cosh bound, so
+    the two rows each difference factors are evaluated only at its entries
+    under it, and not at all while none is: NearSingular is what evaluating
+    every row in full would raise.  Returns D1 D2, P1 P2 and
+    sinh(theta+zeta+lambda) sinh(zeta+lambda), which do not depend on which
+    entries were evaluated."""
     n = p.n
     iu, ju = site_pairs(n)
     (w_eta, w, q, y), c, mod, _ = p.squares
     d1, d2 = w[:, None] - y, w_eta[:, None] - y
     p1, p2 = y[ju] - y[iu], q[ju] - q[iu]
-
-    # An entry above its threshold cannot fail; a NaN entry counts as under
-    # (np.minimum propagates it).
     tol = guard_tol_default()
-    full = not all(np.minimum.reduce(np.abs(d), None, initial=np.inf)
-                   > prefilter_threshold(c[g], tol, mod)
-                   for d, g in ((d1, 1), (d2, 0), (p1, 4), (p2, 2)))
+    fams = {f.key: f for f in p.guard_table}
+    guard = lambda key, *sites: require_all_nonsingular(
+        lambda k: fams[key].name(k, *sites), fams[key].args(*sites))
 
-    fams = {f.key: f for f in (guard_families(p, (ju, iu)) if full else p.guard_table)}
-    guard = lambda key: require_all_nonsingular(fams[key].name, fams[key].args())
-    if full:
-        for key in ("lambda-xi", "lambda+xi", "lambda-xi+eta", "lambda+xi+eta"):
-            guard(key)
+    def guard_near(d, g, *keys):
+        # An entry above its threshold cannot fail; a NaN entry counts as
+        # under (np.minimum propagates it).
+        mag, lim = np.abs(d), prefilter_threshold(c[g], tol, mod)
+        if not np.minimum.reduce(mag, None, initial=np.inf) > lim:
+            ks = (~(mag > lim)).ravel().nonzero()[0]
+            sites = np.divmod(ks, n) if d.ndim == 2 else (ju[ks], iu[ks])
+            for key in keys:
+                guard(key, *sites)
+
+    guard_near(d1, 1, "lambda-xi", "lambda+xi")
+    guard_near(d2, 0, "lambda-xi+eta", "lambda+xi+eta")
     boundary = guard("theta+zeta+lambda") * guard("zeta+lambda")
-    if full:
-        for key in ("xi-xi", "xi+xi", "lambda-lambda"):
-            guard(key)
-        f, flat = fams["lambda+lambda+eta"], ju * n + iu
-        require_all_nonsingular(lambda k: f.name(flat[k]), f.args(ju, iu))
+    guard_near(p1, 4, "xi-xi", "xi+xi")
+    guard_near(p2, 2, "lambda-lambda", "lambda+lambda+eta")
     return d1 * d2, p1 * p2, boundary
 
 

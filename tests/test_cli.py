@@ -383,6 +383,30 @@ def test_sweep_flag_validation(tmp_path, capsys):
     ]) == 2
 
 
+def test_sweep_one_point_is_the_from_row(tmp_path, capsys):
+    path, p = sampled_config(tmp_path, 3)
+    rc = cli.main(["sweep", "--config", path, "--vary", "2", "--from", "0.2,-0.1",
+                   "--to", "0.7,0.3", "--points", "1"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 2
+    lre, lim, zre, zim, status = lines[1].split(",")
+    assert (float(lre), float(lim), status) == (0.2, -0.1, "ok")
+    want = partition.z_determinant(p.replace_lambda(1, complex(0.2, -0.1))).value
+    assert abs(complex(float(zre), float(zim)) - want) <= 1e-10 * abs(want)
+
+
+def test_sweep_refuses_points_past_memory(tmp_path, capsys):
+    # 10**15 int64 grid indices alone are 8 PB, past any address space, so
+    # the allocation fails at once; nothing is evaluated
+    path = write_config(tmp_path, FIXTURE)
+    rc = cli.main(["sweep", "--config", path, "--vary", "1", "--from", "0.1,0",
+                   "--to", "0.2,0", "--points", str(10**15)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --points 1000000000000000 ") and "Traceback" not in err
+
+
 def _reference_sweep_csv(p, vary, start, stop, points):
     """The CSV of the per-point loop `sweep` ran before its batch route:
     validate_params then z_determinant at every grid point."""

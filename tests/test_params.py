@@ -339,6 +339,47 @@ def test_guard_margins_match_full_evaluation_at_pins(label, pin, delta, monkeypa
             assert label in guard_violations(q)
 
 
+# each grid and pair row's own sinh^2 difference, the one that holds its
+# argument as a factor: (minuend, subtrahend) rows of the squares
+# (w_eta, w, q, y) = sinh^2 of (lambda+eta, lambda, lambda+eta/2, xi)
+_OWN_DIFFERENCE = {"lambda-xi": (1, 3), "lambda+xi": (1, 3), "lambda-xi+eta": (0, 3),
+                   "lambda+xi+eta": (0, 3), "lambda+lambda+eta": (2, 2),
+                   "lambda-lambda": (1, 1), "lambda+lambda": (1, 1),
+                   "xi-xi": (3, 3), "xi+xi": (3, 3)}
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6, 1e-3])
+@pytest.mark.parametrize("n", [16, 200])
+def test_scan_evaluates_each_row_where_its_own_difference_keeps_it(n, tol):
+    p = verify.sample_params(verify.SuiteConfig(), n, np.random.default_rng((7, n)))
+    sq, c, mod, _ = p.squares
+    diffs = list(zip(params._MINUEND.tolist(), params._SUBTRAHEND.tolist()))
+    d = {ms: np.abs(sq[ms[0]][:, None] - sq[ms[1]]) for ms in diffs}
+    bound = tol
+    if tol is None:
+        # the bound on the smallest generic |sinh| that `_scan` documents:
+        # the O(N) generic rows' least value, or sqrt(min |D| + slack) over
+        # the two differences under the lambda -+ xi (+eta) grids
+        least = min(np.abs(np.sinh(f.args())).min() for f in p.guard_table
+                 if f.tier == params.GENERIC and f.key not in _OWN_DIFFERENCE)
+        slack = params.prefilter_threshold(max(c[:2]), 0.0, mod)
+        bound = min(float(least), (1 + params._PREFILTER_SLACK) * float(
+            np.sqrt(min(d[(0, 3)].min(), d[(1, 3)].min()) + slack)))
+    a, b = np.triu_indices(n, 1)
+    want = {}
+    for key, ms in _OWN_DIFFERENCE.items():
+        keep = ~(d[ms] > params.prefilter_threshold(c[diffs.index(ms)], bound, mod))
+        i, j = keep.nonzero()
+        if key in ("lambda-lambda", "lambda+lambda", "xi-xi", "xi+xi"):
+            k = keep[a, b].nonzero()[0]
+            i, j = a[k], b[k]
+        if i.size:
+            want[key] = list(zip(i.tolist(), j.tolist()))
+    _, rows, _ = params._scan(p, tol)
+    got = {f.key: list(zip(*(v.tolist() for v in sites))) for _, f, sites in rows if sites}
+    assert got == want
+
+
 @pytest.mark.parametrize("lambda_0", [200.0, 400.0])
 def test_guard_functions_raise_no_numpy_warnings(lambda_0, monkeypatch):
     # the README example with lambda_0 varied: sinh^2 overflows from Re ~ 355

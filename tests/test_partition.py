@@ -681,7 +681,8 @@ def test_determinant_pipeline_matches_loop_reference(n):
     assert checked >= 3
 
 
-# the determinant's guard order over the rows of guard_families(p, (j, i))
+# the determinant's guard order over the rows of guard_families(p), its
+# pairs at sites (j, i)
 _DET_GUARD_ORDER = ("lambda-xi", "lambda+xi", "lambda-xi+eta", "lambda+xi+eta",
                     "theta+zeta+lambda", "zeta+lambda", "xi-xi", "xi+xi",
                     "lambda-lambda", "lambda+lambda+eta")
@@ -694,15 +695,13 @@ def _reference_guard_message(p):
     (sinh(theta), guarded by the sum form only, is left out: the instances
     below keep theta generic.)"""
     tol = guard_tol_default()
-    n = p.n
-    iu, ju = np.triu_indices(n, 1)
-    rows = {f.key: f for f in params.guard_families(p, (ju, iu))}
+    iu, ju = np.triu_indices(p.n, 1)
+    rows = {f.key: f for f in params.guard_families(p)}
     for key in _DET_GUARD_ORDER:
         f = rows[key]
         args, name = f.args().ravel(), f.name
-        if key == "lambda+lambda+eta":  # the lower triangle of the grid
-            flat = ju * n + iu
-            args, name = args[flat], lambda k: f.name(flat[k])
+        if key in _DET_GUARD_ORDER[6:]:  # the pairs at sites (j, i)
+            args, name = f.args(ju, iu), lambda k: f.name(k, ju, iu)
         mags = np.abs(sh(args))
         if mags.size and mags.min() <= tol:
             k = int(np.argmin(mags))
@@ -819,6 +818,28 @@ def test_generic_guards_evaluate_only_the_boundary_rows(n, monkeypatch):
         sizes.clear()
         partition._det_guards(draw(n, np.random.default_rng((217, seed, n))))
         assert sizes == [n, n]
+
+
+def test_a_near_xi_pair_is_guarded_only_at_its_entries(monkeypatch):
+    # xi_1 2e-6 from xi_0 puts one P1 entry under its threshold: the guards
+    # evaluate xi[1]-xi[0] and xi[1]+xi[0] there, with the 2N boundary and
+    # N/2 height arguments, not the whole grid and pair table
+    n = 200
+    inner = partition.require_all_nonsingular
+    sizes = []
+
+    def counting(label_fn, values):
+        sizes.append(np.size(values))
+        return inner(label_fn, values)
+
+    p = draw(n, np.random.default_rng(219))
+    xis = list(p.xis)
+    xis[1] = xis[0] + 2e-6
+    monkeypatch.setattr(partition, "require_all_nonsingular", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        partition.z_determinant(dataclasses.replace(p, xis=tuple(xis)))
+    assert sum(sizes) <= 2 * n + n // 2 + 4
 
 
 def _reference_det_guards(p):
