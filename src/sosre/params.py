@@ -202,8 +202,10 @@ class GuardFamily(NamedTuple):
     evaluated before it is called.  Grid and pair rows also take site arrays,
     `args(i, j)`: the entries [i[k], j[k]] of a grid, or the pair rows'
     arithmetic at the pairs (i[k], j[k]), bit for bit what the full table
-    holds there.  `name(k)` labels flat entry k of `args()`, and
-    `name(k, i, j)` entry k of `args(i, j)`.
+    holds there.  An O(1) row whose key holds lambda takes lambda values
+    too, `args(v)`: the row at lambda = v, entry for entry.  `name(k)`
+    labels flat entry k of `args()`, and `name(k, i, j)` entry k of
+    `args(i, j)`.
     """
 
     tier: str
@@ -254,9 +256,9 @@ def guard_families(p):
 
     minus, plus = (lambda u, v: u - v), (lambda u, v: u + v)
     return [
-        one(GENERIC, "zeta-lambda", lambda: zeta - lam),
-        one(GENERIC, "theta+zeta-lambda", lambda: theta + zeta - lam),
-        one(GENERIC, "2*lambda", lambda: 2.0 * lam),
+        one(GENERIC, "zeta-lambda", lambda v=lam: zeta - v),
+        one(GENERIC, "theta+zeta-lambda", lambda v=lam: theta + zeta - v),
+        one(GENERIC, "2*lambda", lambda v=lam: 2.0 * v),
         grid("lambda-xi", minus, xi, "lambda[{}]-xi[{}]"),
         grid("lambda+xi", plus, xi, "lambda[{}]+xi[{}]"),
         grid("lambda-xi+eta", lambda u, v: u - v + eta, xi, "lambda[{}]-xi[{}]+eta"),
@@ -268,8 +270,8 @@ def guard_families(p):
         pair("xi+xi", plus, xi, "xi[{}]+xi[{}]"),
         GuardFamily(RATIO, "theta%+d*eta", lambda: theta + ks * eta,
                     lambda k: f"theta{ks[k]:+d}*eta"),
-        one(RATIO, "zeta+lambda", lambda: zeta + lam),
-        one(RATIO, "theta+zeta+lambda", lambda: theta + zeta + lam),
+        one(RATIO, "zeta+lambda", lambda v=lam: zeta + v),
+        one(RATIO, "theta+zeta+lambda", lambda v=lam: theta + zeta + v),
     ]
 
 
@@ -285,18 +287,21 @@ def prefilter_threshold(c, tol, mod):
 
 # The sinh^2 differences that clear the grid and pair rows (see `_scan`):
 # entry [i, j] of difference g is sq[_MINUEND[g], i] - sq[_SUBTRAHEND[g], j]
-# over the squares sq = (w_eta, w, q, y) of `sinh_squares`.  They are, in order,
+# over the squares sq = (w_eta, w, q, y) of `sinh_squares`, and FACTORS[g]
+# names the two rows whose sinh at [i, j] it is the product of:
 #   w_eta_i - y_j = sinh(lambda_i-xi_j+eta) sinh(lambda_i+xi_j+eta),
 #   w_i - y_j = sinh(lambda_i-xi_j) sinh(lambda_i+xi_j),
 #   q_i - q_j = sinh(lambda_i-lambda_j) sinh(lambda_i+lambda_j+eta),
 #   w_i - w_j = sinh(lambda_i-lambda_j) sinh(lambda_i+lambda_j),
-#   y_i - y_j = sinh(xi_i-xi_j) sinh(xi_i+xi_j);
-# `_CLEARED` maps each grid and pair row to the one that holds its argument
-# as a factor, entry for entry (the last two at the pairs [i, j], i < j).
+#   y_i - y_j = sinh(xi_i-xi_j) sinh(xi_i+xi_j),
+# a pair row at the pairs [i, j], i < j.  `_CLEARED` maps each grid and pair
+# row to the difference that clears it in `_scan`, entry for entry: the
+# last that holds it, so w_i - w_j for lambda-lambda.
 _MINUEND, _SUBTRAHEND = np.array([0, 1, 2, 1, 3]), np.array([3, 3, 2, 1, 3])
-_CLEARED = {"lambda-xi": 1, "lambda+xi": 1, "lambda-xi+eta": 0, "lambda+xi+eta": 0,
-            "lambda+lambda+eta": 2, "lambda-lambda": 3, "lambda+lambda": 3,
-            "xi-xi": 4, "xi+xi": 4}
+FACTORS = (("lambda-xi+eta", "lambda+xi+eta"), ("lambda-xi", "lambda+xi"),
+           ("lambda-lambda", "lambda+lambda+eta"), ("lambda-lambda", "lambda+lambda"),
+           ("xi-xi", "xi+xi"))
+_CLEARED = {key: g for g, keys in enumerate(FACTORS) for key in keys}
 
 
 def sinh_squares(p):
@@ -415,37 +420,40 @@ def validate_params(p):
 def fails_at_lambda(p, i, values):
     """For each value v, whether `validate_params` rejects p with lambda_i
     set to v, for a p that passes it, and what deciding it evaluated:
-    (fails, d, sinh(theta+zeta+v) sinh(zeta+v)).  The six O(1) entries that
-    hold lambda_i are a hand copy of `guard_families`' O(1) rows and of
-    lambda+lambda+eta's diagonal; the grid and pair ones are cleared as
-    `_scan` clears them, each by its own difference, in d: the first four
-    differences of `_MINUEND` and `_SUBTRAHEND`, the point's squares of
-    (v+eta, v, v+eta/2) less the base's, bounded at the point's own |Re|.
-    d[2] is the pair factor q_b - q_a, so q_j - q_v at j > i; d[2:, :, i]
-    is infinite and clears.
+    (fails, d, sinh(theta+zeta+v) sinh(zeta+v)).  The O(1) entries that
+    hold lambda_i are the guard table's O(1) rows that hold lambda, at v,
+    and lambda+lambda+eta's diagonal v+v+eta; the grid and pair ones are
+    cleared as `_scan` clears them, each by its own difference, in d: the
+    first four differences of `_MINUEND` and `_SUBTRAHEND`, the point's
+    squares of (v+eta, v, v+eta/2) less the base's, bounded at the point's
+    own |Re|.  d[2] is the pair factor q_b - q_a, so q_j - q_v at j > i;
+    d[2:, :, i] is infinite and clears.
     A point that no O(1) entry rejects, with an entry that no bound clears
     or a NaN difference, gets `guard_violations` on p with lambda_i = v.
     A NaN entry fails nothing, as in `guard_violations`."""
     tol = guard_tol_default()
     v = np.asarray(values, dtype=complex)
-    eta, zeta, theta = p.eta, p.zeta, p.theta
     sq, _, mod, r = p.squares
     base = sq.take(_SUBTRAHEND[:4], 0)[:, None, :]
     base[2:, :, i] = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.concatenate([zeta - v, theta + zeta - v, 2.0 * v, v + v + eta, zeta + v,
-                            theta + zeta + v, v + eta, v, v + eta / 2]).reshape(9, -1)
+        rows = {f.key: f.args(v) for f in p.guard_table
+                if f.key not in _CLEARED and "lambda" in f.key}
+        # the O(1) entries, then the arguments of the point's three squares
+        x = np.concatenate([*rows.values(), v + v + p.eta, v + p.eta, v, v + p.eta / 2])
+        x = x.reshape(len(rows) + 4, -1)
         s = np.sinh(x)
-        fails = (np.abs(s[:6]) <= tol).any(0)
-        c = np.cosh(np.abs(x[6:].real)[_MINUEND[:4]] + r[_SUBTRAHEND[:4], None])
-        lim = prefilter_threshold(c, tol, np.maximum(mod, 2 * np.abs(v) + abs(eta)))
-        sq_v = np.square(s[6:])
+        fails = (np.abs(s[:-3]) <= tol).any(0)
+        c = np.cosh(np.abs(x[-3:].real)[_MINUEND[:4]] + r[_SUBTRAHEND[:4], None])
+        lim = prefilter_threshold(c, tol, np.maximum(mod, 2 * np.abs(v) + abs(p.eta)))
+        sq_v = np.square(s[-3:])
         d = sq_v[_MINUEND[:4], :, None] - base
         d[2, :, i + 1:] = base[2, :, i + 1:] - sq_v[2, :, None]
         cleared = (np.abs(d) > lim[:, :, None]).all((0, 2))
     for k in (~fails & ~cleared).nonzero()[0]:
         fails[k] = bool(guard_violations(p.replace_lambda(i, v[k]), tol))
-    return fails, d, s[5] * s[4]
+    at = dict(zip(rows, s))
+    return fails, d, at["theta+zeta+lambda"] * at["zeta+lambda"]
 
 
 def require_nonsingular(label, value):

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import chain_ops
 from .params import (
+    FACTORS,
     CapExceeded,
     IllConditionedWarning,
     InvariantViolation,
@@ -305,9 +306,9 @@ def _det_guards(p):
     P2 = sinh^2(lambda_j+eta/2) - sinh^2(lambda_i+eta/2).  Every failing
     entry of a grid or pair row has its |D| or |P| at or under
     `params.prefilter_threshold` at that difference's own cosh bound, so
-    the two rows each difference factors are evaluated only at its entries
-    under it, and not at all while none is: NearSingular is what evaluating
-    every row in full would raise.  Returns D1 D2, P1 P2 and
+    the two rows each difference factors (`params.FACTORS`) are evaluated
+    only at its entries under it, and not at all while none is: NearSingular
+    is what evaluating every row in full would raise.  Returns D1 D2, P1 P2 and
     sinh(theta+zeta+lambda) sinh(zeta+lambda), which do not depend on which
     entries were evaluated."""
     n = p.n
@@ -320,21 +321,21 @@ def _det_guards(p):
     guard = lambda key, *sites: require_all_nonsingular(
         lambda k: fams[key].name(k, *sites), fams[key].args(*sites))
 
-    def guard_near(d, g, *keys):
+    def guard_near(d, g):
         # An entry above its threshold cannot fail; a NaN entry counts as
         # under (np.minimum propagates it).
         mag, lim = np.abs(d), prefilter_threshold(c[g], tol, mod)
         if not np.minimum.reduce(mag, None, initial=np.inf) > lim:
             ks = (~(mag > lim)).ravel().nonzero()[0]
             sites = np.divmod(ks, n) if d.ndim == 2 else (ju[ks], iu[ks])
-            for key in keys:
+            for key in FACTORS[g]:
                 guard(key, *sites)
 
-    guard_near(d1, 1, "lambda-xi", "lambda+xi")
-    guard_near(d2, 0, "lambda-xi+eta", "lambda+xi+eta")
+    guard_near(d1, 1)
+    guard_near(d2, 0)
     boundary = guard("theta+zeta+lambda") * guard("zeta+lambda")
-    guard_near(p1, 4, "xi-xi", "xi+xi")
-    guard_near(p2, 2, "lambda-lambda", "lambda+lambda+eta")
+    guard_near(p1, 4)
+    guard_near(p2, 2)
     return d1 * d2, p1 * p2, boundary
 
 

@@ -37,6 +37,14 @@ MAX_ATTEMPTS = 5000
 # Radius of the circle in w = exp(2 lambda_i) that holds the degree test's nodes.
 _NODE_RADIUS = 1.25
 
+# The largest N each chain-size suite runs.  algebra: its checks build dense
+# operators on the chain and two auxiliary spaces, 4x the memory and time per
+# step in N (157 MB peak at N = 8; at N = 12 np.eye(2**14) alone is 2 GiB).
+# partition: the fixed `CASES` tolerances hold on correct code at N <= 5 on
+# seeds 42 and 1-4, and fail at N = 6 on seed 4 (see CHANGES.md); it is also
+# below contraction's limit, `partition.BRUTE_CAP`.
+_MAX_N = {"algebra": 9, "partition": 5}
+
 # Sampler margins relax beyond this chain size (the number of guarded
 # argument pairs grows ~N^2, so fixed margins would reject every draw).
 _MARGIN_PIVOT_N = 6
@@ -52,10 +60,12 @@ class SuiteConfig:
     families and `ratio_guard_tol` the wider margin for the boundary/height
     ratio denominators; both are finite and > 0, and shrink as 6/N beyond
     N=6 to keep rejection sampling feasible.
-    The `CASES` tolerances are fixed for the default N <= 3: at n_values=(8,)
-    the partition suite fails 10 of 275 cases on correct code (seed 42, the
-    lambda and xi permutations by contraction, rounding up to 7.1e-6); an
-    error estimate per Z (ROADMAP items 3 and 6) is the fix.
+    The `CASES` tolerances are fixed, set for the default N <= 3, so a suite
+    refuses sizes above `_MAX_N` before any case runs: the partition suite
+    N > 5, where contraction's rounding fails them on correct code (2 of 275
+    cases at N = 6, seed 4, the lambda permutation by contraction), until an
+    error estimate per Z (ROADMAP items 3 and 6) bounds each comparison; the
+    algebra suite N > 9, where its dense operators outgrow memory.
     """
 
     seed: int = 42
@@ -129,21 +139,20 @@ def sample_params(cfg, n, rng_state, extra_guards=None):
 
 def _crossing_extra(i):
     """Extra guard arguments for checks that evaluate at -lambda_i - eta:
-    the crossing-scalar denominators, its numerators (the compared values
-    must not be spuriously tiny), and the boundary denominators at the
-    image point."""
+    the guard table's 2*lambda, zeta+lambda and theta+zeta+lambda rows at
+    that point, the image instance's own entries at site i.  They are the
+    boundary denominators at the image point and, up to sign, the crossing
+    scalar's numerator sinh(2 (lambda_i + eta)) and its two denominators
+    besides sinh(2 lambda_i).  Its other numerators, at zeta + lambda_i and
+    theta + zeta + lambda_i, must not be spuriously tiny either: they are
+    the instance's own RATIO rows, which the sampler's ratio margin holds
+    above the generic one while `ratio_guard_tol` >= `guard_tol`, as in
+    every config in this repo."""
 
     def extra(p):
-        l = p.lambdas[i]
-        return [
-            2 * (l + p.eta),
-            l - p.zeta + p.eta,
-            l - p.theta - p.zeta + p.eta,
-            l + p.zeta,
-            l + p.zeta + p.theta,
-            p.zeta - l - p.eta,
-            p.theta + p.zeta - l - p.eta,
-        ]
+        v = -p.lambdas_array()[i : i + 1] - p.eta
+        return np.concatenate([f.args(v) for f in p.guard_table
+                               if f.key in ("2*lambda", "zeta+lambda", "theta+zeta+lambda")])
 
     return extra
 
@@ -390,17 +399,19 @@ CASES = (
 
 def _case_plan(name, cfg):
     """Ordered (case_name, n, tol, runner) entries for a suite, read from
-    `CASES`, one per sample.  Algebra cases are planned size-major (every
-    case at one n, then the next n); weights and partition cases case-major.
-    Weight-level cases are chain-size independent and recorded with n = 0."""
+    `CASES`, one per sample; ValueError for a size above a suite's `_MAX_N`.
+    Algebra cases are planned size-major (every case at one n, then the next
+    n); weights and partition cases case-major.  Weight-level cases are
+    chain-size independent and recorded with n = 0."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if name in ("partition", "all") and max(cfg.n_values) > (cap := partition.BRUTE_CAP):
-        raise ValueError(f"partition: contraction needs N <= {cap}, got N = {max(cfg.n_values)}")
+    n_max = max(cfg.n_values)
     plan = []
     for suite in ("weights", "algebra", "partition"):
         if name not in (suite, "all"):
             continue
+        if n_max > _MAX_N.get(suite, n_max):
+            raise ValueError(f"{suite} suite: needs N <= {_MAX_N[suite]}, got N = {n_max}")
         rows = [(case, tol, sizes(cfg.n_values), runner)
                 for s, case, tol, sizes, runner in CASES if s == suite]
         if suite == "algebra":

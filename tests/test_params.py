@@ -403,3 +403,32 @@ def test_sampler_draws_match_full_evaluation(monkeypatch):
     got = {n: verify.sample_params(cfg, n, rng(n)) for n, cfg in configs.items()}
     monkeypatch.setattr(verify, "min_guard_margins", _reference_min_guard_margins)
     assert got == {n: verify.sample_params(cfg, n, rng(n)) for n, cfg in configs.items()}
+
+
+def test_guard_table_change_reaches_every_reader(monkeypatch):
+    # a zeta-lambda row with a root at v_star, where the model's own table
+    # has none: the sweep's guard decides by the table's rows, as
+    # validate_params does, and the crossing sampler's extra arguments are
+    # the image instance's own table entries
+    table = params.guard_families
+    v_star, v_ok, i = complex(0.41, -0.27), complex(-0.33, 0.52), 3
+
+    def patched(p):
+        lam = p.lambdas_array()
+        return [f._replace(args=lambda v=lam: v - v_star) if f.key == "zeta-lambda" else f
+                for f in table(p)]
+
+    monkeypatch.setattr(params, "guard_families", patched)
+    p = verify.sample_params(verify.SuiteConfig(), 8, np.random.default_rng(31))
+    validate_params(p)
+    with monkeypatch.context() as m:
+        m.setattr(params, "guard_families", table)
+        assert min(min_guard_margins(p.replace_lambda(i, v_star))) > 0.05
+    want = [bool(guard_violations(p.replace_lambda(i, v))) for v in (v_star, v_ok)]
+    assert want == [True, False]
+    assert params.fails_at_lambda(p, i, [v_star, v_ok])[0].tolist() == want
+    q = p.replace_lambda(i, -p.lambdas[i] - p.eta)
+    image = [f.args()[i] for f in q.guard_table
+             if f.key in ("2*lambda", "zeta+lambda", "theta+zeta+lambda")]
+    extra = verify._crossing_extra(i)(p)
+    assert np.abs(np.sinh(extra)).tolist() == np.abs(np.sinh(image)).tolist()

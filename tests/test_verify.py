@@ -80,12 +80,61 @@ def test_suite_config_validation():
 def test_unknown_suite_name():
     with pytest.raises(ValueError, match="unknown suite"):
         verify.run_suite("everything")
-    # contraction's cap is checked before any case runs
+    # the partition suite's size limit is checked before any case runs
     for name in ("partition", "all"):
-        with pytest.raises(ValueError, match="partition: contraction needs N <= 8, got N = 9"):
+        with pytest.raises(ValueError, match="partition suite: needs N <= 5, got N = 9"):
             verify.run_suite(name, verify.SuiteConfig(n_values=(9,), samples_per_case=1))
     for name in ("weights", "algebra"):
         assert verify._case_plan(name, verify.SuiteConfig(n_values=(9,)))
+
+
+def test_suite_size_limits_refuse_before_any_case_runs(monkeypatch):
+    # above a suite's limit nothing runs, not even the cases at sizes it takes
+    def forbidden(*a, **k):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(verify, "sample_params", forbidden)
+    for name, n, limit in (("algebra", 10, 9), ("partition", 6, 5), ("all", 6, 5)):
+        suite = "partition" if name == "all" else name
+        with pytest.raises(ValueError, match=f"{suite} suite: needs N <= {limit}, got N = {n}"):
+            verify.run_suite(name, verify.SuiteConfig(n_values=(1, n), samples_per_case=1))
+    assert verify._case_plan("algebra", verify.SuiteConfig(n_values=(9,)))
+    assert verify._case_plan("partition", verify.SuiteConfig(n_values=(5,)))
+    assert verify._case_plan("weights", verify.SuiteConfig(n_values=(50,)))
+
+
+def _crossing_extra_seven(i):
+    # the crossing guard's arguments as seven hand-written formulas
+    def extra(p):
+        l = p.lambdas[i]
+        return [2 * (l + p.eta), l - p.zeta + p.eta, l - p.theta - p.zeta + p.eta, l + p.zeta,
+                l + p.zeta + p.theta, p.zeta - l - p.eta, p.theta + p.zeta - l - p.eta]
+
+    return extra
+
+
+def test_crossing_guard_decides_as_the_seven_argument_list():
+    # the three table rows at -lambda_i - eta accept exactly the candidates
+    # the seven formulas accept: two of those are the rows negated, and two
+    # are the instance's RATIO rows, held by ratio_guard_tol >= guard_tol
+    cfg = verify.SuiteConfig()
+    assert cfg.ratio_guard_tol >= cfg.guard_tol
+    decisions = []
+    for n in range(1, 6):
+        gen_floor, _ = cfg.margins(n)
+        for seed in range(120):
+            rng = np.random.default_rng((seed, n))
+            i = int(rng.integers(n))
+            new, old = verify._crossing_extra(i), _crossing_extra_seven(i)
+
+            def both(p):
+                decisions.append([float(np.abs(np.sinh(np.asarray(f(p), complex))).min()) > gen_floor
+                                  for f in (new, old)])
+                return new(p)
+
+            verify.sample_params(cfg, n, rng, extra_guards=both)
+    assert all(a == b for a, b in decisions)
+    assert sum(not a for a, _ in decisions) >= 5
 
 
 def test_weights_suite_never_builds_chain_operators(monkeypatch):
