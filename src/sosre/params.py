@@ -15,6 +15,14 @@ the margins (`min_guard_margins`) and the guard checks (`guard_violations`,
 cannot clear the |D| that holds it as a factor, and return what evaluating
 every entry would; the determinant's guards (`partition`) clear by the same
 rule, from the squares and guard table `ModelParams` computes once.
+
+The entries a bound cannot clear are few, a few per site, and `_scan` finds
+them in one of two ways with the same result: below `_SORTED_SCAN_N` sites
+from the dense N x N grids of the five differences, and from it on by a
+range search on the sorted squares, which never forms an N x N array.  The
+grids are faster at small N, where the search's sorting and per-site
+lookups cost more than 5 N^2 subtractions; at N = 800 the grids are
+~80 MB of temporaries.
 """
 
 from __future__ import annotations
@@ -228,16 +236,16 @@ def guard_families(p):
     """Every sinh denominator of the model, declared once: `GuardFamily` rows
     in guard order, each a closure over its own arithmetic.
 
-    Pair rows run over the pairs (a[k], b[k]) of `site_pairs`, a < b.  RATIO
-    rows sit under the large coupling-dependent ratios (factors like
-    sinh(theta + k eta) in denominators with sizeable numerators), so the
-    sampler keeps them further from zero than the GENERIC rows.
+    Pair rows run over the pairs (a[k], b[k]) of `site_pairs`, a < b, which
+    are built only when a pair row is called without sites.  RATIO rows sit
+    under the large coupling-dependent ratios (factors like sinh(theta +
+    k eta) in denominators with sizeable numerators), so the sampler keeps
+    them further from zero than the GENERIC rows.
     """
     lam = p.lambdas_array()
     xi = p.xis_array()
     n = p.n
     eta, zeta, theta = p.eta, p.zeta, p.theta
-    a, b = site_pairs(n)
     ks = np.arange(-(n + 2), n + 3)
 
     def one(tier, key, args):
@@ -250,9 +258,10 @@ def guard_families(p):
                            lambda k, i=None, j=None: label.format(k // n, k % n)
                            if i is None else label.format(i[k], j[k]))
 
-    def pair(key, f, v, label):  # pair k is f(v[a[k]], v[b[k]])
-        return GuardFamily(GENERIC, key, lambda i=a, j=b: f(v[i], v[j]),
-                           lambda k, i=a, j=b: label.format(i[k], j[k]))
+    def pair(key, f, v, label):  # pair k is f(v[a[k]], v[b[k]]), (a, b) = site_pairs(n)
+        return GuardFamily(GENERIC, key,
+                           lambda *ij: f(*(v[s] for s in ij or site_pairs(n))),
+                           lambda k, *ij: label.format(*(s[k] for s in ij or site_pairs(n))))
 
     minus, plus = (lambda u, v: u - v), (lambda u, v: u + v)
     return [
@@ -303,6 +312,13 @@ FACTORS = (("lambda-xi+eta", "lambda+xi+eta"), ("lambda-xi", "lambda+xi"),
            ("xi-xi", "xi+xi"))
 _CLEARED = {key: g for g, keys in enumerate(FACTORS) for key in keys}
 
+# From this many sites on, `_scan` finds the entries under the thresholds
+# by a range search on the sorted squares (`_sorted_sites`) instead of the
+# dense grids (`_dense_sites`).  Measured on a 2-vCPU host: a first call at
+# a size, as the sampler makes, is faster sorted from N ~ 150; repeated
+# calls at one size from N ~ 250 (at N = 200 1.9 against 1.6 ms).
+_SORTED_SCAN_N = 200
+
 
 def sinh_squares(p):
     """The O(N) squares under the grid and pair rows, (sq, c, mod, r): sq
@@ -318,6 +334,93 @@ def sinh_squares(p):
     r = np.abs(x.real).max(1)
     c = np.cosh(r[_MINUEND] + r[_SUBTRAHEND]).tolist()
     return np.square(np.sinh(x)), c, 2 * float(np.abs(lam_xi).max()) + abs(eta), r
+
+
+def _generic_bound(least, d_min, c, mod):
+    """`_scan`'s bound on the smallest generic |sinh| at tol None: the least
+    value `least` of the O(N) generic rows, or sqrt(d_min + slack), d_min
+    the least |D| of the first two differences, of whose two factors one is
+    at most the square root of their product."""
+    return min(least, (1 + _PREFILTER_SLACK) * math.sqrt(
+        d_min + prefilter_threshold(max(c[:2]), 0.0, mod)))
+
+
+def _dense_sites(squares, tol, least):
+    """The sites (i, j) of each difference g of `_MINUEND` and `_SUBTRAHEND`,
+    in row-major order, where |D| is not above `prefilter_threshold(c[g],
+    tol, mod)` for the `ModelParams.squares` (sq, c, mod, r); at tol None,
+    tol is `_generic_bound` of `least`.  From the dense N x N grids of all
+    five differences.  Call it under np.errstate."""
+    sq, c, mod, _ = squares
+    d = np.abs(sq.take(_MINUEND, 0)[:, :, None] - sq.take(_SUBTRAHEND, 0)[:, None, :])
+    if tol is None:
+        tol = _generic_bound(least, float(d[:2].min()), c, mod)
+    keep = ~(d > np.array([prefilter_threshold(cg, tol, mod) for cg in c])[:, None, None])
+    return [np.divmod(np.flatnonzero(v), sq.shape[1]) for v in keep]
+
+
+def _near(a, b, t):
+    """(k, d): the flat indices k = i N + j, ascending, of the entries where
+    |a_i - b_j| may be at or below t, and d = |a_i - b_j| there, bit for bit
+    what the dense grid holds; None where the search would take more than a
+    quarter of the N^2 entries (past Re lambda ~ 12 the thresholds pass the
+    squares' spread) or cannot run: t not finite or too small for the cells
+    to stay exact, or a value not finite (a square past Re ~ 355, where the
+    thresholds are above 1e290 and take nearly every entry anyway).
+
+    A range search: b sorted by (cell of Re b_j of width 2 h, Im b_j), h
+    being t padded by `_PREFILTER_SLACK` for the rounding of a_i - b_j and
+    of the search's own bounds, and each a_i looks up the Im range within h
+    in the one or two cells within h, so the candidates scale with the area
+    of a disc of radius t."""
+    n = a.size
+    scale = np.abs(np.concatenate([a, b]).view(float)).max()  # NaN if any value is
+    h = (t + _PREFILTER_SLACK * scale) * (1 + _PREFILTER_SLACK)
+    if not (scale + 2 * h < np.inf and scale < 2.0**50 * h):
+        return None
+    # complex arrays sort by real part, then imaginary: by cell, then Im;
+    # the queries are sorted too, which speeds the search
+    key = np.floor(b.real / (2 * h)) + 1j * b.imag
+    order = np.argsort(key)
+    first = np.floor((a.real - h) / (2 * h)) + 1j * a.imag
+    by = np.argsort(first)
+    first = first[by]
+    span = (np.floor((a.real[by] + h) / (2 * h)) > first.real).astype(int)
+    cells = first + np.arange(1 + span.max())[:, None]
+    lo, hi = np.searchsorted(key[order], np.stack([cells - 1j * h, cells + 1j * h]))
+    count = np.where(cells.real <= first.real + span, hi - lo, 0).ravel()
+    total = int(count.sum())
+    if 4 * total > n * n:
+        return None
+    at = np.arange(total) + np.repeat(lo.ravel() - np.cumsum(count) + count, count)
+    k = np.tile(by, len(cells)).repeat(count) * n + order[at]
+    k.sort()
+    i, j = np.divmod(k, n)
+    return k, np.abs(a[i] - b[j])
+
+
+def _sorted_sites(squares, tol, least):
+    """`_dense_sites`, bit for bit, from a range search (`_near`) of each
+    difference at its threshold at tol, or at tol None at `least`, which is
+    at least the bound.  The least |D| the search finds for the first two
+    differences is theirs when it is at or below their thresholds; else
+    theirs is above them too, which gives `least` back as the bound unless
+    sqrt(threshold) is under `least` (only by rounding, since |D| <= c^2).
+    Where that fails, or a search does not run, the dense grids decide."""
+    sq, c, mod, _ = squares
+    lims = [prefilter_threshold(cg, least if tol is None else tol, mod) for cg in c]
+    near = []
+    for m, s, lim in zip(_MINUEND.tolist(), _SUBTRAHEND.tolist(), lims):
+        near.append(_near(sq[m], sq[s], lim))
+        if near[-1] is None:
+            return _dense_sites(squares, tol, least)
+    if tol is None:
+        d_min = float(np.concatenate([near[0][1], near[1][1]]).min(initial=np.inf))
+        if d_min > min(lims[:2]) and _generic_bound(least, min(lims[:2]), c, mod) < least:
+            return _dense_sites(squares, tol, least)
+        tol = _generic_bound(least, d_min, c, mod)
+    return [np.divmod(k[~(d > prefilter_threshold(cg, tol, mod))], sq.shape[1])
+            for (k, d), cg in zip(near, c)]
 
 
 def _scan(p, tol=None):
@@ -336,12 +439,15 @@ def _scan(p, tol=None):
     threshold keeps it), so every entry at or below `tol` is.  With `tol`
     None it is a bound on the smallest generic |sinh|, so the entry that
     holds it is evaluated: the least of the O(N) generic rows' values and
-    sqrt(min |D| + slack) over the first two differences, one of two factors
-    being at most the square root of their product (the other three hold
-    D = 0 on their diagonals, lambda+lambda+eta's paired with sinh(0)).
-    Past a double's range a value is inf, without a warning."""
+    sqrt(min |D| + slack) over the first two differences (`_generic_bound`;
+    the other three hold D = 0 on their diagonals, lambda+lambda+eta's
+    paired with sinh(0)).  Past a double's range a value is inf, without a
+    warning.
+
+    The entries under the thresholds come from the dense grids below
+    `_SORTED_SCAN_N` sites (`_dense_sites`) and from a range search from it
+    on (`_sorted_sites`), the same sites either way."""
     n = p.n
-    sq, c, mod, _ = p.squares
     rows, args, grid_pair = [], [], []
     for t, f in enumerate(p.guard_table):
         if f.key in _CLEARED:
@@ -352,14 +458,11 @@ def _scan(p, tol=None):
     sizes = [v.size for v in args]
     with np.errstate(over="ignore", invalid="ignore"):
         mags = np.abs(np.sinh(np.concatenate(args)))
-        d = np.abs(sq.take(_MINUEND, 0)[:, :, None] - sq.take(_SUBTRAHEND, 0)[:, None, :])
-        if tol is None:
-            # the table lists its GENERIC rows first
+        least = None
+        if tol is None:  # the table lists its GENERIC rows first
             n_generic = sum(k for (_, f, _), k in zip(rows, sizes) if f.tier == GENERIC)
-            tol = min(float(mags[:n_generic].min()), (1 + _PREFILTER_SLACK) * math.sqrt(
-                float(d[:2].min()) + prefilter_threshold(max(c[:2]), 0.0, mod)))
-        keep = ~(d > np.array([prefilter_threshold(cg, tol, mod) for cg in c])[:, None, None])
-        sites = [np.divmod(np.flatnonzero(v), n) for v in keep]
+            least = float(mags[:n_generic].min())
+        sites = (_dense_sites if n < _SORTED_SCAN_N else _sorted_sites)(p.squares, tol, least)
         sites[3:] = [(i[i < j], j[i < j]) for i, j in sites[3:]]  # the pairs, i < j
         grid_pair = [(t, f, sites[g]) for t, f, g in grid_pair if sites[g][0].size]
         if grid_pair:
@@ -375,8 +478,11 @@ def min_guard_margins(p):
 
     Fast path for rejection sampling: no labels are materialised, and the
     grid and pair rows are evaluated only where a sinh^2 bound cannot clear
-    them (`_scan`).  A row holding a NaN is left out, as
-    min(low, np.min(row)) would leave it.
+    them (`_scan`); from `_SORTED_SCAN_N` sites on, those entries are found
+    by a range search, with no N x N array (at N = 800 ~7 ms against ~30
+    ms warm and up to ~115 ms cold for the dense grids, on a 2-vCPU host).
+    A row holding a NaN is left out, as min(low, np.min(row)) would leave
+    it.
     """
     mags, rows, bounds = _scan(p)
     low = {GENERIC: np.inf, RATIO: np.inf}

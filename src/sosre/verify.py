@@ -59,7 +59,10 @@ class SuiteConfig:
     `guard_tol` is the sampler margin on |sinh| for the generic denominator
     families and `ratio_guard_tol` the wider margin for the boundary/height
     ratio denominators; both are finite and > 0, and shrink as 6/N beyond
-    N=6 to keep rejection sampling feasible.
+    N=6 to keep rejection sampling feasible.  `ratio_guard_tol` is at least
+    `guard_tol`: the crossing cases' numerators sinh(zeta+lambda_i) and
+    sinh(theta+zeta+lambda_i) are RATIO rows, and must clear the generic
+    margin too.
     The `CASES` tolerances are fixed, set for the default N <= 3, so a suite
     refuses sizes above `_MAX_N` before any case runs: the partition suite
     N > 5, where contraction's rounding fails them on correct code (2 of 275
@@ -95,6 +98,9 @@ class SuiteConfig:
             tol = getattr(self, name)
             if not (np.isfinite(tol) and tol > 0):  # else the sampler accepts every draw
                 raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
+        if self.ratio_guard_tol < self.guard_tol:  # the crossing numerators are RATIO rows
+            raise ValueError(f"ratio_guard_tol must be >= guard_tol, got "
+                             f"{self.ratio_guard_tol!r} < {self.guard_tol!r}")
 
     def margins(self, n):
         scale = min(1.0, _MARGIN_PIVOT_N / n)
@@ -146,8 +152,8 @@ def _crossing_extra(i):
     besides sinh(2 lambda_i).  Its other numerators, at zeta + lambda_i and
     theta + zeta + lambda_i, must not be spuriously tiny either: they are
     the instance's own RATIO rows, which the sampler's ratio margin holds
-    above the generic one while `ratio_guard_tol` >= `guard_tol`, as in
-    every config in this repo."""
+    above the generic one: `SuiteConfig` refuses `ratio_guard_tol` <
+    `guard_tol`."""
 
     def extra(p):
         v = -p.lambdas_array()[i : i + 1] - p.eta

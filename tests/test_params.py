@@ -304,7 +304,7 @@ _BOXES = {"default": (1.0, 0.0), "4x": (4.0, 0.0), "i*pi": (1.0, 1j * np.pi),
 
 
 @pytest.mark.parametrize("box", sorted(_BOXES))
-@pytest.mark.parametrize("n", [*range(1, 13), 50, 200])
+@pytest.mark.parametrize("n", [*range(1, 13), 50, 200, 400])
 def test_guard_margins_match_full_evaluation(n, box, monkeypatch):
     monkeypatch.delenv(params.GUARD_ENV_VAR, raising=False)
     rng = np.random.default_rng([n, sorted(_BOXES).index(box)])
@@ -349,7 +349,7 @@ _OWN_DIFFERENCE = {"lambda-xi": (1, 3), "lambda+xi": (1, 3), "lambda-xi+eta": (0
 
 
 @pytest.mark.parametrize("tol", [None, 1e-6, 1e-3])
-@pytest.mark.parametrize("n", [16, 200])
+@pytest.mark.parametrize("n", [16, 200, 400])
 def test_scan_evaluates_each_row_where_its_own_difference_keeps_it(n, tol):
     p = verify.sample_params(verify.SuiteConfig(), n, np.random.default_rng((7, n)))
     sq, c, mod, _ = p.squares
@@ -395,14 +395,69 @@ def test_guard_functions_raise_no_numpy_warnings(lambda_0, monkeypatch):
 
 
 def test_sampler_draws_match_full_evaluation(monkeypatch):
-    # det_large's inputs at N = 50 and 200, seed 1 (perfbench/workloads.py):
-    # the draws the sampler keeps with every row evaluated in full
-    configs = {50: verify.SuiteConfig(),
-               200: verify.SuiteConfig(guard_tol=0.01, ratio_guard_tol=0.035)}
-    rng = lambda n: np.random.default_rng(np.random.SeedSequence((1, n)))
-    got = {n: verify.sample_params(cfg, n, rng(n)) for n, cfg in configs.items()}
+    # det_large's inputs at N = 50 and 200, seed 1, and N = 800, seeds 1 and
+    # 2 (perfbench/workloads.py): the draws the sampler keeps with every row
+    # evaluated in full
+    large = verify.SuiteConfig(guard_tol=0.01, ratio_guard_tol=0.035)
+    configs = {(1, 50): verify.SuiteConfig(), (1, 200): large, (1, 800): large, (2, 800): large}
+    rng = lambda seed, n: np.random.default_rng(np.random.SeedSequence((seed, n)))
+    draw = lambda: {k: verify.sample_params(cfg, k[1], rng(*k)) for k, cfg in configs.items()}
+    got = draw()
     monkeypatch.setattr(verify, "min_guard_margins", _reference_min_guard_margins)
-    assert got == {n: verify.sample_params(cfg, n, rng(n)) for n, cfg in configs.items()}
+    assert got == draw()
+
+
+# sorted-side instances at N = 400: a raw draw, each pair pin at each
+# distance, lambda_0 at Re 200 (finite squares), 360 (an infinite square)
+# and 400 (infinite thresholds too), and every lambda moved by +15, where
+# the sinh^2 bounds clear nothing
+_SORTED_N = 400
+_SORTED_CASES = {
+    "draw": lambda p: p,
+    **{f"{label}@{delta:g}": lambda p, pin=pin, delta=delta: pin(p, delta)
+       for label, pin in _PAIR_PINS for delta in (0.0, 1e-9, 9.99e-7, 1.001e-6)},
+    **{f"lambda_0={v:g}": lambda p, v=v: p.replace_lambda(0, v) for v in (200.0, 360.0, 400.0)},
+    "lambda+15": lambda p: dataclasses.replace(p, lambdas=tuple(np.add(p.lambdas, 15.0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SORTED_CASES))
+def test_sorted_and_dense_searches_find_the_same_sites(case, monkeypatch):
+    assert _SORTED_N >= params._SORTED_SCAN_N
+    monkeypatch.delenv(params.GUARD_ENV_VAR, raising=False)
+    p = _SORTED_CASES[case](_draw(np.random.default_rng(5), _SORTED_N))
+    with np.errstate(over="ignore", invalid="ignore"):
+        least = float(min(np.abs(np.sinh(f.args())).min() for f in p.guard_table
+                          if f.tier == params.GENERIC and f.key not in _OWN_DIFFERENCE))
+        for tol in (None, 1e-6, 1e-3, 0.1):
+            dense = params._dense_sites(p.squares, tol, least)
+            found = params._sorted_sites(p.squares, tol, least)
+            assert len(dense) == len(found) == len(params.FACTORS)
+            for (i, j), (i2, j2) in zip(dense, found):
+                assert i.tolist() == i2.tolist() and j.tolist() == j2.tolist()
+    if case.startswith("lambda_0"):  # the public functions warn of no overflow
+        _assert_matches_full_evaluation(p)
+
+
+@pytest.mark.parametrize("angle", [0, 1, 2, 3])
+def test_range_search_finds_entries_at_its_threshold(angle):
+    # a_i = b_j + s along an axis, and the threshold t exactly the computed
+    # |a_i - b_j|: the search must find the entry although a_i and b_j round
+    rng = np.random.default_rng(angle)
+    n = 400
+    b = 4 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    j = rng.permutation(n)
+    a = b[j] + 1j**angle * rng.uniform(1e-3, 2e-3, n)
+    d = np.abs(a - b[j])
+    for i in range(0, n, 7):
+        k, found = params._near(a, b, float(d[i]))
+        assert i * n + j[i] in k.tolist()
+        want = np.flatnonzero(~(np.abs(a[:, None] - b) > d[i]))
+        assert set(want.tolist()) <= set(k.tolist())
+        assert found.tolist() == np.abs(a[k // n] - b[k % n]).tolist()
+    for v in (np.inf, np.nan, complex(0, np.nan)):  # a value not finite: every entry
+        assert params._near(a, np.append(b[1:], v), 1e-3) is None
+        assert params._near(np.append(a[1:], v), b, 1e-3) is None
 
 
 def test_guard_table_change_reaches_every_reader(monkeypatch):

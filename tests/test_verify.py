@@ -48,7 +48,7 @@ def test_sample_params_extra_guards():
 
 def test_sampling_exhausted(monkeypatch):
     monkeypatch.setattr(verify, "MAX_ATTEMPTS", 40)
-    cfg = verify.SuiteConfig(guard_tol=50.0)
+    cfg = verify.SuiteConfig(guard_tol=50.0, ratio_guard_tol=50.0)
     with pytest.raises(SamplingExhausted, match="N=2"):
         verify.sample_params(cfg, 2, np.random.default_rng(0))
 
@@ -75,6 +75,11 @@ def test_suite_config_validation():
         for bad in (float("nan"), -1.0, 0.0, float("inf")):
             with pytest.raises(ValueError, match=name):
                 verify.SuiteConfig(**{name: bad})
+    # the crossing numerators are RATIO rows: under a ratio margin below the
+    # generic one they would clear only the ratio floor
+    with pytest.raises(ValueError, match="ratio_guard_tol must be >= guard_tol"):
+        verify.SuiteConfig(guard_tol=0.3, ratio_guard_tol=0.05)
+    assert verify.SuiteConfig(guard_tol=0.2, ratio_guard_tol=0.2).margins(1) == (0.2, 0.2)
 
 
 def test_unknown_suite_name():
