@@ -118,7 +118,8 @@ class ModelParams:
     xi_1 exactly).
 
     The O(N) data every guard and determinant call reads (the parameter
-    arrays, `squares` and `guard_table`) is computed on first use and kept
+    arrays, `squares`, `kernel_columns` and `guard_table`) is computed on
+    first use and kept
     on the instance, read-only; equality, hashing and `dataclasses.replace`
     see the fields only.
     """
@@ -178,6 +179,17 @@ class ModelParams:
             sq, c, mod, r = sinh_squares(self)
         sq.flags.writeable = r.flags.writeable = False
         return sq, tuple(c), mod, r
+
+    @cached_property
+    def kernel_columns(self):
+        """(sinh(eta), sinh(theta+zeta+xi) sinh(zeta-xi)): the parts of the
+        determinant's product-form kernel that no lambda enters, the second
+        read-only."""
+        xi = self.xis_array()
+        with np.errstate(over="ignore", invalid="ignore"):
+            col = np.sinh(self.theta + self.zeta + xi) * np.sinh(self.zeta - xi)
+        col.flags.writeable = False
+        return np.sinh(self.eta), col
 
     @cached_property
     def guard_table(self):

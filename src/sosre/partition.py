@@ -20,6 +20,7 @@ arithmetic and the O(N^3) LU.
 from __future__ import annotations
 
 import operator
+import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -118,16 +119,24 @@ def z_n1_closed(lam, xi, theta, eta, zeta):
 
 def _m_matrix_entries(p, grid, boundary, lam=None):
     """Product-form kernel r_i c_j / (D1 D2)_ij from what `_det_guards`
-    returns (no guards; callers guard first): `grid` is D1 D2, and
+    returns (no guards; callers guard first), in Fortran order, as LAPACK
+    factors it: `grid` is D1 D2, and
     r = sinh(2 lambda) sinh(eta) / (sinh(theta+zeta+lambda) sinh(zeta+lambda))
-    takes its denominator from `boundary`; c = sinh(theta+zeta+xi) sinh(zeta-xi).
-    The rows are at p's lambdas, or at `lam` where given."""
+    takes its denominator from `boundary`; c = sinh(theta+zeta+xi) sinh(zeta-xi)
+    and sinh(eta) are `ModelParams.kernel_columns`.  The rows are at p's
+    lambdas, or at `lam` where given, formed by `_by_halves`."""
     lam = p.lambdas_array() if lam is None else lam
-    xi = p.xis_array()
-    m = np.outer(sh(2 * lam) * sh(p.eta) / boundary,
-                 sh(p.theta + p.zeta + xi) * sh(p.zeta - xi))
-    m /= grid
-    return m
+    s_eta, col = p.kernel_columns
+    row = sh(2 * lam) * s_eta / boundary
+    out = np.empty(grid.shape, complex, order="F")
+
+    def rows(s):
+        m = np.outer(row[s], col)
+        m /= grid[s]
+        out[s] = m
+
+    _by_halves(p.n, rows, len(grid))
+    return out
 
 
 def m_matrix(p, form=PRODUCT_FORM):
@@ -244,10 +253,10 @@ def logdet_partial_pivot(mat, *, factors=False):
     (None when a pivot is exactly zero), and the refinement step is taken
     at every N: a caller that keeps the factors solves against them many
     times, so the step's cost is shared."""
-    a = np.array(mat, dtype=complex, order="F")
-    n = len(a)
-    _, e_row = np.frexp(np.maximum.reduce(np.abs(a), 1))
-    a *= np.ldexp(1.0, -e_row)[:, None]
+    mat = np.asarray(mat, dtype=complex)
+    n = len(mat)
+    _, e_row = np.frexp(np.maximum.reduce(np.abs(mat), 1))
+    a = np.multiply(mat, np.ldexp(1.0, -e_row)[:, None], order="F")
     _, e_col = np.frexp(np.maximum.reduce(np.abs(a), 0))
     a *= np.ldexp(1.0, -e_col)
     refine = factors or n <= REFINE_MAX_N
@@ -291,6 +300,81 @@ def _height_prefactor_log(n, theta, eta):
     return log
 
 
+def _cpus():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+_POOL = [None, None]  # (pid, executor) of `_worker`
+
+
+def _worker():
+    """The one-thread executor of `_in_two`, created on first use and again
+    in a forked child, which has no copy of its parent's thread."""
+    if _POOL[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL[:] = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="sosre")
+    return _POOL[1]
+
+
+def _run_under(err, task):
+    """task() under np.errstate(**err): numpy's error state is per thread."""
+    with np.errstate(**err):
+        return task()
+
+
+def _two_threads(n):
+    """Whether an N-site instance's O(N^2) work is shared with a worker
+    thread: above REFINE_MAX_N sites, when the process may run on more than
+    one CPU.  Below it the hand-offs cost more than the halved work saves:
+    on a 2-vCPU host, N = 50 took 1.2 ms on two threads against 0.9 ms on
+    one, N = 800 55 against 77 ms."""
+    return n > REFINE_MAX_N and _cpus() > 1
+
+
+def _in_two(n, first, second):
+    """(first(), second()): with `_two_threads(n)`, `first` runs on the
+    worker thread under the caller's np.errstate while `second` runs here
+    (numpy's ufuncs and LAPACK release the GIL, so the two overlap); else
+    both run here, first then second.  Either way both have finished when
+    it returns or raises."""
+    if not _two_threads(n):
+        return first(), second()
+    future = _worker().submit(_run_under, np.geterr(), first)
+    try:
+        out = second()
+    except BaseException:
+        future.exception()  # waits for `first`
+        raise
+    return future.result(), out
+
+
+def _by_halves(n, task, *lengths):
+    """[task(*spans)] over slices covering range(m) for each m in `lengths`:
+    with `_two_threads(n)` two calls, the first halves on the worker and
+    the second halves here (`_in_two`), else one call over them whole."""
+    if not _two_threads(n):
+        return [task(*(slice(0, m) for m in lengths))]
+    return list(_in_two(n, lambda: task(*(slice(0, m // 2) for m in lengths)),
+                        lambda: task(*(slice(m // 2, m) for m in lengths))))
+
+
+def _under(d, lim, offset=0):
+    """Flat indices of d's entries whose modulus is not above `lim` (a NaN
+    among them), plus `offset`."""
+    mag = np.abs(d)
+    if np.minimum.reduce(mag, None, initial=np.inf) > lim:  # NaN propagates
+        return _NO_SITES
+    return (~(mag > lim)).ravel().nonzero()[0] + offset
+
+
+_NO_SITES = np.zeros(0, np.intp)
+
+
 def _det_guards(p):
     """Guard every denominator of the product-form kernel and of the grid and
     pair factors (`_height_prefactor_log` guards the height factor's), in
@@ -310,33 +394,45 @@ def _det_guards(p):
     only at its entries under it, and not at all while none is: NearSingular
     is what evaluating every row in full would raise.  Returns D1 D2, P1 P2 and
     sinh(theta+zeta+lambda) sinh(zeta+lambda), which do not depend on which
-    entries were evaluated."""
+    entries were evaluated.
+
+    The differences, their screens and products are formed by
+    `_by_halves`: grid rows [0, N/2) and the first half of the pairs on the
+    worker thread, the rest here, when it shares the work.  The guards
+    decide here, in the order above, on the screened entries of the halves
+    joined in row-major order, before anything else runs."""
     n = p.n
     iu, ju = site_pairs(n)
     (w_eta, w, q, y), c, mod, _ = p.squares
-    d1, d2 = w[:, None] - y, w_eta[:, None] - y
-    p1, p2 = y[ju] - y[iu], q[ju] - q[iu]
     tol = guard_tol_default()
+    lim = [prefilter_threshold(cg, tol, mod) for cg in c]
     fams = {f.key: f for f in p.guard_table}
     guard = lambda key, *sites: require_all_nonsingular(
         lambda k: fams[key].name(k, *sites), fams[key].args(*sites))
+    grid, pairs = np.empty((n, n), complex), np.empty(len(iu), complex)
 
-    def guard_near(d, g):
-        # An entry above its threshold cannot fail; a NaN entry counts as
-        # under (np.minimum propagates it).
-        mag, lim = np.abs(d), prefilter_threshold(c[g], tol, mod)
-        if not np.minimum.reduce(mag, None, initial=np.inf) > lim:
-            ks = (~(mag > lim)).ravel().nonzero()[0]
-            sites = np.divmod(ks, n) if d.ndim == 2 else (ju[ks], iu[ks])
-            for key in FACTORS[g]:
-                guard(key, *sites)
+    def part(rows, ks):
+        # D1 and D2 at grid rows `rows`, then P1 and P2 at pairs `ks`, each
+        # screened; D1 D2 and P1 P2 into the joined arrays
+        d1, d2 = w[rows, None] - y, w_eta[rows, None] - y
+        near = [_under(d1, lim[1], rows.start * n), _under(d2, lim[0], rows.start * n)]
+        np.multiply(d1, d2, out=grid[rows])
+        del d1, d2
+        a, b = iu[ks], ju[ks]
+        p1, p2 = y.take(b) - y.take(a), q.take(b) - q.take(a)
+        np.multiply(p1, p2, out=pairs[ks])
+        return near + [_under(p1, lim[4], ks.start), _under(p2, lim[2], ks.start)]
 
-    guard_near(d1, 1)
-    guard_near(d2, 0)
+    sites = _by_halves(n, part, n, len(iu))
+    d1_at, d2_at, p1_at, p2_at = sites[0] if len(sites) == 1 else map(np.concatenate, zip(*sites))
+    for g, ks in ((1, d1_at), (0, d2_at)):
+        for key in FACTORS[g] if ks.size else ():
+            guard(key, *np.divmod(ks, n))
     boundary = guard("theta+zeta+lambda") * guard("zeta+lambda")
-    guard_near(p1, 4)
-    guard_near(p2, 2)
-    return d1 * d2, p1 * p2, boundary
+    for g, ks in ((4, p1_at), (2, p2_at)):
+        for key in FACTORS[g] if ks.size else ():
+            guard(key, ju[ks], iu[ks])
+    return grid, pairs, boundary
 
 
 def _log_sum(v, axis=None):
@@ -370,13 +466,23 @@ def z_determinant(p):
     its pivots decay geometrically, so trust `log_value` over `value` there.
     Below about 1e-12 the value has no reliable digits (LU orderings disagree
     widely).
+
+    Above REFINE_MAX_N sites, when the process may run on more than one CPU,
+    the O(N^2) work is shared with one worker thread (`_in_two`): the
+    guards' differences and products and the kernel in two halves of rows
+    (`_by_halves`), and the log sums of the grid and pair factors beside
+    the LU, which runs here after every guard has decided.  Each entry and
+    each sum is formed by the same operations in the same memory order on
+    either schedule, so the result is bit-identical; there is no setting.
     """
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # past a double's range: inf, NaN
         n = p.n
         grid, pairs, boundary = _det_guards(p)
         log_height = _height_prefactor_log(n, p.theta, p.eta)  # guards: before the LU
-        logdet, min_piv = logdet_partial_pivot(_m_matrix_entries(p, grid, boundary))
+        kernel = _m_matrix_entries(p, grid, boundary)
+        log_factors, (logdet, min_piv) = _in_two(
+            n, lambda: _log_sum(grid) - _log_sum(pairs), lambda: logdet_partial_pivot(kernel))
         if not min_piv >= ILL_CONDITIONED_PIVOT:  # a NaN pivot warns too
             warnings.warn(
                 f"smallest elimination pivot {min_piv:.2e}; determinant digits "
@@ -385,7 +491,7 @@ def z_determinant(p):
                 stacklevel=2,
             )
 
-        log_value = logdet + (_log_sum(grid) - _log_sum(pairs)) + log_height
+        log_value = logdet + log_factors + log_height
         value = complex(np.exp(log_value))
     return PartitionResult(
         value,
@@ -475,8 +581,8 @@ def _lemma_rows(p, i):
 
     def rows(v, d, boundary):
         g = d[1] * d[0]
-        m = _m_matrix_entries(p, g, boundary, v)
-        m *= col_scale
+        # in C order: the matrix products below may round by layout
+        m = np.multiply(_m_matrix_entries(p, g, boundary, v), col_scale, order="C")
         _, e = np.frexp(np.maximum.reduce(np.abs(m), 1))
         m *= np.ldexp(1.0, -e)[:, None]
         m_hi, m_lo = _split(m, 1, bits)

@@ -487,9 +487,9 @@ def test_module_entrypoint_subprocess(tmp_path):
 
 
 def test_import_does_not_load_scipy():
-    # the determinant imports scipy.linalg on its first call, not before
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, sosre.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, check=True,
-    )
-    assert proc.stdout.strip() == "False"
+    # the determinant imports scipy.linalg on its first call, not before,
+    # and its worker thread's pool on the first call that uses it
+    code = ("import sys, threading, sosre.cli; print('scipy' in sys.modules, "
+            "'concurrent.futures' in sys.modules, threading.active_count())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False", "False", "1"]

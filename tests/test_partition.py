@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -364,6 +367,60 @@ def test_height_prefactor_guard_runs_before_the_lu(monkeypatch):
     with pytest.raises(NearSingular) as err:
         partition.z_determinant(q)
     assert str(err.value).startswith("denominator sinh(theta+2*eta) has |sinh| = ")
+    # at N = 200 on two threads: each guard raises its full evaluation's
+    # message, before any LU, and leaves no work running on the worker
+    futures = _two_cpus(monkeypatch)
+    for q, want in _threaded_guard_cases():
+        futures.clear()
+        with pytest.raises(NearSingular) as err:
+            partition.z_determinant(q)
+        assert str(err.value) == want
+        assert futures and all(f.done() for f in futures)
+
+
+def _threaded_guard_cases():
+    """(instance, NearSingular message) at N = 200, whose grid rows and
+    pairs the two threads share by halves: two lambda-xi entries at 0, one
+    in each half of the rows (the first in row-major order is named), then
+    the first half's at 1e-9 and the second's at 0; a xi pair in the first
+    half of the pairs and a lambda pair in the second; the height factor."""
+    p = draw(200, np.random.default_rng(220))
+    lams, xis = list(p.lambdas), list(p.xis)
+    both = lams[:10] + [xis[3]] + lams[11:150] + [xis[7]] + lams[151:]
+    upper = both[:10] + [xis[3] + 1e-9j] + both[11:]
+    xi_pair = xis[:120] + [xis[30] + 1e-9] + xis[121:]
+    lam_pair = lams[:180] + [lams[150] + 1e-9] + lams[181:]
+    cases = [_pin(p, lambdas=both), _pin(p, lambdas=upper), _pin(p, xis=xi_pair),
+             _pin(p, lambdas=lam_pair)]
+    out = [(q, _reference_guard_message(q)) for q in cases]
+    assert [m.split(")")[0] for _, m in out] == [
+        "denominator sinh(lambda[10]-xi[3]", "denominator sinh(lambda[150]-xi[7]",
+        "denominator sinh(xi[120]-xi[30]", "denominator sinh(lambda[180]-lambda[150]"]
+    q = ModelParams(p.eta, p.zeta, -3 * p.eta + 1e-9, p.lambdas, p.xis)
+    s = abs(sh(q.theta + 3 * q.eta))
+    tol = guard_tol_default()
+    return out + [(q, f"denominator sinh(theta+3*eta) has |sinh| = {s:.3e} <= {tol:g}")]
+
+
+class _Recording:
+    """The worker pool, keeping every future it hands out."""
+
+    def __init__(self, pool, futures):
+        self.pool, self.futures = pool, futures
+
+    def submit(self, *args):
+        self.futures.append(self.pool.submit(*args))
+        return self.futures[-1]
+
+
+def _two_cpus(monkeypatch, cpus=2):
+    """Make the determinant see `cpus` CPUs; returns the list its worker's
+    futures are recorded in."""
+    futures = []
+    pool = partition._worker()
+    monkeypatch.setattr(partition, "_cpus", lambda: cpus)
+    monkeypatch.setattr(partition, "_worker", lambda: _Recording(pool, futures))
+    return futures
 
 
 def test_recursion_guard_label_matches_the_guard_table():
@@ -869,6 +926,74 @@ def test_det_guards_match_reference_bit_for_bit(shift, monkeypatch):
                 out.append([a.tobytes() for a in guards(p)]
                            + [np.complex128(partition.z_determinant(p).log_value).tobytes()])
     assert got == want
+
+
+@pytest.mark.parametrize("shift", [0, 10, 200, 400])
+def test_schedules_match_bit_for_bit(shift, monkeypatch):
+    # the calling thread alone and the calling thread with the worker give
+    # the same guards' arrays, kernel and result, NaN bytes included
+    runs = {}
+    for cpus in (1, 2):
+        futures = _two_cpus(monkeypatch, cpus)
+        out = runs[cpus] = []
+        for n in (65, 101, 200):
+            p = draw(n, np.random.default_rng((218, n)))
+            p = dataclasses.replace(p, lambdas=tuple(v + shift for v in p.lambdas))
+            with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditionedWarning)
+                grid, pairs, boundary = partition._det_guards(p)
+                r = partition.z_determinant(p)
+                out += [a.tobytes() for a in (grid, pairs, boundary)]
+                out.append(partition._m_matrix_entries(p, grid, boundary).tobytes("F"))
+                out += [np.complex128(r.log_value).tobytes(), np.complex128(r.value).tobytes(),
+                        np.float64(r.cond_hint).tobytes()]
+        assert bool(futures) == (cpus == 2)
+    assert runs[1] == runs[2]
+
+
+_DET_BYTES = Path(__file__).parent / "data" / "det_logz_bytes.json"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_determinant_bytes_match_fixture(cpus):
+    # tests/data/make_det_logz_bytes.py wrote these digests with the
+    # determinant that ran on the calling thread alone; both schedules give
+    # them.  The script runs in its own process, to pin LAPACK to one thread
+    proc = subprocess.run(
+        [sys.executable, str(_DET_BYTES.parent / "make_det_logz_bytes.py"), "--cpus", str(cpus)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(partition.__file__).parents[1])})
+    got, want = json.loads(proc.stdout), json.loads(_DET_BYTES.read_text())
+    if got["lapack_sha256"] != want["lapack_sha256"]:
+        pytest.skip("this LAPACK's zgetrf rounds differently from the one that wrote the file")
+    assert got == want
+
+
+@pytest.mark.parametrize("shift", [200, 400])
+def test_worker_emits_no_numpy_warnings(shift, monkeypatch):
+    # numpy's error state is per thread: the worker takes the caller's
+    futures = _two_cpus(monkeypatch)
+    p = draw(200, np.random.default_rng((218, 200)))
+    p = dataclasses.replace(p, lambdas=tuple(v + shift for v in p.lambdas))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error")
+        warnings.simplefilter("always", IllConditionedWarning)
+        partition.z_determinant(p)
+    assert {w.category for w in caught} <= {IllConditionedWarning}
+    assert futures
+
+
+def test_worker_pool_is_made_once_per_process(monkeypatch):
+    # a forked child has no copy of its parent's worker thread, so it
+    # makes its own pool
+    monkeypatch.setattr(partition, "_POOL", [None, None])
+    pool = partition._worker()
+    assert partition._worker() is pool
+    monkeypatch.setattr(partition.os, "getpid", lambda: -1)
+    child = partition._worker()
+    assert child is not pool and partition._worker() is child
+    pool.shutdown()
+    child.shutdown()
 
 
 _ORACLE = json.loads((Path(__file__).parent / "data" / "oracle_logz.json").read_text())
