@@ -9,18 +9,20 @@ The N x N grid and pair rows of that list pair up into products
 sinh(x-y) sinh(x+y) = sinh^2 x - sinh^2 y = D of the four O(N) squares of
 `sinh_squares`.  Since |sinh z| <= cosh(Re z), a factor at or below a
 tolerance t forces |D| under `prefilter_threshold`, about
-t cosh(|Re x| + |Re y|); and the smaller factor is at most sqrt(|D|).  So
-the margins (`min_guard_margins`) and the guard checks (`guard_violations`,
-`validate_params`) evaluate np.sinh at an entry only where the bound
-cannot clear the |D| that holds it as a factor, and return what evaluating
-every entry would; the determinant's guards (`partition`) clear by the same
-rule, from the squares and guard table `ModelParams` computes once.
+t cosh(|Re x| + |Re y|).  So every guard answers at a stated tolerance,
+and evaluates np.sinh at a grid or pair entry only where the bound at that
+tolerance cannot clear the |D| that holds it as a factor (`_scan`): the
+guard checks (`guard_violations`, `validate_params`) return what evaluating
+every entry would, and the margins (`min_guard_margins`) are exact at or
+below their tolerance, which is all the sampler compares with its floors.
+The determinant's guards (`partition`) clear by the same rule, from the
+squares and guard table `ModelParams` computes once.
 
-The entries a bound cannot clear are few, a few per site, and `_scan` finds
-them in one of two ways with the same result: below `_SORTED_SCAN_N` sites
-from the dense N x N grids of the five differences, and from it on by a
-range search on the sorted squares, which never forms an N x N array.  The
-grids are faster at small N, where the search's sorting and per-site
+The entries a bound cannot clear are few, about one per site, and `_scan`
+finds them in one of two ways with the same result: below `_SORTED_SCAN_N`
+sites from the dense N x N grids of the five differences, and from it on by
+a range search on the sorted squares, which never forms an N x N array.
+The grids are faster at small N, where the search's sorting and per-site
 lookups cost more than 5 N^2 subtractions; at N = 800 the grids are
 ~80 MB of temporaries.
 """
@@ -28,7 +30,6 @@ lookups cost more than 5 N^2 subtractions; at N = 800 the grids are
 from __future__ import annotations
 
 import cmath
-import math
 import os
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
@@ -326,9 +327,9 @@ _CLEARED = {key: g for g, keys in enumerate(FACTORS) for key in keys}
 
 # From this many sites on, `_scan` finds the entries under the thresholds
 # by a range search on the sorted squares (`_sorted_sites`) instead of the
-# dense grids (`_dense_sites`).  Measured on a 2-vCPU host: a first call at
-# a size, as the sampler makes, is faster sorted from N ~ 150; repeated
-# calls at one size from N ~ 250 (at N = 200 1.9 against 1.6 ms).
+# dense grids (`_dense_sites`).  Measured on a 2-vCPU host, warm, on default
+# draws at the sampler's own floor: the grids take 0.33 / 0.64 / 1.10 ms at
+# N = 100 / 150 / 200 and the search 0.60 / 0.66 / 0.83 ms.
 _SORTED_SCAN_N = 200
 
 
@@ -348,25 +349,13 @@ def sinh_squares(p):
     return np.square(np.sinh(x)), c, 2 * float(np.abs(lam_xi).max()) + abs(eta), r
 
 
-def _generic_bound(least, d_min, c, mod):
-    """`_scan`'s bound on the smallest generic |sinh| at tol None: the least
-    value `least` of the O(N) generic rows, or sqrt(d_min + slack), d_min
-    the least |D| of the first two differences, of whose two factors one is
-    at most the square root of their product."""
-    return min(least, (1 + _PREFILTER_SLACK) * math.sqrt(
-        d_min + prefilter_threshold(max(c[:2]), 0.0, mod)))
-
-
-def _dense_sites(squares, tol, least):
+def _dense_sites(squares, tol):
     """The sites (i, j) of each difference g of `_MINUEND` and `_SUBTRAHEND`,
     in row-major order, where |D| is not above `prefilter_threshold(c[g],
-    tol, mod)` for the `ModelParams.squares` (sq, c, mod, r); at tol None,
-    tol is `_generic_bound` of `least`.  From the dense N x N grids of all
-    five differences.  Call it under np.errstate."""
+    tol, mod)` for the `ModelParams.squares` (sq, c, mod, r), from the dense
+    N x N grids of all five differences.  Call it under np.errstate."""
     sq, c, mod, _ = squares
     d = np.abs(sq.take(_MINUEND, 0)[:, :, None] - sq.take(_SUBTRAHEND, 0)[:, None, :])
-    if tol is None:
-        tol = _generic_bound(least, float(d[:2].min()), c, mod)
     keep = ~(d > np.array([prefilter_threshold(cg, tol, mod) for cg in c])[:, None, None])
     return [np.divmod(np.flatnonzero(v), sq.shape[1]) for v in keep]
 
@@ -411,31 +400,21 @@ def _near(a, b, t):
     return k, np.abs(a[i] - b[j])
 
 
-def _sorted_sites(squares, tol, least):
+def _sorted_sites(squares, tol):
     """`_dense_sites`, bit for bit, from a range search (`_near`) of each
-    difference at its threshold at tol, or at tol None at `least`, which is
-    at least the bound.  The least |D| the search finds for the first two
-    differences is theirs when it is at or below their thresholds; else
-    theirs is above them too, which gives `least` back as the bound unless
-    sqrt(threshold) is under `least` (only by rounding, since |D| <= c^2).
-    Where that fails, or a search does not run, the dense grids decide."""
+    difference at its threshold, keeping the candidates whose |D| is not
+    above it.  Where a search does not run, the dense grids decide."""
     sq, c, mod, _ = squares
-    lims = [prefilter_threshold(cg, least if tol is None else tol, mod) for cg in c]
+    lims = [prefilter_threshold(cg, tol, mod) for cg in c]
     near = []
     for m, s, lim in zip(_MINUEND.tolist(), _SUBTRAHEND.tolist(), lims):
         near.append(_near(sq[m], sq[s], lim))
         if near[-1] is None:
-            return _dense_sites(squares, tol, least)
-    if tol is None:
-        d_min = float(np.concatenate([near[0][1], near[1][1]]).min(initial=np.inf))
-        if d_min > min(lims[:2]) and _generic_bound(least, min(lims[:2]), c, mod) < least:
-            return _dense_sites(squares, tol, least)
-        tol = _generic_bound(least, d_min, c, mod)
-    return [np.divmod(k[~(d > prefilter_threshold(cg, tol, mod))], sq.shape[1])
-            for (k, d), cg in zip(near, c)]
+            return _dense_sites(squares, tol)
+    return [np.divmod(k[~(d > lim)], sq.shape[1]) for (k, d), lim in zip(near, lims)]
 
 
-def _scan(p, tol=None):
+def _scan(p, tol):
     """|sinh| of the guard table, with each grid and pair row evaluated only
     where its own sinh^2 difference (`_CLEARED`) cannot clear it: (mags,
     rows, bounds).  Row r of `rows` is (t, family, sites) for the table's
@@ -448,18 +427,13 @@ def _scan(p, tol=None):
     The squares of `ModelParams.squares` give the differences D of
     `_MINUEND` and `_SUBTRAHEND`.  An entry is evaluated unless its |D| is
     above `prefilter_threshold` at generic tolerance `tol` (a NaN |D| or
-    threshold keeps it), so every entry at or below `tol` is.  With `tol`
-    None it is a bound on the smallest generic |sinh|, so the entry that
-    holds it is evaluated: the least of the O(N) generic rows' values and
-    sqrt(min |D| + slack) over the first two differences (`_generic_bound`;
-    the other three hold D = 0 on their diagonals, lambda+lambda+eta's
-    paired with sinh(0)).  Past a double's range a value is inf, without a
+    threshold keeps it), so every entry at or below `tol` is, and an entry
+    left out is above it.  Past a double's range a value is inf, without a
     warning.
 
     The entries under the thresholds come from the dense grids below
     `_SORTED_SCAN_N` sites (`_dense_sites`) and from a range search from it
     on (`_sorted_sites`), the same sites either way."""
-    n = p.n
     rows, args, grid_pair = [], [], []
     for t, f in enumerate(p.guard_table):
         if f.key in _CLEARED:
@@ -470,11 +444,7 @@ def _scan(p, tol=None):
     sizes = [v.size for v in args]
     with np.errstate(over="ignore", invalid="ignore"):
         mags = np.abs(np.sinh(np.concatenate(args)))
-        least = None
-        if tol is None:  # the table lists its GENERIC rows first
-            n_generic = sum(k for (_, f, _), k in zip(rows, sizes) if f.tier == GENERIC)
-            least = float(mags[:n_generic].min())
-        sites = (_dense_sites if n < _SORTED_SCAN_N else _sorted_sites)(p.squares, tol, least)
+        sites = (_dense_sites if p.n < _SORTED_SCAN_N else _sorted_sites)(p.squares, tol)
         sites[3:] = [(i[i < j], j[i < j]) for i, j in sites[3:]]  # the pairs, i < j
         grid_pair = [(t, f, sites[g]) for t, f, g in grid_pair if sites[g][0].size]
         if grid_pair:
@@ -485,18 +455,19 @@ def _scan(p, tol=None):
     return mags, rows, [0, *accumulate(sizes)]
 
 
-def min_guard_margins(p):
-    """(generic_min, ratio_min): smallest |sinh| over each family tier.
+def min_guard_margins(p, tol):
+    """(generic_min, ratio_min): smallest |sinh| over each family tier, the
+    generic one at generic tolerance `tol`.
 
-    Fast path for rejection sampling: no labels are materialised, and the
-    grid and pair rows are evaluated only where a sinh^2 bound cannot clear
-    them (`_scan`); from `_SORTED_SCAN_N` sites on, those entries are found
-    by a range search, with no N x N array (at N = 800 ~7 ms against ~30
-    ms warm and up to ~115 ms cold for the dense grids, on a 2-vCPU host).
-    A row holding a NaN is left out, as min(low, np.min(row)) would leave
-    it.
+    For rejection sampling, which compares them with its floors: no labels
+    are materialised, and the grid and pair rows are evaluated only where a
+    sinh^2 bound at `tol` cannot clear them (`_scan`).  ratio_min is exact;
+    generic_min is exact when it is at or below `tol`, and otherwise some
+    value above `tol`, so ``generic_min <= tol`` decides as evaluating every
+    entry would.  A row holding a NaN is left out, as min(low, np.min(row))
+    would leave it.
     """
-    mags, rows, bounds = _scan(p)
+    mags, rows, bounds = _scan(p, tol)
     low = {GENERIC: np.inf, RATIO: np.inf}
     for (_, f, _), v in zip(rows, np.minimum.reduceat(mags, bounds[:-1]).tolist()):
         low[f.tier] = min(low[f.tier], v)

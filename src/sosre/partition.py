@@ -474,6 +474,9 @@ def z_determinant(p):
     the LU, which runs here after every guard has decided.  Each entry and
     each sum is formed by the same operations in the same memory order on
     either schedule, so the result is bit-identical; there is no setting.
+    From N = 101 the bits also depend on how many threads OpenBLAS gives
+    zgetrf (one and two round differently), so a result is reproducible
+    across hosts only with OPENBLAS_NUM_THREADS fixed.
     """
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # past a double's range: inf, NaN

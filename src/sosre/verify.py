@@ -129,7 +129,7 @@ def sample_params(cfg, n, rng_state, extra_guards=None):
             lambdas=tuple(vals[3 : 3 + n]),
             xis=tuple(vals[3 + n :]),
         )
-        gen_min, ratio_min = min_guard_margins(p)
+        gen_min, ratio_min = min_guard_margins(p, gen_floor)
         if gen_min <= gen_floor or ratio_min <= ratio_floor:
             continue
         if extra_guards is not None:
@@ -192,7 +192,7 @@ def degree_bound_residual(p, i, rng):
         phi0 = rng.uniform(0.0, 2.0 * np.pi)
         ws = _NODE_RADIUS * np.exp(1j * (phi0 + 2.0 * np.pi * np.arange(count) / count))
         nodes = [p.replace_lambda(i, np.log(w) / 2.0) for w in ws]
-        if any(min(min_guard_margins(q)) <= 1e-3 for q in nodes):
+        if any(min(min_guard_margins(q, 1e-3)) <= 1e-3 for q in nodes):
             continue
         ys = np.array([partition.normalized_z(q, i, partition.z_determinant(q).value)
                        for q in nodes])

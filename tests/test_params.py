@@ -153,11 +153,14 @@ def test_guard_violations_skip():
 def test_min_guard_margins_consistent():
     rng = np.random.default_rng(110)
     p = verify.sample_params(verify.SuiteConfig(), 3, rng)
-    gen, rat = min_guard_margins(p)
-    assert gen > 0 and rat > 0
+    gen, rat = min_guard_margins(p, 1.0)
+    assert 0 < gen <= 1.0 and rat > 0  # at or below the tolerance: exact
     # any tolerance below both margins admits the point
     assert guard_violations(p, guard_tol=gen * 0.99, ratio_guard_tol=rat * 0.99) == []
     assert len(guard_violations(p, guard_tol=gen * 1.01, ratio_guard_tol=rat * 1.01)) >= 1
+    # below the generic margin only its side of the tolerance is known
+    low, rat_low = min_guard_margins(p, gen * 0.99)
+    assert low > gen * 0.99 and rat_low == rat
 
 
 def test_no_per_call_guard_tolerance():
@@ -259,8 +262,10 @@ def test_site_pairs_are_shared_and_read_only(n):
             v[...] = 0
 
 
-def _reference_min_guard_margins(p):
-    # every row evaluated in full: the margins before the sinh^2 prefilter
+def _reference_min_guard_margins(p, tol=None):
+    # every row evaluated in full: the exact margins, which meet
+    # `min_guard_margins`' contract at any generic tolerance `tol`, so the
+    # reference can stand in for it
     low = {params.GENERIC: np.inf, params.RATIO: np.inf}
     for f in params.guard_families(p):
         low[f.tier] = min(low[f.tier], np.abs(np.sinh(f.args())).min(initial=np.inf))
@@ -281,12 +286,24 @@ def _reference_guard_violations(p, guard_tol=None, ratio_guard_tol=None, skip=()
     return out
 
 
+def _assert_margins_contract(p, tols, want):
+    # `min_guard_margins` at each generic tolerance against the exact
+    # margins `want`: the ratio margin exact, the generic one exact at or
+    # below the tolerance and above it otherwise
+    for tol in tols:
+        gen, rat = min_guard_margins(p, tol)
+        assert rat == want[1]
+        assert gen == want[0] if want[0] <= tol else gen > tol
+
+
 def _assert_matches_full_evaluation(p):
     with np.errstate(over="ignore", invalid="ignore"):
         want = _reference_min_guard_margins(p)
         refs = {tols: _reference_guard_violations(p, *tols)
                 for tols in ((None, None), (0.1, 0.35), (1e-3, None), want)}
-    assert min_guard_margins(p) == want
+    # at the margin itself, and just under it, the answer flips
+    _assert_margins_contract(p, (guard_tol_default(), 1e-3, 0.1, want[0],
+                                 np.nextafter(want[0], 0)), want)
     for tols, labels in refs.items():
         assert guard_violations(p, *tols) == labels
         skip = set(labels[::2])
@@ -348,27 +365,17 @@ _OWN_DIFFERENCE = {"lambda-xi": (1, 3), "lambda+xi": (1, 3), "lambda-xi+eta": (0
                    "xi-xi": (3, 3), "xi+xi": (3, 3)}
 
 
-@pytest.mark.parametrize("tol", [None, 1e-6, 1e-3])
+@pytest.mark.parametrize("tol", [1e-6, 1e-3])
 @pytest.mark.parametrize("n", [16, 200, 400])
 def test_scan_evaluates_each_row_where_its_own_difference_keeps_it(n, tol):
     p = verify.sample_params(verify.SuiteConfig(), n, np.random.default_rng((7, n)))
     sq, c, mod, _ = p.squares
     diffs = list(zip(params._MINUEND.tolist(), params._SUBTRAHEND.tolist()))
     d = {ms: np.abs(sq[ms[0]][:, None] - sq[ms[1]]) for ms in diffs}
-    bound = tol
-    if tol is None:
-        # the bound on the smallest generic |sinh| that `_scan` documents:
-        # the O(N) generic rows' least value, or sqrt(min |D| + slack) over
-        # the two differences under the lambda -+ xi (+eta) grids
-        least = min(np.abs(np.sinh(f.args())).min() for f in p.guard_table
-                 if f.tier == params.GENERIC and f.key not in _OWN_DIFFERENCE)
-        slack = params.prefilter_threshold(max(c[:2]), 0.0, mod)
-        bound = min(float(least), (1 + params._PREFILTER_SLACK) * float(
-            np.sqrt(min(d[(0, 3)].min(), d[(1, 3)].min()) + slack)))
     a, b = np.triu_indices(n, 1)
     want = {}
     for key, ms in _OWN_DIFFERENCE.items():
-        keep = ~(d[ms] > params.prefilter_threshold(c[diffs.index(ms)], bound, mod))
+        keep = ~(d[ms] > params.prefilter_threshold(c[diffs.index(ms)], tol, mod))
         i, j = keep.nonzero()
         if key in ("lambda-lambda", "lambda+lambda", "xi-xi", "xi+xi"):
             k = keep[a, b].nonzero()[0]
@@ -387,11 +394,12 @@ def test_guard_functions_raise_no_numpy_warnings(lambda_0, monkeypatch):
     monkeypatch.delenv(params.GUARD_ENV_VAR, raising=False)
     p = ModelParams(eta=0.62, zeta=1.05, theta=0.83, lambdas=(lambda_0, 0.47), xis=(0.24, 0.11))
     with np.errstate(over="ignore"):
-        want = _reference_min_guard_margins(p), _reference_guard_violations(p)
+        margins, labels = _reference_min_guard_margins(p), _reference_guard_violations(p)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         validate_params(p)
-        assert (min_guard_margins(p), guard_violations(p)) == want
+        assert guard_violations(p) == labels
+        _assert_margins_contract(p, (guard_tol_default(), margins[0]), margins)
 
 
 def test_sampler_draws_match_full_evaluation(monkeypatch):
@@ -405,6 +413,32 @@ def test_sampler_draws_match_full_evaluation(monkeypatch):
     got = draw()
     monkeypatch.setattr(verify, "min_guard_margins", _reference_min_guard_margins)
     assert got == draw()
+
+
+# the sampler at the suite's margins and at the benchmark's large-N ones
+_SAMPLERS = (verify.SuiteConfig(), verify.SuiteConfig(guard_tol=0.01, ratio_guard_tol=0.035))
+
+
+def _assert_decides_as_guard_violations(p, cfg):
+    # the sampler's test, the margins at its own generic floor against its
+    # floors, rejects p exactly when guard_violations at those floors names
+    # an argument; returns whether it does
+    gen_floor, ratio_floor = cfg.margins(p.n)
+    gen, rat = min_guard_margins(p, gen_floor)
+    rejected = gen <= gen_floor or rat <= ratio_floor
+    assert rejected == bool(guard_violations(p, gen_floor, ratio_floor))
+    return rejected
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 16, 50, 200, 800])
+def test_margins_decide_as_guard_violations_on_raw_draws(n):
+    # raw draws from the sampler's box, the ones it rejects included
+    rng = np.random.default_rng((17, n))
+    draws = [_draw(rng, n) for _ in range(40 if n <= 16 else 3)]
+    rejected = [_assert_decides_as_guard_violations(p, cfg) for p in draws for cfg in _SAMPLERS]
+    assert any(rejected)
+    if n <= 16:
+        assert not all(rejected)
 
 
 # sorted-side instances at N = 400: a raw draw, each pair pin at each
@@ -427,14 +461,14 @@ def test_sorted_and_dense_searches_find_the_same_sites(case, monkeypatch):
     monkeypatch.delenv(params.GUARD_ENV_VAR, raising=False)
     p = _SORTED_CASES[case](_draw(np.random.default_rng(5), _SORTED_N))
     with np.errstate(over="ignore", invalid="ignore"):
-        least = float(min(np.abs(np.sinh(f.args())).min() for f in p.guard_table
-                          if f.tier == params.GENERIC and f.key not in _OWN_DIFFERENCE))
-        for tol in (None, 1e-6, 1e-3, 0.1):
-            dense = params._dense_sites(p.squares, tol, least)
-            found = params._sorted_sites(p.squares, tol, least)
+        for tol in (1e-6, 1e-3, 0.1):
+            dense = params._dense_sites(p.squares, tol)
+            found = params._sorted_sites(p.squares, tol)
             assert len(dense) == len(found) == len(params.FACTORS)
             for (i, j), (i2, j2) in zip(dense, found):
                 assert i.tolist() == i2.tolist() and j.tolist() == j2.tolist()
+    for cfg in _SAMPLERS:
+        _assert_decides_as_guard_violations(p, cfg)
     if case.startswith("lambda_0"):  # the public functions warn of no overflow
         _assert_matches_full_evaluation(p)
 
@@ -478,7 +512,7 @@ def test_guard_table_change_reaches_every_reader(monkeypatch):
     validate_params(p)
     with monkeypatch.context() as m:
         m.setattr(params, "guard_families", table)
-        assert min(min_guard_margins(p.replace_lambda(i, v_star))) > 0.05
+        assert min(min_guard_margins(p.replace_lambda(i, v_star), 0.05)) > 0.05
     want = [bool(guard_violations(p.replace_lambda(i, v))) for v in (v_star, v_ok)]
     assert want == [True, False]
     assert params.fails_at_lambda(p, i, [v_star, v_ok])[0].tolist() == want

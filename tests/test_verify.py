@@ -1,10 +1,12 @@
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sosre import chain_ops, partition, verify, weights
-from sosre.params import NearSingular, SamplingExhausted, min_guard_margins
+from sosre.params import NearSingular, SamplingExhausted, guard_violations, min_guard_margins
 
 
 def small_cfg(**kw):
@@ -23,14 +25,27 @@ def test_sample_params_deterministic():
     assert a != c
 
 
+_SAMPLER_DRAWS = Path(__file__).parent / "data" / "sampler_draws.json"
+
+
+def test_sampler_draws_match_fixture():
+    # tests/data/make_sampler_draws.py wrote these digests with the sampler
+    # that screened each draw with the guards' unbounded margins: the
+    # benchmark's inputs and ~1,000 successive default-config calls, so a
+    # draw accepted or rejected differently shows
+    script = runpy.run_path(str(_SAMPLER_DRAWS.parent / "make_sampler_draws.py"))
+    assert json.loads(script["document"]()) == json.loads(_SAMPLER_DRAWS.read_text())
+
+
 def test_sample_params_respects_margins():
     cfg = verify.SuiteConfig()
     rng = np.random.default_rng(7)
     for n in (1, 3, 8):
         p = verify.sample_params(cfg, n, rng)
         gen_floor, ratio_floor = cfg.margins(n)
-        gen, rat = min_guard_margins(p)
+        gen, rat = min_guard_margins(p, gen_floor)
         assert gen > gen_floor and rat > ratio_floor
+        assert guard_violations(p, gen_floor, ratio_floor) == []
         (re_lo, re_hi), (im_lo, im_hi) = verify.DOMAIN
         for v in (p.eta, p.zeta, p.theta) + p.lambdas + p.xis:
             assert re_lo <= v.real <= re_hi and im_lo <= v.imag <= im_hi
