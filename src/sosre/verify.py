@@ -2,8 +2,10 @@
 suites over every module, and reproducible structured reports.
 
 Sampling strategy: parameters are drawn uniformly from a complex box and
-rejection-resampled until every guard denominator family clears a margin.
-Two margin tiers are used -- denominators under the large boundary/height
+rejection-resampled until every guard denominator family clears a margin;
+after a rejection, draws are screened in batches on the guard table's O(N)
+rows before the exact check, with the draws of one check per draw.  Two
+margin tiers are used -- denominators under the large boundary/height
 ratios get a wider berth than the generic families -- because residual tails
 of the operator identities scale with inverse powers of these margins.  Each
 case draws from its own generator seeded by (seed, case index, attempt), so
@@ -15,10 +17,11 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from . import chain_ops, partition, weights
+from . import chain_ops, params, partition, weights
 from .params import (
     ModelParams,
     NearSingular,
@@ -34,6 +37,8 @@ SUITE_NAMES = ("weights", "algebra", "partition", "all")
 DOMAIN = ((-0.8, 0.8), (-0.8, 0.8))
 # Rejection draws before the sampler gives up with SamplingExhausted.
 MAX_ATTEMPTS = 5000
+# Most uniforms one batch of attempts draws in `sample_params`.
+_BATCH_DOUBLES = 1 << 14
 # Radius of the circle in w = exp(2 lambda_i) that holds the degree test's nodes.
 _NODE_RADIUS = 1.25
 
@@ -107,6 +112,24 @@ class SuiteConfig:
         return self.guard_tol * scale, self.ratio_guard_tol * scale
 
 
+def _screen(vals, n, floors):
+    """Indices, ascending, of the candidates `vals` (K x (2n+3): eta, zeta,
+    theta, lambdas, xis) that the guard table's O(N) rows do not reject.
+    Those rows, the ones no sinh^2 difference clears, come from
+    `params.guard_families` of a K-row stand-in, whose closures broadcast
+    over it; a row rejects only below its tier's floor (`floors`, generic
+    then ratio) less a relative `_PREFILTER_SLACK`, so that no last-bit
+    difference from the exact check's loops rejects a draw."""
+    b = SimpleNamespace(n=n, eta=vals[:, :1], zeta=vals[:, 1:2], theta=vals[:, 2:3],
+                        lambdas_array=lambda: vals[:, 3:3 + n], xis_array=lambda: vals[:, 3 + n:])
+    rows = [f for f in params.guard_families(b) if f.key not in params._CLEARED]
+    args = [f.args() for f in rows]
+    low = np.repeat([floors[f.tier == params.RATIO] for f in rows], [a.shape[1] for a in args])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.abs(np.sinh(np.concatenate(args, axis=1)))
+    return (~(mags < low * (1 - params._PREFILTER_SLACK)).any(1)).nonzero()[0].tolist()
+
+
 def sample_params(cfg, n, rng_state, extra_guards=None):
     """Draw a generic ModelParams with N = n from the box `DOMAIN`.
 
@@ -115,28 +138,45 @@ def sample_params(cfg, n, rng_state, extra_guards=None):
     generic margin (used for checks that evaluate at derived points such as
     -lambda-eta).  Deterministic given the generator state; raises
     SamplingExhausted after `MAX_ATTEMPTS` rejected draws.
+
+    Each attempt draws 2n+3 real parts, then 2n+3 imaginary parts.  After a
+    rejection, the next K = 2, 4, 8, ... attempts (at most `_BATCH_DOUBLES`
+    uniforms) are drawn in one call and `_screen`ed; the survivors take the
+    exact check in draw order, and once one is kept the generator is set
+    back and exactly the attempts up to it drawn again: every call returns,
+    and leaves the generator, as one draw and one check per attempt would.
     """
     (re_lo, re_hi), (im_lo, im_hi) = DOMAIN
-    gen_floor, ratio_floor = cfg.margins(n)
-    for _ in range(MAX_ATTEMPTS):
-        vals = rng_state.uniform(re_lo, re_hi, 2 * n + 3) + 1j * rng_state.uniform(
-            im_lo, im_hi, 2 * n + 3
-        )
-        p = ModelParams(
-            eta=vals[0],
-            zeta=vals[1],
-            theta=vals[2],
-            lambdas=tuple(vals[3 : 3 + n]),
-            xis=tuple(vals[3 + n :]),
-        )
-        gen_min, ratio_min = min_guard_margins(p, gen_floor)
-        if gen_min <= gen_floor or ratio_min <= ratio_floor:
-            continue
-        if extra_guards is not None:
-            extra = np.asarray(extra_guards(p), dtype=complex)
-            if np.abs(np.sinh(extra)).min() <= gen_floor:
+    floors = gen_floor, ratio_floor = cfg.margins(n)
+    m = 2 * n + 3
+
+    def draw(k):
+        if k == 1:
+            v = rng_state.uniform(re_lo, re_hi, m) + 1j * rng_state.uniform(im_lo, im_hi, m)
+            return v[None]
+        v = rng_state.uniform([[re_lo], [im_lo]], [[re_hi], [im_hi]], (k, 2, m))
+        return v[:, 0] + 1j * v[:, 1]
+
+    drawn, k = 0, 1
+    while drawn < MAX_ATTEMPTS:
+        state = rng_state.bit_generator.state if k > 1 else None
+        vals = draw(k)
+        for s in _screen(vals, n, floors) if drawn else (0,):
+            v = vals[s]
+            p = ModelParams(v[0], v[1], v[2], tuple(v[3 : 3 + n]), tuple(v[3 + n :]))
+            gen_min, ratio_min = min_guard_margins(p, gen_floor)
+            if gen_min <= gen_floor or ratio_min <= ratio_floor:
                 continue
-        return p
+            if extra_guards is not None:
+                extra = np.asarray(extra_guards(p), dtype=complex)
+                if np.abs(np.sinh(extra)).min() <= gen_floor:
+                    continue
+            if s + 1 < k:
+                rng_state.bit_generator.state = state
+                draw(s + 1)
+            return p
+        drawn += k
+        k = min(2 * k, MAX_ATTEMPTS - drawn, max(1, _BATCH_DOUBLES // (2 * m)))
     raise SamplingExhausted(
         f"no generic point with N={n} in {MAX_ATTEMPTS} draws "
         f"(margins {gen_floor:g}/{ratio_floor:g}; box {DOMAIN})"

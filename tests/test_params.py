@@ -12,6 +12,7 @@ from sosre.params import (
     ModelParams,
     NearSingular,
     ParseError,
+    SamplingExhausted,
     guard_tol_default,
     guard_violations,
     min_guard_margins,
@@ -430,6 +431,129 @@ def _assert_decides_as_guard_violations(p, cfg):
     return rejected
 
 
+def _reference_sample_params(cfg, n, rng, extra_guards=None):
+    # the sampler as one draw and one exact check per attempt, which
+    # `verify.sample_params` must match in its draws and in the generator
+    # state it leaves
+    (re_lo, re_hi), (im_lo, im_hi) = verify.DOMAIN
+    gen_floor, ratio_floor = cfg.margins(n)
+    for _ in range(verify.MAX_ATTEMPTS):
+        v = rng.uniform(re_lo, re_hi, 2 * n + 3) + 1j * rng.uniform(im_lo, im_hi, 2 * n + 3)
+        p = ModelParams(v[0], v[1], v[2], tuple(v[3:3 + n]), tuple(v[3 + n:]))
+        gen, rat = min_guard_margins(p, gen_floor)
+        if gen <= gen_floor or rat <= ratio_floor:
+            continue
+        if extra_guards is None or np.abs(np.sinh(extra_guards(p))).min() > gen_floor:
+            return p
+    raise SamplingExhausted(f"N={n}")
+
+
+def _assert_draws_as_reference(cfg, n, seed, calls, extra_guards=None):
+    # successive calls on one generator: the reference's draws, and its
+    # generator state after each call
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = []
+    for _ in range(calls):
+        draws.append(verify.sample_params(cfg, n, got, extra_guards))
+        assert draws[-1] == _reference_sample_params(cfg, n, want, extra_guards)
+        assert got.bit_generator.state == want.bit_generator.state
+    return draws
+
+
+@pytest.mark.parametrize("extra", [False, True], ids=["plain", "crossing"])
+@pytest.mark.parametrize("n", [*range(1, 9), 16, 200, 800])
+def test_sampler_leaves_the_generator_as_one_draw_per_attempt(n, extra):
+    for cfg in _SAMPLERS:
+        _assert_draws_as_reference(cfg, n, (23, n), 6 if n <= 16 else 1,
+                                   verify._crossing_extra(n - 1) if extra else None)
+
+
+def test_sampler_exhausts_after_max_attempts_as_one_draw_per_attempt():
+    cfg = verify.SuiteConfig(guard_tol=50.0, ratio_guard_tol=50.0)
+    got, want = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(SamplingExhausted, match="N=2"):
+        verify.sample_params(cfg, 2, got)
+    with pytest.raises(SamplingExhausted, match="N=2"):
+        _reference_sample_params(cfg, 2, want)
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+class _Scripted:
+    # a generator stand-in that hands out given attempts in order, each as
+    # `sample_params` lays one out (2n+3 real parts, then 2n+3 imaginary
+    # parts), whatever the bounds; its state is its position
+    def __init__(self, draws):
+        v = [np.array([p.eta, p.zeta, p.theta, *p.lambdas, *p.xis]) for p in draws]
+        self.doubles = np.concatenate([np.concatenate([a.real, a.imag]) for a in v])
+        self.state, self.bit_generator = 0, self
+
+    def uniform(self, low, high, size):
+        k = int(np.prod(size))
+        self.state += k
+        return self.doubles[self.state - k:self.state].reshape(size)
+
+
+# each O(N) row's argument at its entry `at` (site 0, or k = 1 of
+# theta%+d*eta) set to w by moving one parameter
+_ROW_PINS = {
+    "zeta-lambda": (0, lambda p, w: _with(p, lam=(0, p.zeta - w))),
+    "theta+zeta-lambda": (0, lambda p, w: _with(p, lam=(0, p.theta + p.zeta - w))),
+    "2*lambda": (0, lambda p, w: _with(p, lam=(0, w / 2))),
+    "theta%+d*eta": (None, lambda p, w: _with(p, theta=w - p.eta)),
+    "zeta+lambda": (0, lambda p, w: _with(p, lam=(0, w - p.zeta))),
+    "theta+zeta+lambda": (0, lambda p, w: _with(p, lam=(0, w - p.theta - p.zeta))),
+}
+
+
+def _row_value(p, key):
+    # the row's |sinh| at its pinned entry, as the guard table evaluates it
+    at = _ROW_PINS[key][0]
+    f, = (f for f in p.guard_table if f.key == key)
+    return float(np.abs(np.sinh(f.args()))[p.n + 3 if at is None else at])
+
+
+def _pinned(p, key, target):
+    # p with the row's |sinh| at exactly `target`: its argument is
+    # asinh(target), a little less, plus i t, t bisected over the bit
+    # patterns of the doubles in [0, 1e-5].  np.abs does not reach every
+    # double from one real part, so a few real parts are tried
+    pin = _ROW_PINS[key][1]
+    for shift in range(1, 30):
+        x = float(np.arcsinh(target)) * (1 - shift * 1e-14)
+        at = lambda bits: pin(p, complex(x, np.int64(bits).view(float)))
+        lo, hi = 0, int(np.float64(1e-5).view(np.int64))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _row_value(at(mid), key) < target else (lo, mid)
+        if _row_value(at(hi), key) == target:
+            return at(hi)
+    raise AssertionError(f"no pin of {key} at {target!r}")
+
+
+@pytest.mark.parametrize("cfg", _SAMPLERS, ids=["default", "large"])
+@pytest.mark.parametrize("key", sorted(_ROW_PINS))
+def test_sampler_screen_decides_as_the_exact_check_at_the_floor(key, cfg):
+    # the row's |sinh| one ulp under its floor, at it and one ulp over it, in
+    # the first batch the sampler screens, after a rejected first attempt;
+    # the sampler keeps the pinned draw exactly where the exact check does
+    n = 3
+    rows = {f.key: f.tier for f in ModelParams(0, 0, 0, [0], [0]).guard_table
+            if f.key not in params._CLEARED}
+    assert set(rows) == set(_ROW_PINS)
+    floor = cfg.margins(n)[rows[key] == params.RATIO]
+    targets = (np.nextafter(floor, 0), floor, np.nextafter(floor, 1))
+    for seed in range(50):  # a base whose pin one ulp over the floor is kept
+        base = verify.sample_params(cfg, n, np.random.default_rng((41, seed)))
+        pins = [_pinned(base, key, t) for t in targets]
+        if not _assert_decides_as_guard_violations(pins[2], cfg):
+            break
+    assert [_assert_decides_as_guard_violations(q, cfg) for q in pins] == [True, True, False]
+    reject = _with(base, lam=(0, base.zeta))
+    for q, rejected in zip(pins, (True, True, False)):
+        got = verify.sample_params(cfg, n, _Scripted([reject, q, base]))
+        assert got == (base if rejected else q)
+
+
 @pytest.mark.parametrize("n", [*range(1, 9), 16, 50, 200, 800])
 def test_margins_decide_as_guard_violations_on_raw_draws(n):
     # raw draws from the sampler's box, the ones it rejects included
@@ -521,3 +645,9 @@ def test_guard_table_change_reaches_every_reader(monkeypatch):
              if f.key in ("2*lambda", "zeta+lambda", "theta+zeta+lambda")]
     extra = verify._crossing_extra(i)(p)
     assert np.abs(np.sinh(extra)).tolist() == np.abs(np.sinh(image)).tolist()
+    # the sampler's batch screen reads the patched rows too: it returns the
+    # per-attempt loop's draws, some of which the model's own zeta-lambda
+    # row would reject
+    draws = _assert_draws_as_reference(verify.SuiteConfig(), 8, 37, 12)
+    floor = verify.SuiteConfig().margins(8)[0]
+    assert any(np.abs(np.sinh(q.zeta - q.lambdas_array())).min() <= floor for q in draws)
