@@ -3,7 +3,8 @@
 Every quantity in the model is a ratio of hyperbolic sines, so the only way
 an evaluation can go wrong is a sinh in a denominator getting too close to
 zero.  This module owns the list of arguments that can appear in those
-denominators and provides the guard checks everything else relies on.
+denominators, `guard_families`, over arrays with any batch axes (one
+instance or many), and provides the guard checks everything else relies on.
 
 The N x N grid and pair rows of that list pair up into products
 sinh(x-y) sinh(x+y) = sinh^2 x - sinh^2 y = D of the four O(N) squares of
@@ -18,13 +19,10 @@ below their tolerance, which is all the sampler compares with its floors.
 The determinant's guards (`partition`) clear by the same rule, from the
 squares and guard table `ModelParams` computes once.
 
-The entries a bound cannot clear are few, about one per site, and `_scan`
-finds them in one of two ways with the same result: below `_SORTED_SCAN_N`
-sites from the dense N x N grids of the five differences, and from it on by
-a range search on the sorted squares, which never forms an N x N array.
-The grids are faster at small N, where the search's sorting and per-site
-lookups cost more than 5 N^2 subtractions; at N = 800 the grids are
-~80 MB of temporaries.
+The entries a bound cannot clear are few, about one per site: `_scan`
+finds them from the dense N x N grids of the five differences, faster at
+small N, or from `_SORTED_SCAN_N` sites on by a range search on the sorted
+squares, which never forms the grids (~80 MB of temporaries at N = 800).
 """
 
 from __future__ import annotations
@@ -120,9 +118,8 @@ class ModelParams:
 
     The O(N) data every guard and determinant call reads (the parameter
     arrays, `squares`, `kernel_columns` and `guard_table`) is computed on
-    first use and kept
-    on the instance, read-only; equality, hashing and `dataclasses.replace`
-    see the fields only.
+    first use and kept on the instance, read-only; equality, hashing and
+    `dataclasses.replace` see the fields only.
     """
 
     eta: complex
@@ -195,7 +192,8 @@ class ModelParams:
     @cached_property
     def guard_table(self):
         """`guard_families` of this instance, as a tuple."""
-        return tuple(guard_families(self))
+        return tuple(guard_families(self.eta, self.zeta, self.theta,
+                                    self.lambdas_array(), self.xis_array()))
 
     def replace_lambda(self, i, value):
         """New instance with lambda_i swapped out."""
@@ -218,15 +216,13 @@ class GuardFamily(NamedTuple):
     """One row of the guard table: the arguments of one family of sinh
     denominators.
 
-    `args()` evaluates every argument of the family, a 1-D array or an N x N
-    grid (entry [i, j] at lambda_i, xi_j or lambda_i, lambda_j); nothing is
-    evaluated before it is called.  Grid and pair rows also take site arrays,
-    `args(i, j)`: the entries [i[k], j[k]] of a grid, or the pair rows'
-    arithmetic at the pairs (i[k], j[k]), bit for bit what the full table
-    holds there.  An O(1) row whose key holds lambda takes lambda values
-    too, `args(v)`: the row at lambda = v, entry for entry.  `name(k)`
-    labels flat entry k of `args()`, and `name(k, i, j)` entry k of
-    `args(i, j)`.
+    `args()` evaluates every argument of the family over the table's batch
+    axes, O(N) entries or an N x N grid (entry [i, j] at lambda_i, xi_j or
+    lambda_i, lambda_j); nothing is evaluated before it is called.
+    `args(*sites)` evaluates it at site arrays, bit for bit what the full
+    row holds there: entries [k] of an O(N) row, [i[k], j[k]] of a grid, or
+    the pair rows' arithmetic at the pairs (i[k], j[k]).  For one instance,
+    `name(k)` labels flat entry k of `args()`, `name(k, *sites)` of `args(*sites)`.
     """
 
     tier: str
@@ -245,55 +241,58 @@ def site_pairs(n):
     return pairs
 
 
-def guard_families(p):
+def guard_families(eta, zeta, theta, lam, xi):
     """Every sinh denominator of the model, declared once: `GuardFamily` rows
     in guard order, each a closure over its own arithmetic.
 
+    The couplings are scalars or arrays shaped (..., 1), lam and xi arrays
+    shaped (..., N), so every row broadcasts over the leading batch axes;
+    with none it is the table of one instance (`ModelParams.guard_table`).
     Pair rows run over the pairs (a[k], b[k]) of `site_pairs`, a < b, which
     are built only when a pair row is called without sites.  RATIO rows sit
     under the large coupling-dependent ratios (factors like sinh(theta +
     k eta) in denominators with sizeable numerators), so the sampler keeps
     them further from zero than the GENERIC rows.
     """
-    lam = p.lambdas_array()
-    xi = p.xis_array()
-    n = p.n
-    eta, zeta, theta = p.eta, p.zeta, p.theta
+    n = lam.shape[-1]
     ks = np.arange(-(n + 2), n + 3)
+    eta_grid = np.asarray(eta)[..., None]  # the coupling over a grid's two site axes
 
-    def one(tier, key, args):
-        return GuardFamily(tier, key, args, lambda k: f"{key}[{k}]")
+    def one(tier, key, f, v, label=None):  # entry k is f(v[..., k])
+        label = label or (lambda k: f"{key}[{k}]")
+        return GuardFamily(tier, key, lambda *k: f(v.take(k[0], -1) if k else v),
+                           lambda m, *k: label(k[0][m] if k else m))
 
-    def grid(key, f, col, label):  # entry [i, j] is f(lambda_i, col_j)
+    def grid(key, f, col, label):  # entry [i, j] is f(lambda_i, col_j, eta)
         return GuardFamily(GENERIC, key,
-                           lambda i=None, j=None: f(lam[:, None], col) if i is None
-                           else f(lam[i], col[j]),
+                           lambda i=None, j=None: f(lam[..., None], col[..., None, :], eta_grid)
+                           if i is None else f(lam.take(i, -1), col.take(j, -1), eta),
                            lambda k, i=None, j=None: label.format(k // n, k % n)
                            if i is None else label.format(i[k], j[k]))
 
     def pair(key, f, v, label):  # pair k is f(v[a[k]], v[b[k]]), (a, b) = site_pairs(n)
         return GuardFamily(GENERIC, key,
-                           lambda *ij: f(*(v[s] for s in ij or site_pairs(n))),
+                           lambda *ij: f(*(v.take(s, -1) for s in ij or site_pairs(n))),
                            lambda k, *ij: label.format(*(s[k] for s in ij or site_pairs(n))))
 
     minus, plus = (lambda u, v: u - v), (lambda u, v: u + v)
     return [
-        one(GENERIC, "zeta-lambda", lambda v=lam: zeta - v),
-        one(GENERIC, "theta+zeta-lambda", lambda v=lam: theta + zeta - v),
-        one(GENERIC, "2*lambda", lambda v=lam: 2.0 * v),
-        grid("lambda-xi", minus, xi, "lambda[{}]-xi[{}]"),
-        grid("lambda+xi", plus, xi, "lambda[{}]+xi[{}]"),
-        grid("lambda-xi+eta", lambda u, v: u - v + eta, xi, "lambda[{}]-xi[{}]+eta"),
-        grid("lambda+xi+eta", lambda u, v: u + v + eta, xi, "lambda[{}]+xi[{}]+eta"),
-        grid("lambda+lambda+eta", lambda u, v: u + v + eta, lam, "lambda[{}]+lambda[{}]+eta"),
+        one(GENERIC, "zeta-lambda", lambda v: zeta - v, lam),
+        one(GENERIC, "theta+zeta-lambda", lambda v: theta + zeta - v, lam),
+        one(GENERIC, "2*lambda", lambda v: 2.0 * v, lam),
+        grid("lambda-xi", lambda u, v, e: u - v, xi, "lambda[{}]-xi[{}]"),
+        grid("lambda+xi", lambda u, v, e: u + v, xi, "lambda[{}]+xi[{}]"),
+        grid("lambda-xi+eta", lambda u, v, e: u - v + e, xi, "lambda[{}]-xi[{}]+eta"),
+        grid("lambda+xi+eta", lambda u, v, e: u + v + e, xi, "lambda[{}]+xi[{}]+eta"),
+        grid("lambda+lambda+eta", lambda u, v, e: u + v + e, lam, "lambda[{}]+lambda[{}]+eta"),
         pair("lambda-lambda", minus, lam, "lambda[{}]-lambda[{}]"),
         pair("lambda+lambda", plus, lam, "lambda[{}]+lambda[{}]"),
         pair("xi-xi", minus, xi, "xi[{}]-xi[{}]"),
         pair("xi+xi", plus, xi, "xi[{}]+xi[{}]"),
-        GuardFamily(RATIO, "theta%+d*eta", lambda: theta + ks * eta,
-                    lambda k: f"theta{ks[k]:+d}*eta"),
-        one(RATIO, "zeta+lambda", lambda v=lam: zeta + v),
-        one(RATIO, "theta+zeta+lambda", lambda v=lam: theta + zeta + v),
+        one(RATIO, "theta%+d*eta", lambda k: theta + k * eta, ks,
+            lambda k: f"theta{ks[k]:+d}*eta"),
+        one(RATIO, "zeta+lambda", lambda v: zeta + v, lam),
+        one(RATIO, "theta+zeta+lambda", lambda v: theta + zeta + v, lam),
     ]
 
 
@@ -429,11 +428,8 @@ def _scan(p, tol):
     above `prefilter_threshold` at generic tolerance `tol` (a NaN |D| or
     threshold keeps it), so every entry at or below `tol` is, and an entry
     left out is above it.  Past a double's range a value is inf, without a
-    warning.
-
-    The entries under the thresholds come from the dense grids below
-    `_SORTED_SCAN_N` sites (`_dense_sites`) and from a range search from it
-    on (`_sorted_sites`), the same sites either way."""
+    warning.  The sites come from `_dense_sites` below `_SORTED_SCAN_N` sites
+    and from `_sorted_sites` from it on, the same sites either way."""
     rows, args, grid_pair = [], [], []
     for t, f in enumerate(p.guard_table):
         if f.key in _CLEARED:
@@ -510,27 +506,28 @@ def fails_at_lambda(p, i, values):
     """For each value v, whether `validate_params` rejects p with lambda_i
     set to v, for a p that passes it, and what deciding it evaluated:
     (fails, d, sinh(theta+zeta+v) sinh(zeta+v)).  The O(1) entries that
-    hold lambda_i are the guard table's O(1) rows that hold lambda, at v,
-    and lambda+lambda+eta's diagonal v+v+eta; the grid and pair ones are
-    cleared as `_scan` clears them, each by its own difference, in d: the
-    first four differences of `_MINUEND` and `_SUBTRAHEND`, the point's
+    hold lambda_i (the O(1) rows and lambda+lambda+eta's diagonal) are read
+    at site i from the guard table over the points; the grid and pair ones
+    are cleared as `_scan` clears them, each by its own difference, in d:
+    the first four differences of `_MINUEND` and `_SUBTRAHEND`, the point's
     squares of (v+eta, v, v+eta/2) less the base's, bounded at the point's
     own |Re|.  d[2] is the pair factor q_b - q_a, so q_j - q_v at j > i;
-    d[2:, :, i] is infinite and clears.
-    A point that no O(1) entry rejects, with an entry that no bound clears
-    or a NaN difference, gets `guard_violations` on p with lambda_i = v.
-    A NaN entry fails nothing, as in `guard_violations`."""
+    d[2:, :, i] is infinite and clears.  A point that no O(1) entry
+    rejects, with an entry that no bound clears or a NaN difference, gets
+    `guard_violations` on p with lambda_i = v; a NaN entry fails nothing."""
     tol = guard_tol_default()
     v = np.asarray(values, dtype=complex)
     sq, _, mod, r = p.squares
     base = sq.take(_SUBTRAHEND[:4], 0)[:, None, :]
     base[2:, :, i] = np.inf
+    lam = np.where(np.arange(p.n) == i, v[:, None], p.lambdas_array())  # one instance per point
+    table = guard_families(p.eta, p.zeta, p.theta, lam, p.xis_array())
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = {f.key: f.args(v) for f in p.guard_table
-                if f.key not in _CLEARED and "lambda" in f.key}
+        rows = {f.key: f.args(i) for f in table if f.key not in _CLEARED and "lambda" in f.key}
+        rows.update({f.key: f.args(i, i) for f in table if f.key == "lambda+lambda+eta"})
         # the O(1) entries, then the arguments of the point's three squares
-        x = np.concatenate([*rows.values(), v + v + p.eta, v + p.eta, v, v + p.eta / 2])
-        x = x.reshape(len(rows) + 4, -1)
+        x = np.concatenate([*rows.values(), v + p.eta, v, v + p.eta / 2])
+        x = x.reshape(len(rows) + 3, -1)
         s = np.sinh(x)
         fails = (np.abs(s[:-3]) <= tol).any(0)
         c = np.cosh(np.abs(x[-3:].real)[_MINUEND[:4]] + r[_SUBTRAHEND[:4], None])

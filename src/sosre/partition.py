@@ -474,7 +474,7 @@ def z_determinant(p):
     the LU, which runs here after every guard has decided.  Each entry and
     each sum is formed by the same operations in the same memory order on
     either schedule, so the result is bit-identical; there is no setting.
-    From N = 101 the bits also depend on how many threads OpenBLAS gives
+    From N = 100 the bits also depend on how many threads OpenBLAS gives
     zgetrf (one and two round differently), so a result is reproducible
     across hosts only with OPENBLAS_NUM_THREADS fixed.
     """
@@ -610,11 +610,10 @@ def z_sweep(p, i, values):
     `validate_params` makes there, from O(1) sinh per point) and Z follows
     from the matrix determinant lemma (`_lemma_rows`, on the differences
     the guard evaluated): O(N) per point, in numpy calls over blocks of
-    SWEEP_BLOCK points.  A point's `err` is its
-    lemma error plus its sum error.  A point whose lemma error exceeds
-    SWEEP_ACCEPT_ERR or whose value is not finite, or every point when the
-    base LU is ill-conditioned, is computed by z_determinant, which warns
-    as it does alone."""
+    SWEEP_BLOCK points.  A point's `err` is its lemma error plus its sum
+    error.  A point whose lemma error exceeds SWEEP_ACCEPT_ERR or whose
+    value is not finite, or every point when the base LU is ill-conditioned,
+    is computed by z_determinant, which warns as it does alone."""
     i = operator.index(i)
     if not 0 <= i < p.n:
         raise ValueError(f"i must be in 0..{p.n - 1}, got {i}")

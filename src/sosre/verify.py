@@ -4,12 +4,13 @@ suites over every module, and reproducible structured reports.
 Sampling strategy: parameters are drawn uniformly from a complex box and
 rejection-resampled until every guard denominator family clears a margin;
 after a rejection, draws are screened in batches on the guard table's O(N)
-rows before the exact check, with the draws of one check per draw.  Two
-margin tiers are used -- denominators under the large boundary/height
-ratios get a wider berth than the generic families -- because residual tails
-of the operator identities scale with inverse powers of these margins.  Each
-case draws from its own generator seeded by (seed, case index, attempt), so
-reports are bit-identical across runs and insensitive to case reordering.
+rows, evaluated over the batch, before the exact check, with the draws of
+one check per draw.  Two margin tiers are used -- denominators under the
+large boundary/height ratios get a wider berth than the generic families --
+because residual tails of the operator identities scale with inverse powers
+of these margins.  Each case draws from its own generator seeded by (seed,
+case index, attempt), so reports are bit-identical across runs and
+insensitive to case reordering.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import asdict, dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -116,13 +116,13 @@ def _screen(vals, n, floors):
     """Indices, ascending, of the candidates `vals` (K x (2n+3): eta, zeta,
     theta, lambdas, xis) that the guard table's O(N) rows do not reject.
     Those rows, the ones no sinh^2 difference clears, come from
-    `params.guard_families` of a K-row stand-in, whose closures broadcast
-    over it; a row rejects only below its tier's floor (`floors`, generic
-    then ratio) less a relative `_PREFILTER_SLACK`, so that no last-bit
-    difference from the exact check's loops rejects a draw."""
-    b = SimpleNamespace(n=n, eta=vals[:, :1], zeta=vals[:, 1:2], theta=vals[:, 2:3],
-                        lambdas_array=lambda: vals[:, 3:3 + n], xis_array=lambda: vals[:, 3 + n:])
-    rows = [f for f in params.guard_families(b) if f.key not in params._CLEARED]
+    `params.guard_families` over the K candidates, a batch axis; a row
+    rejects only below its tier's floor (`floors`, generic then ratio) less
+    a relative `_PREFILTER_SLACK`, so that no last-bit difference from the
+    exact check's loops rejects a draw."""
+    table = params.guard_families(vals[:, :1], vals[:, 1:2], vals[:, 2:3],
+                                  vals[:, 3:3 + n], vals[:, 3 + n:])
+    rows = [f for f in table if f.key not in params._CLEARED]
     args = [f.args() for f in rows]
     low = np.repeat([floors[f.tier == params.RATIO] for f in rows], [a.shape[1] for a in args])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -185,19 +185,16 @@ def sample_params(cfg, n, rng_state, extra_guards=None):
 
 def _crossing_extra(i):
     """Extra guard arguments for checks that evaluate at -lambda_i - eta:
-    the guard table's 2*lambda, zeta+lambda and theta+zeta+lambda rows at
-    that point, the image instance's own entries at site i.  They are the
-    boundary denominators at the image point and, up to sign, the crossing
-    scalar's numerator sinh(2 (lambda_i + eta)) and its two denominators
-    besides sinh(2 lambda_i).  Its other numerators, at zeta + lambda_i and
-    theta + zeta + lambda_i, must not be spuriously tiny either: they are
-    the instance's own RATIO rows, which the sampler's ratio margin holds
-    above the generic one: `SuiteConfig` refuses `ratio_guard_tol` <
-    `guard_tol`."""
+    the 2*lambda, zeta+lambda and theta+zeta+lambda entries at site i of
+    the image instance's guard table, the boundary denominators there and,
+    up to sign, the crossing scalar's numerator sinh(2 (lambda_i + eta))
+    and its two denominators besides sinh(2 lambda_i).  Its numerators at
+    zeta + lambda_i and theta + zeta + lambda_i are the instance's own RATIO
+    rows, held above the generic margin (`ratio_guard_tol` >= `guard_tol`)."""
 
     def extra(p):
-        v = -p.lambdas_array()[i : i + 1] - p.eta
-        return np.concatenate([f.args(v) for f in p.guard_table
+        q = p.replace_lambda(i, -p.lambdas[i] - p.eta)
+        return np.concatenate([f.args([i]) for f in q.guard_table
                                if f.key in ("2*lambda", "zeta+lambda", "theta+zeta+lambda")])
 
     return extra
@@ -225,17 +222,23 @@ def degree_bound_residual(p, i, rng):
     2N+2 in w = exp(2 lambda_i).  Evaluate at 2N+4 nodes on the circle
     |w| = _NODE_RADIUS (random rotation), fit a degree-(2N+2) polynomial through
     the first 2N+3 nodes, and return the relative prediction error at the last.
+    A rotation is redrawn while a node has a guard entry with |sinh| <= 1e-3,
+    from one evaluation of the guard table over the nodes, (2N+4) (5N^2 +
+    2N(N-1) + 7N + 5) complex entries (~1 MB at N = 16).  Relative to one
+    node's value, over values that span decades as N grows, the residual
+    fails on correct code from N = 16 (2.0e-8 and 1.2e-7; ROADMAP item 19).
     """
-    deg = 2 * p.n + 2
-    count = deg + 2
+    deg, count = 2 * p.n + 2, 2 * p.n + 4
     for _ in range(100):
         phi0 = rng.uniform(0.0, 2.0 * np.pi)
         ws = _NODE_RADIUS * np.exp(1j * (phi0 + 2.0 * np.pi * np.arange(count) / count))
-        nodes = [p.replace_lambda(i, np.log(w) / 2.0) for w in ws]
-        if any(min(min_guard_margins(q, 1e-3)) <= 1e-3 for q in nodes):
+        # one instance per node, lambda_i at log(w) / 2
+        lam = np.where(np.arange(p.n) == i, np.log(ws)[:, None] / 2.0, p.lambdas_array())
+        table = params.guard_families(p.eta, p.zeta, p.theta, lam, p.xis_array())
+        if any((np.abs(np.sinh(f.args())) <= 1e-3).any() for f in table):
             continue
         ys = np.array([partition.normalized_z(q, i, partition.z_determinant(q).value)
-                       for q in nodes])
+                       for q in (p.replace_lambda(i, v) for v in lam[:, i])])
         vander = np.vander(ws[:-1], deg + 1, increasing=True)
         coeffs = np.linalg.solve(vander, ys[:-1])
         pred = np.polyval(coeffs[::-1], ws[-1])

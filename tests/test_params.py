@@ -233,7 +233,7 @@ _PINS = [
 
 def test_pins_cover_every_family():
     p = verify.sample_params(verify.SuiteConfig(), 3, np.random.default_rng(111))
-    rows = params.guard_families(p)
+    rows = p.guard_table
     assert len(rows) == len(_PINS) == 15
     assert [tier for tier, *_ in rows] == [tier for tier, _, _ in _PINS]
 
@@ -268,7 +268,7 @@ def _reference_min_guard_margins(p, tol=None):
     # `min_guard_margins`' contract at any generic tolerance `tol`, so the
     # reference can stand in for it
     low = {params.GENERIC: np.inf, params.RATIO: np.inf}
-    for f in params.guard_families(p):
+    for f in p.guard_table:
         low[f.tier] = min(low[f.tier], np.abs(np.sinh(f.args())).min(initial=np.inf))
     return float(low[params.GENERIC]), float(low[params.RATIO])
 
@@ -278,7 +278,7 @@ def _reference_guard_violations(p, guard_tol=None, ratio_guard_tol=None, skip=()
     tol = guard_tol_default() if guard_tol is None else guard_tol
     rtol = tol if ratio_guard_tol is None else ratio_guard_tol
     out = []
-    for f in params.guard_families(p):
+    for f in p.guard_table:
         t = tol if f.tier == params.GENERIC else rtol
         for k in np.flatnonzero(np.abs(np.sinh(f.args())) <= t):
             label = f.name(int(k))
@@ -512,22 +512,21 @@ def _row_value(p, key):
     return float(np.abs(np.sinh(f.args()))[p.n + 3 if at is None else at])
 
 
-def _pinned(p, key, target):
-    # p with the row's |sinh| at exactly `target`: its argument is
-    # asinh(target), a little less, plus i t, t bisected over the bit
-    # patterns of the doubles in [0, 1e-5].  np.abs does not reach every
-    # double from one real part, so a few real parts are tried
-    pin = _ROW_PINS[key][1]
+def _pinned(pin, value, target):
+    # pin(w), an instance with some argument set to w, whose |sinh| value(...)
+    # is exactly `target`: w is asinh(target), a little less, plus i t, t
+    # bisected over the bit patterns of the doubles in [0, 1e-5].  np.abs
+    # does not reach every double from one real part, so a few are tried
     for shift in range(1, 30):
         x = float(np.arcsinh(target)) * (1 - shift * 1e-14)
-        at = lambda bits: pin(p, complex(x, np.int64(bits).view(float)))
+        at = lambda bits: pin(complex(x, np.int64(bits).view(float)))
         lo, hi = 0, int(np.float64(1e-5).view(np.int64))
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if _row_value(at(mid), key) < target else (lo, mid)
-        if _row_value(at(hi), key) == target:
+            lo, hi = (mid, hi) if value(at(mid)) < target else (lo, mid)
+        if value(at(hi)) == target:
             return at(hi)
-    raise AssertionError(f"no pin of {key} at {target!r}")
+    raise AssertionError(f"no pin at {target!r}")
 
 
 @pytest.mark.parametrize("cfg", _SAMPLERS, ids=["default", "large"])
@@ -544,7 +543,8 @@ def test_sampler_screen_decides_as_the_exact_check_at_the_floor(key, cfg):
     targets = (np.nextafter(floor, 0), floor, np.nextafter(floor, 1))
     for seed in range(50):  # a base whose pin one ulp over the floor is kept
         base = verify.sample_params(cfg, n, np.random.default_rng((41, seed)))
-        pins = [_pinned(base, key, t) for t in targets]
+        pins = [_pinned(lambda w: _ROW_PINS[key][1](base, w), lambda q: _row_value(q, key), t)
+                for t in targets]
         if not _assert_decides_as_guard_violations(pins[2], cfg):
             break
     assert [_assert_decides_as_guard_violations(q, cfg) for q in pins] == [True, True, False]
@@ -552,6 +552,114 @@ def test_sampler_screen_decides_as_the_exact_check_at_the_floor(key, cfg):
     for q, rejected in zip(pins, (True, True, False)):
         got = verify.sample_params(cfg, n, _Scripted([reject, q, base]))
         assert got == (base if rejected else q)
+
+
+def _degree_nodes(p, i, phi0):
+    # the degree test's node instances at rotation phi0, laid out as it lays them
+    count = 2 * p.n + 4
+    ws = verify._NODE_RADIUS * np.exp(1j * (phi0 + 2.0 * np.pi * np.arange(count) / count))
+    return [p.replace_lambda(i, v) for v in np.log(ws) / 2.0]
+
+
+class _Redrawn(Exception):
+    pass
+
+
+def _node_check_rejects(p, i, phi0):
+    # whether degree_bound_residual redraws the rotation phi0: its generator
+    # hands out phi0, then raises instead of a second rotation
+    phis = [phi0]
+
+    class Once:
+        def uniform(self, low, high):
+            if not phis:
+                raise _Redrawn
+            return phis.pop()
+
+    try:
+        verify.degree_bound_residual(p, i, Once())
+    except _Redrawn:
+        return True
+    return False
+
+
+# an entry of node 0 (lambda_1 at the node, N = 3) of one row of each kind,
+# set to w by moving a parameter that no node moves: (flat index, pin)
+_NODE_PINS = {
+    "zeta-lambda": (1, lambda p, node, w: dataclasses.replace(p, zeta=node + w)),
+    "lambda-xi": (5, lambda p, node, w: _with(p, xi=(2, node - w))),
+    "lambda-lambda": (2, lambda p, node, w: _with(p, lam=(2, node - w))),
+    "theta%+d*eta": (6, lambda p, node, w: _with(p, theta=w - p.eta)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_NODE_PINS))
+def test_degree_node_check_rejects_as_the_per_node_margins(key):
+    # the entry's |sinh| one ulp under 1e-3, at it and one ulp over it: the
+    # one batched evaluation of the table over the nodes redraws the rotation
+    # exactly where min_guard_margins at 1e-3 on each node instance rejects
+    n, i = 3, 1
+    at, pin = _NODE_PINS[key]
+    targets = (np.nextafter(1e-3, 0), 1e-3, np.nextafter(1e-3, 1))
+
+    def value(q):
+        f, = (f for f in q.guard_table if f.key == key)
+        return float(np.abs(np.sinh(f.args())).ravel()[at])
+
+    def per_node(q):
+        return any(min(min_guard_margins(r, 1e-3)) <= 1e-3 for r in _degree_nodes(q, i, phi0))
+
+    for seed in range(50):  # a base whose pin one ulp over 1e-3 is kept
+        rng = np.random.default_rng((43, seed))
+        base = verify.sample_params(verify.SuiteConfig(), n, rng)
+        phi0 = rng.uniform(0.0, 2.0 * np.pi)
+        node = _degree_nodes(base, i, phi0)[0].lambdas[i]
+        pins = [_pinned(lambda w: pin(base, node, w),
+                        lambda q: value(q.replace_lambda(i, node)), t) for t in targets]
+        if not per_node(pins[2]):
+            break
+    assert [per_node(q) for q in pins] == [True, True, False]
+    assert [_node_check_rejects(q, i, phi0) for q in pins] == [True, True, False]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+def test_batched_guard_table_is_the_per_instance_table_bit_for_bit(n):
+    # K raw draws from the sampler's box as one batch axis: every row, in
+    # full and at site arrays, holds each draw's own table byte for byte
+    k, m = 40, 2 * n + 3
+    rng = np.random.default_rng((47, n))
+    (re_lo, re_hi), (im_lo, im_hi) = verify.DOMAIN
+    v = rng.uniform(re_lo, re_hi, (k, m)) + 1j * rng.uniform(im_lo, im_hi, (k, m))
+    batch = params.guard_families(v[:, :1], v[:, 1:2], v[:, 2:3], v[:, 3:3 + n], v[:, 3 + n:])
+    tables = [ModelParams(u[0], u[1], u[2], tuple(u[3:3 + n]), tuple(u[3 + n:])).guard_table
+              for u in v]
+    assert [f.key for f in batch] == [f.key for f in tables[0]]
+    for t, f in enumerate(batch):
+        full = tables[0][t].args()
+        if f.key in params._CLEARED:
+            sites = (rng.integers(0, n, 9), rng.integers(0, n, 9))
+        else:
+            sites = (rng.integers(0, full.size, 9),)
+        got, got_at = f.args(), f.args(*sites)
+        assert got.shape == (k, *full.shape) and got_at.shape == (k, 9)
+        if got.ndim == 3:  # a grid: the sites' entries of the full grid
+            assert got[:, sites[0], sites[1]].tobytes() == got_at.tobytes()
+        elif f.key in params._CLEARED:  # a pair row: the full row at its own pairs
+            assert f.args(*site_pairs(n)).tobytes() == got.tobytes()
+        else:
+            assert got[:, sites[0]].tobytes() == got_at.tobytes()
+        for b, table in enumerate(tables):
+            assert got[b].tobytes() == table[t].args().tobytes()
+            assert got_at[b].tobytes() == table[t].args(*sites).tobytes()
+    # with no batch axis the call is the instance's own table, labels included
+    u = v[0]
+    p = ModelParams(u[0], u[1], u[2], tuple(u[3:3 + n]), tuple(u[3 + n:]))
+    plain = params.guard_families(complex(u[0]), complex(u[1]), complex(u[2]),
+                                  u[3:3 + n].copy(), u[3 + n:].copy())
+    for f, g in zip(plain, p.guard_table, strict=True):
+        assert (f.tier, f.key) == (g.tier, g.key)
+        assert f.args().tobytes() == g.args().tobytes()
+        assert [f.name(j) for j in range(f.args().size)] == [g.name(j) for j in range(g.args().size)]
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), 16, 50, 200, 800])
@@ -621,15 +729,15 @@ def test_range_search_finds_entries_at_its_threshold(angle):
 def test_guard_table_change_reaches_every_reader(monkeypatch):
     # a zeta-lambda row with a root at v_star, where the model's own table
     # has none: the sweep's guard decides by the table's rows, as
-    # validate_params does, and the crossing sampler's extra arguments are
-    # the image instance's own table entries
+    # validate_params does, the crossing sampler's extra arguments are the
+    # image instance's own table entries, and the degree test's node check
+    # redraws the rotation that puts node 0 at v_star
     table = params.guard_families
-    v_star, v_ok, i = complex(0.41, -0.27), complex(-0.33, 0.52), 3
+    v_star, v_ok, i = complex(np.log(verify._NODE_RADIUS) / 2, -0.27), complex(-0.33, 0.52), 3
 
-    def patched(p):
-        lam = p.lambdas_array()
-        return [f._replace(args=lambda v=lam: v - v_star) if f.key == "zeta-lambda" else f
-                for f in table(p)]
+    def patched(eta, zeta, theta, lam, xi):
+        return [f._replace(args=lambda *k: (lam[..., k[0]] if k else lam) - v_star)
+                if f.key == "zeta-lambda" else f for f in table(eta, zeta, theta, lam, xi)]
 
     monkeypatch.setattr(params, "guard_families", patched)
     p = verify.sample_params(verify.SuiteConfig(), 8, np.random.default_rng(31))
@@ -645,6 +753,12 @@ def test_guard_table_change_reaches_every_reader(monkeypatch):
              if f.key in ("2*lambda", "zeta+lambda", "theta+zeta+lambda")]
     extra = verify._crossing_extra(i)(p)
     assert np.abs(np.sinh(extra)).tolist() == np.abs(np.sinh(image)).tolist()
+    phi0 = 2 * v_star.imag
+    assert abs(_degree_nodes(p, i, phi0)[0].lambdas[i] - v_star) < 1e-12
+    assert _node_check_rejects(p, i, phi0)
+    with monkeypatch.context() as m:
+        m.setattr(params, "guard_families", table)
+        assert not _node_check_rejects(p, i, phi0)
     # the sampler's batch screen reads the patched rows too: it returns the
     # per-attempt loop's draws, some of which the model's own zeta-lambda
     # row would reject

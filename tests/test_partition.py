@@ -738,7 +738,7 @@ def test_determinant_pipeline_matches_loop_reference(n):
     assert checked >= 3
 
 
-# the determinant's guard order over the rows of guard_families(p), its
+# the determinant's guard order over the rows of the instance's guard_table, its
 # pairs at sites (j, i)
 _DET_GUARD_ORDER = ("lambda-xi", "lambda+xi", "lambda-xi+eta", "lambda+xi+eta",
                     "theta+zeta+lambda", "zeta+lambda", "xi-xi", "xi+xi",
@@ -753,7 +753,7 @@ def _reference_guard_message(p):
     below keep theta generic.)"""
     tol = guard_tol_default()
     iu, ju = np.triu_indices(p.n, 1)
-    rows = {f.key: f for f in params.guard_families(p)}
+    rows = {f.key: f for f in p.guard_table}
     for key in _DET_GUARD_ORDER:
         f = rows[key]
         args, name = f.args().ravel(), f.name
