@@ -24,19 +24,20 @@ factor = chain_ops.crossing_scalar(pc.lambdas[0], pc.theta, pc.eta, pc.zeta)
 print("crossing identity :", rel_diff(
     partition.z_determinant(q).value, factor * partition.z_determinant(pc).value))
 
-# iv: recursions at the coincidences lambda_1 = xi_1 and lambda_N = -xi_1
+# iv: recursions at the coincidences lambda_1 = xi_1 and lambda_N = -xi_1,
+# against contraction and against the determinant at the same pinned point
 plow = verify._sample_degenerate(
     cfg, 3, rng, pin=lambda p: (p.replace_lambda(0, p.xis[0]), {"lambda[0]-xi[0]"}))
-z_prev = partition.z_determinant(plow.drop_site(0)).value
-print("lower recursion   :", rel_diff(
-    partition.z_bruteforce(plow).value, partition.recursion_rhs(plow, z_prev, "lower")))
+rhs = partition.recursion_rhs(plow, partition.z_determinant(plow.drop_site(0)).value, "lower")
+print("lower recursion   :", rel_diff(partition.z_bruteforce(plow).value, rhs))
+print("  on the det      :", rel_diff(partition.z_determinant(plow).value, rhs))
 
 pup = verify._sample_degenerate(
     cfg, 3, rng, pin=lambda p: (p.replace_lambda(2, -p.xis[0]), {"lambda[2]+xi[0]"}))
 prev = ModelParams(pup.eta, pup.zeta, pup.theta, pup.lambdas[:-1], pup.xis[1:])
-z_prev = partition.z_determinant(prev).value
-print("upper recursion   :", rel_diff(
-    partition.z_bruteforce(pup).value, partition.recursion_rhs(pup, z_prev, "upper")))
+rhs = partition.recursion_rhs(pup, partition.z_determinant(prev).value, "upper")
+print("upper recursion   :", rel_diff(partition.z_bruteforce(pup).value, rhs))
+print("  on the det      :", rel_diff(partition.z_determinant(pup).value, rhs))
 
 # v: normalized Z is a polynomial of degree <= 2N+2 in exp(2 lambda_i).
 # The test fits the first 2N+3 circle nodes and predicts the last one.

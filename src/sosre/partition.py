@@ -140,12 +140,15 @@ def _m_matrix_entries(p, grid, boundary, lam=None):
 
 
 def m_matrix(p, form=PRODUCT_FORM):
-    """Full kernel matrix with guards applied.  The sum form, kept as a
-    cross-check of the product form, evaluates its own sinh grids and
-    guards sinh(theta) after the kernel's guards."""
+    """Full kernel matrix with guards applied: `_det_guards`' families, then
+    the grid families at the entries it moves, which are the kernel's poles.
+    The sum form, kept as a cross-check of the product form, evaluates its
+    own sinh grids and guards sinh(theta) after the kernel's guards."""
     if form not in (SUM_FORM, PRODUCT_FORM):
         raise ValueError(f"form must be {SUM_FORM!r} or {PRODUCT_FORM!r}")
-    grid, _, boundary = _det_guards(p)
+    grid, _, boundary, moved = _det_guards(p)
+    for key in FACTORS[1] + FACTORS[0] if moved.size else ():
+        _guard(p, key, *np.divmod(moved, p.n))
     if form == PRODUCT_FORM:
         return _m_matrix_entries(p, grid, boundary)
     theta, eta, zeta = p.theta, p.eta, p.zeta
@@ -294,8 +297,9 @@ def _height_prefactor_log(n, theta, eta):
     ms = np.arange(n - 1, -1, -2)
     den = require_all_nonsingular(lambda k: f"theta{ms[k]:+d}*eta", theta + ms * eta)
     log = 1j * np.pi * ((n // 2) % 2)
-    for num_log, den_log in zip(np.log(sh(theta - (ms + 1) * eta)).tolist(),
-                                np.log(den).tolist()):
+    with np.errstate(divide="ignore"):  # a numerator at 0: its log is -inf, and Z is 0
+        logs = zip(np.log(sh(theta - (ms + 1) * eta)).tolist(), np.log(den).tolist())
+    for num_log, den_log in logs:
         log += num_log - den_log
     return log
 
@@ -375,13 +379,22 @@ def _under(d, lim, offset=0):
 _NO_SITES = np.zeros(0, np.intp)
 
 
+def _guard(p, key, *sites):
+    """`require_all_nonsingular` on p's guard row `key`, in full or at `sites`."""
+    f = next(f for f in p.guard_table if f.key == key)
+    return require_all_nonsingular(lambda k: f.name(k, *sites), f.args(*sites))
+
+
 def _det_guards(p):
-    """Guard every denominator of the product-form kernel and of the grid and
+    """Guard the boundary denominators of the product-form kernel and the
     pair factors (`_height_prefactor_log` guards the height factor's), in
-    this order: the four N x N grids at lambda_i -+ xi_j (+eta),
-    theta+zeta+lambda, zeta+lambda, then over i < j the pairs xi_j -+ xi_i,
-    lambda_j - lambda_i and lambda_j + lambda_i + eta, each a row of the
-    instance's `guard_table`, the pair rows at sites (j, i).
+    this order: theta+zeta+lambda, zeta+lambda, then over i < j the pairs
+    xi_j -+ xi_i, lambda_j - lambda_i and lambda_j + lambda_i + eta, each a
+    row of the instance's `guard_table`, the pair rows at sites (j, i).
+    The four N x N grids at lambda_i -+ xi_j (+eta), where Z has no pole,
+    raise nothing: the flat indices i N + j where a factor's |sinh| is at
+    or under the tolerance are returned, ascending, as moved (see
+    `z_determinant`).
 
     The grid and pair factors pair up as differences of the O(N) squares
     of `ModelParams.squares`:
@@ -392,9 +405,9 @@ def _det_guards(p):
     `params.prefilter_threshold` at that difference's own cosh bound, so
     the two rows each difference factors (`params.FACTORS`) are evaluated
     only at its entries under it, and not at all while none is: NearSingular
-    is what evaluating every row in full would raise.  Returns D1 D2, P1 P2 and
-    sinh(theta+zeta+lambda) sinh(zeta+lambda), which do not depend on which
-    entries were evaluated.
+    and the moved entries are what evaluating every row in full would give.
+    Returns D1 D2, P1 P2, sinh(theta+zeta+lambda) sinh(zeta+lambda), which
+    do not depend on which entries were evaluated, and the moved entries.
 
     The differences, their screens and products are formed by
     `_by_halves`: grid rows [0, N/2) and the first half of the pairs on the
@@ -406,9 +419,6 @@ def _det_guards(p):
     (w_eta, w, q, y), c, mod, _ = p.squares
     tol = guard_tol_default()
     lim = [prefilter_threshold(cg, tol, mod) for cg in c]
-    fams = {f.key: f for f in p.guard_table}
-    guard = lambda key, *sites: require_all_nonsingular(
-        lambda k: fams[key].name(k, *sites), fams[key].args(*sites))
     grid, pairs = np.empty((n, n), complex), np.empty(len(iu), complex)
 
     def part(rows, ks):
@@ -425,14 +435,15 @@ def _det_guards(p):
 
     sites = _by_halves(n, part, n, len(iu))
     d1_at, d2_at, p1_at, p2_at = sites[0] if len(sites) == 1 else map(np.concatenate, zip(*sites))
-    for g, ks in ((1, d1_at), (0, d2_at)):
-        for key in FACTORS[g] if ks.size else ():
-            guard(key, *np.divmod(ks, n))
-    boundary = guard("theta+zeta+lambda") * guard("zeta+lambda")
+    fams = {f.key: f for f in p.guard_table}
+    moved = [ks[np.abs(sh(fams[key].args(*np.divmod(ks, n)))) <= tol]
+             for g, ks in ((1, d1_at), (0, d2_at)) if ks.size for key in FACTORS[g]]
+    moved = np.unique(np.concatenate(moved)) if moved else _NO_SITES
+    boundary = _guard(p, "theta+zeta+lambda") * _guard(p, "zeta+lambda")
     for g, ks in ((4, p1_at), (2, p2_at)):
         for key in FACTORS[g] if ks.size else ():
-            guard(key, ju[ks], iu[ks])
-    return grid, pairs, boundary
+            _guard(p, key, ju[ks], iu[ks])
+    return grid, pairs, boundary, moved
 
 
 def _log_sum(v, axis=None):
@@ -459,7 +470,12 @@ def z_determinant(p):
 
     `_det_guards` returns the grid and pair factors as differences of sinh^2
     (O(N) sinh calls); they feed both the product-form kernel (the sum form
-    loses digits) and the log prefactor.  `cond_hint` is the smallest pivot
+    loses digits) and the log prefactor.  A vanishing grid factor G_ij is a
+    pole of the kernel and a zero of the prefactor, not of Z: at each entry
+    `_det_guards` moves, G_ij is 1 in the grid both read and multiplies row
+    i's other kernel entries, an exact row scaling of the same determinant,
+    so Z is computed at the recursions' coincidences; where none moves, the
+    bits are the plain formula's.  `cond_hint` is the smallest pivot
     modulus of LAPACK's LU, in the kernel's own units (see
     `logdet_partial_pivot`).  Warns IllConditionedWarning when it drops
     below 1e-10, which at large N is expected: the kernel is Cauchy-like and
@@ -481,9 +497,13 @@ def z_determinant(p):
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # past a double's range: inf, NaN
         n = p.n
-        grid, pairs, boundary = _det_guards(p)
+        grid, pairs, boundary, moved = _det_guards(p)
         log_height = _height_prefactor_log(n, p.theta, p.eta)  # guards: before the LU
+        factors = grid.take(moved)
+        grid.put(moved, 1.0)
         kernel = _m_matrix_entries(p, grid, boundary)
+        for k, g in zip(moved.tolist(), factors.tolist()):
+            kernel[k // n, np.arange(n) != k % n] *= g
         log_factors, (logdet, min_piv) = _in_two(
             n, lambda: _log_sum(grid) - _log_sum(pairs), lambda: logdet_partial_pivot(kernel))
         if not min_piv >= ILL_CONDITIONED_PIVOT:  # a NaN pivot warns too
@@ -542,8 +562,9 @@ def _lemma_rows(p, i):
     """log Z at p with lambda_i moved, by the matrix determinant lemma: a
     function rows(v, d, boundary) of lambda_i values v and what
     `params.fails_at_lambda` returns for them, giving (log Z, lemma error,
-    sum error) per value, or None when the base LU's smallest pivot is
-    under ILL_CONDITIONED_PIVOT or NaN.  Call it under np.errstate.
+    sum error) per value, or None when the base has a moved grid entry
+    (`_det_guards`) or its LU's smallest pivot is under
+    ILL_CONDITIONED_PIVOT or NaN.  Call it under np.errstate.
 
     With a the scaled kernel of `logdet_partial_pivot` and x = a^-1 e_i
     (`_unit_solve`), det a' = det a (row' . x) where row' is the new row i
@@ -559,8 +580,10 @@ def _lemma_rows(p, i):
     sums, for the rounding of those sums in this route and in
     z_determinant's."""
     n = p.n
-    grid, pairs, boundary = _det_guards(p)
+    grid, pairs, boundary, moved = _det_guards(p)
     log_height = _height_prefactor_log(n, p.theta, p.eta)
+    if moved.size:
+        return None
     logdet, min_piv, lu = logdet_partial_pivot(_m_matrix_entries(p, grid, boundary),
                                                factors=True)
     if not min_piv >= ILL_CONDITIONED_PIVOT:
@@ -612,8 +635,9 @@ def z_sweep(p, i, values):
     the guard evaluated): O(N) per point, in numpy calls over blocks of
     SWEEP_BLOCK points.  A point's `err` is its lemma error plus its sum
     error.  A point whose lemma error exceeds SWEEP_ACCEPT_ERR or whose
-    value is not finite, or every point when the base LU is ill-conditioned,
-    is computed by z_determinant, which warns as it does alone."""
+    value is not finite, or every point when the base has a moved grid
+    entry or an ill-conditioned LU, is computed by z_determinant, which
+    warns as it does alone."""
     i = operator.index(i)
     if not 0 <= i < p.n:
         raise ValueError(f"i must be in 0..{p.n - 1}, got {i}")

@@ -124,13 +124,14 @@ def test_m_entry_bad_form():
 
 
 def test_m_entry_guard():
+    # the kernel has a pole where a grid factor vanishes, Z does not: the
+    # determinant takes the entry into its row and agrees with contraction
     rng = np.random.default_rng(84)
     p = draw(2, rng)
     q = p.replace_lambda(0, p.xis[0] + 1e-9)
     with pytest.raises(NearSingular, match=r"lambda\[0\]-xi\[0\]"):
         partition.m_matrix(q)
-    with pytest.raises(NearSingular, match=r"lambda\[0\]-xi\[0\]"):
-        partition.z_determinant(q)
+    assert rel_diff(partition.z_determinant(q).value, partition.z_bruteforce(q).value) < 1e-10
 
 
 def test_m_entry_theta_guard_sum_form_only():
@@ -368,12 +369,13 @@ def test_height_prefactor_guard_runs_before_the_lu(monkeypatch):
         partition.z_determinant(q)
     assert str(err.value).startswith("denominator sinh(theta+2*eta) has |sinh| = ")
     # at N = 200 on two threads: each guard raises its full evaluation's
-    # message, before any LU, and leaves no work running on the worker
+    # message, before any LU, and leaves no work running on the worker; the
+    # two grid cases through m_matrix, whose kernel has their poles
     futures = _two_cpus(monkeypatch)
-    for q, want in _threaded_guard_cases():
+    for k, (q, want) in enumerate(_threaded_guard_cases()):
         futures.clear()
         with pytest.raises(NearSingular) as err:
-            partition.z_determinant(q)
+            (partition.m_matrix if k < 2 else partition.z_determinant)(q)
         assert str(err.value) == want
         assert futures and all(f.done() for f in futures)
 
@@ -712,13 +714,18 @@ _FAMILY_CASES = {
 
 @pytest.mark.parametrize("label", sorted(_FAMILY_CASES))
 def test_determinant_guard_families_name_the_denominator(label):
+    # the kernel names every family; the determinant names the pair
+    # families and moves a grid entry into its row, agreeing with contraction
     p = draw(4, np.random.default_rng(213))
     q = _FAMILY_CASES[label](p, list(p.lambdas), list(p.xis))
+    grid = re.match(r"lambda\[\d\][-+]xi", label)
     sum_kernel = lambda: partition.m_matrix(q, partition.SUM_FORM)
-    for evaluate in (sum_kernel, lambda: partition.z_determinant(q)):
+    for evaluate in (sum_kernel,) if grid else (sum_kernel, lambda: partition.z_determinant(q)):
         with pytest.raises(NearSingular) as err:
             evaluate()
         assert str(err.value).startswith(f"denominator sinh({label}) has |sinh| = ")
+    if grid:
+        assert rel_diff(partition.z_determinant(q).value, partition.z_bruteforce(q).value) < 1e-10
 
 
 @pytest.mark.parametrize("n", [100, 200])
@@ -745,16 +752,16 @@ _DET_GUARD_ORDER = ("lambda-xi", "lambda+xi", "lambda-xi+eta", "lambda+xi+eta",
                     "lambda-lambda", "lambda+lambda+eta")
 
 
-def _reference_guard_message(p):
+def _reference_guard_message(p, order=_DET_GUARD_ORDER):
     """The NearSingular message of guarding every determinant denominator in
-    full: np.sinh over each table row in order, the first row whose min is at
-    or below the tolerance naming its first argmin; None when all pass.
+    full: np.sinh over each table row in `order`, the first row whose min is
+    at or below the tolerance naming its first argmin; None when all pass.
     (sinh(theta), guarded by the sum form only, is left out: the instances
     below keep theta generic.)"""
     tol = guard_tol_default()
     iu, ju = np.triu_indices(p.n, 1)
     rows = {f.key: f for f in p.guard_table}
-    for key in _DET_GUARD_ORDER:
+    for key in order:
         f = rows[key]
         args, name = f.args().ravel(), f.name
         if key in _DET_GUARD_ORDER[6:]:  # the pairs at sites (j, i)
@@ -812,12 +819,17 @@ def _guard_cases():
 
 def test_determinant_guards_match_full_evaluation():
     # the prefiltered guards raise exactly what evaluating every family in
-    # full would, or nothing
+    # full would, or nothing: the determinant over every family but the four
+    # grids, whose failing entries it moves, and the kernel over all of
+    # them, the grids last
     named = set()
+    det_order = _DET_GUARD_ORDER[4:]
+    kernel_order = det_order + _DET_GUARD_ORDER[:4]
+    runs = ((partition.z_determinant, det_order), (partition.m_matrix, kernel_order),
+            (lambda q: partition.m_matrix(q, partition.SUM_FORM), kernel_order))
     for q in _guard_cases():
-        want = _reference_guard_message(q)
-        for evaluate in (partition.z_determinant, partition.m_matrix,
-                         lambda q: partition.m_matrix(q, partition.SUM_FORM)):
+        for evaluate, order in runs:
+            want = _reference_guard_message(q, order)
             got = None
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", IllConditionedWarning)
@@ -826,9 +838,81 @@ def test_determinant_guards_match_full_evaluation():
                 except NearSingular as err:
                     got = str(err)
             assert got == want
-        if want is not None:
-            named.add(re.sub(r"\[\d+\]", "", want.split("(")[1].split(")")[0]))
+            if want is not None:
+                named.add(re.sub(r"\[\d+\]", "", want.split("(")[1].split(")")[0]))
     assert named == set(_DET_GUARD_ORDER)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_grid_coincidences_match_contraction(n):
+    # each grid family at 0 and 1e-9 at one entry, and every lambda_i =
+    # xi_i: the determinant moves the entries into their rows, the kernel
+    # still raises, and Z agrees with contraction, whose own error reaches
+    # 1.6e-7 at N = 8
+    rng = np.random.default_rng((231, n))
+    base = draw(n, rng)
+    cases = [dataclasses.replace(base, lambdas=base.xis)]
+    for key in _DET_GUARD_ORDER[:4]:  # the grid families
+        i, j = rng.integers(n, size=2)
+        cases += [_pinned(base, key, d, i, j) for d in (0.0, 1e-9)]
+    for q in cases:
+        assert partition._det_guards(q)[3].size
+        with pytest.raises(NearSingular):
+            partition.m_matrix(q)
+        zd, zb = partition.z_determinant(q).value, partition.z_bruteforce(q).value
+        assert rel_diff(zd, zb) < (1e-10 if n <= 6 else 1e-6)
+
+
+@pytest.mark.parametrize("n", [4, 16, 50])
+def test_recursions_hold_on_the_determinant(n):
+    # both recursions with the determinant on each side: at the coincidence
+    # it moves the entry lambda_1 = xi_1 (or lambda_N = -xi_1) into its row
+    rng = np.random.default_rng((232, n))
+    for _ in range(3):
+        p = draw(n, rng)
+        low = p.replace_lambda(0, p.xis[0])
+        up = p.replace_lambda(n - 1, -p.xis[0])
+        prev = {"lower": low.drop_site(0),
+                "upper": ModelParams(up.eta, up.zeta, up.theta, up.lambdas[:-1], up.xis[1:])}
+        for side, q in (("lower", low), ("upper", up)):
+            rhs = partition.recursion_rhs(q, partition.z_determinant(prev[side]).value, side)
+            assert rel_diff(rhs, partition.z_determinant(q).value) < 1e-11
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_two_rows_on_one_zero_grid_column_give_zero(n):
+    # lambda_0 = xi_0 and lambda_1 = -xi_0 leave kernel rows 0 and 1 both
+    # multiples of e_0, so Z = 0, as contraction gives it.  Where the LU
+    # takes row 0 or 1 as the first pivot, it meets an exactly zero pivot
+    # and the value is exactly 0; where it takes another row first, the
+    # two rows are rounded apart and |Z| is rounding, here under 1e-15 of
+    # Z with lambda_0 = xi_0 alone
+    rng = np.random.default_rng((233, n))
+    exact = 0
+    for _ in range(5):
+        one = draw(n, rng)
+        one = one.replace_lambda(0, one.xis[0])
+        q = one.replace_lambda(1, -one.xis[0])
+        assert partition.z_bruteforce(q).value == 0
+        with pytest.warns(IllConditionedWarning):
+            r = partition.z_determinant(q)
+        if r.cond_hint == 0:
+            assert r.value == 0
+            exact += 1
+        assert abs(r.value) <= 1e-15 * abs(partition.z_determinant(one).value)
+    assert exact >= 3
+
+
+def test_a_zero_height_numerator_gives_zero_without_a_warning():
+    # at theta = 2 eta the height factor's numerator sinh(theta - 2 eta) is
+    # exactly 0: its log is -inf, silently, and Z is exactly 0
+    p = draw(2, np.random.default_rng(5))
+    q = ModelParams(p.eta, p.zeta, 2 * p.eta, p.lambdas, p.xis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = partition.z_determinant(q)
+    assert r.value == 0 and r.log_value.real == -np.inf
+    assert partition.z_bruteforce(q).value == 0
 
 
 def test_log_value_does_not_depend_on_guard_tolerance(monkeypatch):
@@ -901,13 +985,14 @@ def test_a_near_xi_pair_is_guarded_only_at_its_entries(monkeypatch):
 
 def _reference_det_guards(p):
     """What `_det_guards` returns, written out: each square from its own
-    np.sinh call, then D1 D2, P1 P2 and the boundary product (no guards)."""
+    np.sinh call, then D1 D2, P1 P2 and the boundary product (no guards),
+    and no moved entry."""
     iu, ju = np.triu_indices(p.n, 1)
     lam, xi, eta = p.lambdas_array(), p.xis_array(), p.eta
     w, w_eta, y, q = (np.square(sh(v)) for v in (lam, lam + eta, xi, lam + eta / 2))
     grid = (w[:, None] - y) * (w_eta[:, None] - y)
     pairs = (y[ju] - y[iu]) * (q[ju] - q[iu])
-    return grid, pairs, sh(p.theta + p.zeta + lam) * sh(p.zeta + lam)
+    return grid, pairs, sh(p.theta + p.zeta + lam) * sh(p.zeta + lam), np.zeros(0, np.intp)
 
 
 @pytest.mark.parametrize("shift", [0, 10, 200, 400])
@@ -928,6 +1013,18 @@ def test_det_guards_match_reference_bit_for_bit(shift, monkeypatch):
     assert got == want
 
 
+def _schedule_cases(shift):
+    """Draws at N = 65, 101 and 200 with every lambda moved by `shift`, and
+    the N = 101 one with a grid entry moved in each half of the rows."""
+    out = []
+    for n in (65, 101, 200):
+        p = draw(n, np.random.default_rng((218, n)))
+        out.append(dataclasses.replace(p, lambdas=tuple(v + shift for v in p.lambdas)))
+    lams, xis = list(out[1].lambdas), out[1].xis
+    lams[20], lams[80] = xis[7] + 1e-9, -xis[9] - out[1].eta + 1e-9
+    return out + [dataclasses.replace(out[1], lambdas=tuple(lams))]
+
+
 @pytest.mark.parametrize("shift", [0, 10, 200, 400])
 def test_schedules_match_bit_for_bit(shift, monkeypatch):
     # the calling thread alone and the calling thread with the worker give
@@ -936,19 +1033,18 @@ def test_schedules_match_bit_for_bit(shift, monkeypatch):
     for cpus in (1, 2):
         futures = _two_cpus(monkeypatch, cpus)
         out = runs[cpus] = []
-        for n in (65, 101, 200):
-            p = draw(n, np.random.default_rng((218, n)))
-            p = dataclasses.replace(p, lambdas=tuple(v + shift for v in p.lambdas))
+        for p in _schedule_cases(shift):
             with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("ignore", IllConditionedWarning)
-                grid, pairs, boundary = partition._det_guards(p)
+                grid, pairs, boundary, moved = partition._det_guards(p)
                 r = partition.z_determinant(p)
-                out += [a.tobytes() for a in (grid, pairs, boundary)]
+                out += [a.tobytes() for a in (grid, pairs, boundary, moved)]
                 out.append(partition._m_matrix_entries(p, grid, boundary).tobytes("F"))
                 out += [np.complex128(r.log_value).tobytes(), np.complex128(r.value).tobytes(),
                         np.float64(r.cond_hint).tobytes()]
         assert bool(futures) == (cpus == 2)
     assert runs[1] == runs[2]
+    assert runs[1][-5] == np.array([20 * 101 + 7, 80 * 101 + 9]).tobytes()  # the moved entries
 
 
 _DET_BYTES = Path(__file__).parent / "data" / "det_logz_bytes.json"
@@ -1138,7 +1234,7 @@ def test_sweep_rows_are_the_replaced_instances_factors(n):
         kernel = partition._m_matrix_entries(p, grid, boundary, values)
         for k, v in enumerate(values):
             q = p.replace_lambda(i, v)
-            grid_q, pairs_q, boundary_q = partition._det_guards(q)
+            grid_q, pairs_q, boundary_q, _ = partition._det_guards(q)
             assert grid_q[i].tobytes() == grid[k].tobytes()
             assert boundary_q[i].tobytes() == boundary[k].tobytes()
             assert pairs_q[holds].tobytes() == pairs[k].tobytes()
@@ -1205,6 +1301,17 @@ def test_sweep_falls_back_where_the_base_is_not_usable(monkeypatch):
         res = partition.z_sweep(q, 0, values)
         want = [partition.z_determinant(q.replace_lambda(0, v)).value for v in values]
     assert res.fallback.all() and res.values.tolist() == want
+
+
+def test_sweep_falls_back_at_a_base_with_a_moved_entry():
+    # a base at lambda_0 = xi_0 has no lemma rows: every point is z_determinant's
+    p = draw(4, np.random.default_rng(308))
+    base = p.replace_lambda(0, p.xis[0])
+    values = [0.2, 0.3 + 0.1j, -0.4j]
+    res = partition.z_sweep(base, 2, values)
+    assert res.fallback.all() and not res.skipped.any()
+    assert res.values.tolist() == [partition.z_determinant(base.replace_lambda(2, v)).value
+                                   for v in values]
 
 
 def test_sweep_emits_no_numpy_warnings():
