@@ -21,8 +21,8 @@ squares and guard table `ModelParams` computes once.
 
 The entries a bound cannot clear are few, about one per site: `_scan`
 finds them from the dense N x N grids of the five differences, faster at
-small N, or from `_SORTED_SCAN_N` sites on by a range search on the sorted
-squares, which never forms the grids (~80 MB of temporaries at N = 800).
+small N, or from `_SORTED_SCAN_N` sites on by a sort on one projected
+axis (`_near`): ~0.5-0.7 against ~1 ms at N = 200, and no 80 MB grids at 800.
 """
 
 from __future__ import annotations
@@ -324,12 +324,17 @@ FACTORS = (("lambda-xi+eta", "lambda+xi+eta"), ("lambda-xi", "lambda+xi"),
            ("xi-xi", "xi+xi"))
 _CLEARED = {key: g for g, keys in enumerate(FACTORS) for key in keys}
 
-# From this many sites on, `_scan` finds the entries under the thresholds
-# by a range search on the sorted squares (`_sorted_sites`) instead of the
-# dense grids (`_dense_sites`).  Measured on a 2-vCPU host, warm, on default
-# draws at the sampler's own floor: the grids take 0.33 / 0.64 / 1.10 ms at
-# N = 100 / 150 / 200 and the search 0.60 / 0.66 / 0.83 ms.
-_SORTED_SCAN_N = 200
+# From this many sites on, where it starts to win, `_scan` takes the sites
+# from the one-axis search (`_sorted_sites`), not the dense grids.  Warm
+# medians on default draws, shared 2-vCPU host, one BLAS thread, grids /
+# search: at the sampler's floor 0.32 / 0.30-0.33 ms at N = 112, 0.39 / 0.32
+# at 120, 0.99 / 0.46 at 200; at 1e-6 0.21-0.25 / 0.21-0.24 ms at N = 96.
+_SORTED_SCAN_N = 120
+
+# `_near`'s direction: neither an axis nor a diagonal, which real or fixed-Im
+# parameters line the squares up along (Im lambda = pi/4 puts every
+# sinh^2 lambda on Re = -1/2), so no such line projects to one point.
+_AXIS = cmath.exp(1j)
 
 
 def sinh_squares(p):
@@ -364,45 +369,36 @@ def _near(a, b, t):
     |a_i - b_j| may be at or below t, and d = |a_i - b_j| there, bit for bit
     what the dense grid holds; None where the search would take more than a
     quarter of the N^2 entries (past Re lambda ~ 12 the thresholds pass the
-    squares' spread) or cannot run: t not finite or too small for the cells
-    to stay exact, or a value not finite (a square past Re ~ 355, where the
-    thresholds are above 1e290 and take nearly every entry anyway).
+    squares' spread) or cannot run: t not finite or padded to no width, or
+    a value not finite (a square past Re ~ 355, where the thresholds are
+    above 1e290 and take nearly every entry anyway).
 
-    A range search: b sorted by (cell of Re b_j of width 2 h, Im b_j), h
-    being t padded by `_PREFILTER_SLACK` for the rounding of a_i - b_j and
-    of the search's own bounds, and each a_i looks up the Im range within h
-    in the one or two cells within h, so the candidates scale with the area
-    of a disc of radius t."""
+    Each a_i takes the b_j whose projections onto u = `_AXIS` lie within h
+    of its own, b's sorted once: |Re((a_i - b_j) conj(u))| <= |a_i - b_j|,
+    and h is t padded by `_PREFILTER_SLACK` for the rounding of a_i - b_j,
+    of the projections and of the window's bounds, a few ulps of scale."""
     n = a.size
     scale = np.abs(np.concatenate([a, b]).view(float)).max()  # NaN if any value is
     h = (t + _PREFILTER_SLACK * scale) * (1 + _PREFILTER_SLACK)
-    if not (scale + 2 * h < np.inf and scale < 2.0**50 * h):
+    if not (0 < h and scale + 2 * h < np.inf):
         return None
-    # complex arrays sort by real part, then imaginary: by cell, then Im;
-    # the queries are sorted too, which speeds the search
-    key = np.floor(b.real / (2 * h)) + 1j * b.imag
-    order = np.argsort(key)
-    first = np.floor((a.real - h) / (2 * h)) + 1j * a.imag
-    by = np.argsort(first)
-    first = first[by]
-    span = (np.floor((a.real[by] + h) / (2 * h)) > first.real).astype(int)
-    cells = first + np.arange(1 + span.max())[:, None]
-    lo, hi = np.searchsorted(key[order], np.stack([cells - 1j * h, cells + 1j * h]))
-    count = np.where(cells.real <= first.real + span, hi - lo, 0).ravel()
+    ka, kb = (v.real * _AXIS.real + v.imag * _AXIS.imag for v in (a, b))
+    order = np.argsort(kb)
+    lo, hi = np.searchsorted(kb[order], np.stack([ka - h, ka + h]))
+    count = hi - lo
     total = int(count.sum())
     if 4 * total > n * n:
         return None
-    at = np.arange(total) + np.repeat(lo.ravel() - np.cumsum(count) + count, count)
-    k = np.tile(by, len(cells)).repeat(count) * n + order[at]
+    at = np.arange(total) + np.repeat(lo - np.cumsum(count) + count, count)
+    k = np.repeat(np.arange(0, n * n, n), count) + order[at]
     k.sort()
-    i, j = np.divmod(k, n)
-    return k, np.abs(a[i] - b[j])
+    return k, np.abs(a[k // n] - b[k % n])
 
 
 def _sorted_sites(squares, tol):
-    """`_dense_sites`, bit for bit, from a range search (`_near`) of each
-    difference at its threshold, keeping the candidates whose |D| is not
-    above it.  Where a search does not run, the dense grids decide."""
+    """`_dense_sites`, bit for bit, from the one-axis search (`_near`) of
+    each difference at its threshold, keeping the candidates whose |D| is
+    not above it.  Where a search declines, the dense grids decide."""
     sq, c, mod, _ = squares
     lims = [prefilter_threshold(cg, tol, mod) for cg in c]
     near = []
@@ -511,8 +507,8 @@ def fails_at_lambda(p, i, values):
     are cleared as `_scan` clears them, each by its own difference, in d:
     the first four differences of `_MINUEND` and `_SUBTRAHEND`, the point's
     squares of (v+eta, v, v+eta/2) less the base's, bounded at the point's
-    own |Re|.  d[2] is the pair factor q_b - q_a, so q_j - q_v at j > i;
-    d[2:, :, i] is infinite and clears.  A point that no O(1) entry
+    own |Re|.  d[2] is q_v - q_j, the pair factor or, at j < i, its
+    negation; d[2:, :, i] is infinite and clears.  A point that no O(1) entry
     rejects, with an entry that no bound clears or a NaN difference, gets
     `guard_violations` on p with lambda_i = v; a NaN entry fails nothing."""
     tol = guard_tol_default()
@@ -534,7 +530,6 @@ def fails_at_lambda(p, i, values):
         lim = prefilter_threshold(c, tol, np.maximum(mod, 2 * np.abs(v) + abs(p.eta)))
         sq_v = np.square(s[-3:])
         d = sq_v[_MINUEND[:4], :, None] - base
-        d[2, :, i + 1:] = base[2, :, i + 1:] - sq_v[2, :, None]
         cleared = (np.abs(d) > lim[:, :, None]).all((0, 2))
     for k in (~fails & ~cleared).nonzero()[0]:
         fails[k] = bool(guard_violations(p.replace_lambda(i, v[k]), tol))

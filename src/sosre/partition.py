@@ -388,9 +388,9 @@ def _guard(p, key, *sites):
 def _det_guards(p):
     """Guard the boundary denominators of the product-form kernel and the
     pair factors (`_height_prefactor_log` guards the height factor's), in
-    this order: theta+zeta+lambda, zeta+lambda, then over i < j the pairs
-    xi_j -+ xi_i, lambda_j - lambda_i and lambda_j + lambda_i + eta, each a
-    row of the instance's `guard_table`, the pair rows at sites (j, i).
+    this order: theta+zeta+lambda, zeta+lambda, then over a < b the pairs
+    xi_a -+ xi_b, lambda_a - lambda_b and lambda_a + lambda_b + eta, each a
+    row of the instance's `guard_table`, named as `validate_params` names it.
     The four N x N grids at lambda_i -+ xi_j (+eta), where Z has no pole,
     raise nothing: the flat indices i N + j where a factor's |sinh| is at
     or under the tolerance are returned, ascending, as moved (see
@@ -399,8 +399,8 @@ def _det_guards(p):
     The grid and pair factors pair up as differences of the O(N) squares
     of `ModelParams.squares`:
     D1 = sinh^2 lambda_i - sinh^2 xi_j = sinh(lambda_i-xi_j) sinh(lambda_i+xi_j),
-    D2 the same at lambda+eta, P1 = sinh^2 xi_j - sinh^2 xi_i and
-    P2 = sinh^2(lambda_j+eta/2) - sinh^2(lambda_i+eta/2).  Every failing
+    D2 the same at lambda+eta, P1 = sinh^2 xi_a - sinh^2 xi_b and
+    P2 = sinh^2(lambda_a+eta/2) - sinh^2(lambda_b+eta/2).  Every failing
     entry of a grid or pair row has its |D| or |P| at or under
     `params.prefilter_threshold` at that difference's own cosh bound, so
     the two rows each difference factors (`params.FACTORS`) are evaluated
@@ -429,7 +429,7 @@ def _det_guards(p):
         np.multiply(d1, d2, out=grid[rows])
         del d1, d2
         a, b = iu[ks], ju[ks]
-        p1, p2 = y.take(b) - y.take(a), q.take(b) - q.take(a)
+        p1, p2 = y.take(a) - y.take(b), q.take(a) - q.take(b)
         np.multiply(p1, p2, out=pairs[ks])
         return near + [_under(p1, lim[4], ks.start), _under(p2, lim[2], ks.start)]
 
@@ -442,7 +442,7 @@ def _det_guards(p):
     boundary = _guard(p, "theta+zeta+lambda") * _guard(p, "zeta+lambda")
     for g, ks in ((4, p1_at), (2, p2_at)):
         for key in FACTORS[g] if ks.size else ():
-            _guard(p, key, ju[ks], iu[ks])
+            _guard(p, key, iu[ks], ju[ks])
     return grid, pairs, boundary, moved
 
 
@@ -475,13 +475,14 @@ def z_determinant(p):
     `_det_guards` moves, G_ij is 1 in the grid both read and multiplies row
     i's other kernel entries, an exact row scaling of the same determinant,
     so Z is computed at the recursions' coincidences; where none moves, the
-    bits are the plain formula's.  `cond_hint` is the smallest pivot
-    modulus of LAPACK's LU, in the kernel's own units (see
-    `logdet_partial_pivot`).  Warns IllConditionedWarning when it drops
-    below 1e-10, which at large N is expected: the kernel is Cauchy-like and
-    its pivots decay geometrically, so trust `log_value` over `value` there.
-    Below about 1e-12 the value has no reliable digits (LU orderings disagree
-    widely).
+    bits are the plain formula's; rows that a zero moved factor makes
+    multiples of one e_j (lambda_0 = xi_0, lambda_1 = -xi_0) give exactly 0.
+    `cond_hint` is the smallest pivot modulus of LAPACK's LU, in the
+    kernel's own units (see `logdet_partial_pivot`).  Warns
+    IllConditionedWarning when it drops below 1e-10, which at large N is
+    expected: the kernel is Cauchy-like and its pivots decay geometrically,
+    so trust `log_value` over `value` there.  Below about 1e-12 the value
+    has no reliable digits (LU orderings disagree widely).
 
     Above REFINE_MAX_N sites, when the process may run on more than one CPU,
     the O(N^2) work is shared with one worker thread (`_in_two`): the
@@ -504,6 +505,9 @@ def z_determinant(p):
         kernel = _m_matrix_entries(p, grid, boundary)
         for k, g in zip(moved.tolist(), factors.tolist()):
             kernel[k // n, np.arange(n) != k % n] *= g
+        if moved.size:  # of the rows that are multiples of one e_j, zero all but the first
+            i, j = np.divmod(moved[factors == 0], n)
+            kernel[np.delete(i, np.unique(j, return_index=True)[1])] = 0.0
         log_factors, (logdet, min_piv) = _in_two(
             n, lambda: _log_sum(grid) - _log_sum(pairs), lambda: logdet_partial_pivot(kernel))
         if not min_piv >= ILL_CONDITIONED_PIVOT:  # a NaN pivot warns too
@@ -575,10 +579,10 @@ def _lemma_rows(p, i):
     the relative size of x's last correction and 2u the rounding of x and
     of the dot product (its remainder products round 2^-bits less and are
     left out).  The new rows of D1 D2 (d[1] d[0]), of the pair factors
-    (d[2] at each pair's other site) and of the kernel are z_determinant's
-    bit for bit; the sum error is 2u times the moduli of the terms log Z
-    sums, for the rounding of those sums in this route and in
-    z_determinant's."""
+    ((y_i - y_j) d[2] at each pair's other site j, both factors negated at
+    j < i) and of the kernel are z_determinant's bit for bit; the sum error
+    is 2u times the moduli of the terms log Z sums, for the rounding of
+    those sums in this route and in z_determinant's."""
     n = p.n
     grid, pairs, boundary, moved = _det_guards(p)
     log_height = _height_prefactor_log(n, p.theta, p.eta)
@@ -595,9 +599,9 @@ def _lemma_rows(p, i):
     col_scale = np.ldexp(1.0, -lu.e_col)
     a, b = site_pairs(n)
     holds = (a == i) | (b == i)
-    a, b = a[holds], b[holds]
+    j = (a + b - i)[holds]  # each pair's other site
     y = p.squares[0][3]
-    p1 = y[b] - y[a]
+    p1 = y[i] - y[j]
     # log Z less its terms that hold lambda_i: the prefactor's other grid
     # rows and pairs, and log det M less row i's power of two
     log_rest = (logdet - lu.e_row[i] * _LOG_2 + log_height
@@ -615,7 +619,7 @@ def _lemma_rows(p, i):
         dot = (m_hi @ x_hi + (m_hi @ x_lo + m_lo @ x))[:, 0]
         lemma_err = (np.abs(m) @ abs_x)[:, 0] / np.abs(dot) * (eps_x + 2 * _UNIT_ROUNDOFF)
         log_z = (log_rest + e * _LOG_2 + np.log(dot) + _log_sum(g, 1)
-                 - _log_sum(p1 * d[2][:, a + b - i], 1))
+                 - _log_sum(p1 * d[2][:, j], 1))
         sum_err = 2 * _UNIT_ROUNDOFF * (summed + np.abs(log_z.real) + np.abs(log_z.imag))
         return log_z, lemma_err, sum_err
 

@@ -705,15 +705,18 @@ def test_sorted_and_dense_searches_find_the_same_sites(case, monkeypatch):
         _assert_matches_full_evaluation(p)
 
 
-@pytest.mark.parametrize("angle", [0, 1, 2, 3])
+@pytest.mark.parametrize("angle", [0, 1, 2, 3, 4, 5])
 def test_range_search_finds_entries_at_its_threshold(angle):
-    # a_i = b_j + s along an axis, and the threshold t exactly the computed
-    # |a_i - b_j|: the search must find the entry although a_i and b_j round
+    # a_i = b_j + s along an axis (angles 0-3), along the search's own
+    # direction (4) or its normal (5), and the threshold t exactly the
+    # computed |a_i - b_j|: the search must find the entry although a_i and
+    # b_j round
     rng = np.random.default_rng(angle)
     n = 400
     b = 4 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
     j = rng.permutation(n)
-    a = b[j] + 1j**angle * rng.uniform(1e-3, 2e-3, n)
+    step = 1j**angle if angle < 4 else params._AXIS * 1j**(angle - 4)
+    a = b[j] + step * rng.uniform(1e-3, 2e-3, n)
     d = np.abs(a - b[j])
     for i in range(0, n, 7):
         k, found = params._near(a, b, float(d[i]))
@@ -724,6 +727,59 @@ def test_range_search_finds_entries_at_its_threshold(angle):
     for v in (np.inf, np.nan, complex(0, np.nan)):  # a value not finite: every entry
         assert params._near(a, np.append(b[1:], v), 1e-3) is None
         assert params._near(np.append(a[1:], v), b, 1e-3) is None
+    # coinciding values at t = 0: the padding keeps the diagonal, and where
+    # it has no width (every value 0) the search declines
+    k, found = params._near(b, b, 0.0)
+    diagonal = k % (n + 1) == 0
+    assert k[diagonal].tolist() == list(range(0, n * n, n + 1)) and found[diagonal].max() == 0
+    assert params._near(np.zeros(n, complex), np.zeros(n, complex), 0.0) is None
+
+
+# lined-up layouts, each from a default draw: Im lambda = pi/4 puts every
+# sinh^2 lambda on Re = -1/2 and real parameters put the squares on the
+# real axis, where a search on plain Re or Im would take nearly every
+# entry; lambda and xi on a diagonal, and half of lambda real, half at
+# Im pi/4
+def _lined_up(p, rng):
+    n, quarter = p.n, 1j * np.pi / 4
+    re = lambda: rng.uniform(-0.8, 0.8, n)
+    return {
+        "im-lambda=pi/4": dataclasses.replace(p, lambdas=tuple(re() + quarter)),
+        "im-lambda=im-xi=pi/4": dataclasses.replace(p, lambdas=tuple(re() + quarter),
+                                                    xis=tuple(re() + quarter)),
+        "real": dataclasses.replace(p, lambdas=tuple(re() + 0j), xis=tuple(re() + 0j)),
+        "diagonal": dataclasses.replace(p, lambdas=tuple((1 + 1j) * re()),
+                                        xis=tuple((1 + 1j) * re())),
+        "cross": dataclasses.replace(p, lambdas=tuple(np.where(np.arange(n) < n // 2, 0,
+                                                               quarter) + re())),
+    }
+
+
+@pytest.mark.parametrize("n", [200, 800])
+def test_one_axis_search_runs_on_lined_up_layouts(n):
+    # the search runs on every difference, declining none, and finds the
+    # dense grids' sites bit for bit; so too on values along either axis
+    # or either diagonal
+    rng = np.random.default_rng((53, n))
+    for line in (1, 1j, 1 + 1j, 1 - 1j):
+        b = line * rng.uniform(-1, 1, n)
+        a = b[rng.permutation(n)] + line * rng.uniform(-1e-3, 1e-3, n)
+        k, d = params._near(a, b, 1e-3)
+        want = np.flatnonzero(~(np.abs(a[:, None] - b) > 1e-3))
+        assert k[~(d > 1e-3)].tolist() == want.tolist()
+    tols = (1e-6, 1e-3, *(cfg.margins(n)[0] for cfg in _SAMPLERS))
+    for _ in range(1 if n == 800 else 3):
+        for layout, p in _lined_up(_draw(rng, n), rng).items():
+            sq, c, mod, _ = p.squares
+            with np.errstate(over="ignore", invalid="ignore"):
+                for tol in tols:
+                    for m, s, cg in zip(params._MINUEND, params._SUBTRAHEND, c):
+                        lim = params.prefilter_threshold(cg, tol, mod)
+                        assert params._near(sq[m], sq[s], lim) is not None, (layout, tol)
+                    dense = params._dense_sites(p.squares, tol)
+                    found = params._sorted_sites(p.squares, tol)
+                    for (i, j), (i2, j2) in zip(dense, found, strict=True):
+                        assert i.tolist() == i2.tolist() and j.tolist() == j2.tolist()
 
 
 def test_guard_table_change_reaches_every_reader(monkeypatch):
