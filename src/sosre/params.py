@@ -13,11 +13,11 @@ tolerance t forces |D| under `prefilter_threshold`, about
 t cosh(|Re x| + |Re y|).  So every guard answers at a stated tolerance,
 and evaluates np.sinh at a grid or pair entry only where the bound at that
 tolerance cannot clear the |D| that holds it as a factor (`_scan`): the
-guard checks (`guard_violations`, `validate_params`) return what evaluating
-every entry would, and the margins (`min_guard_margins`) are exact at or
-below their tolerance, which is all the sampler compares with its floors.
-The determinant's guards (`partition`) clear by the same rule, from the
-squares and guard table `ModelParams` computes once.
+guard checks (`guard_hits`, so `guard_violations` and `validate_params`)
+return what evaluating every entry would, and the margins
+(`min_guard_margins`) are exact at or below their tolerance, which is all
+the sampler compares with its floors.  The determinant (`partition`) bounds
+its own differences only as a gate to `require_no_hits`, which reads them.
 
 The entries a bound cannot clear are few, about one per site: `_scan`
 finds them from the dense N x N grids of the five differences, faster at
@@ -466,25 +466,52 @@ def min_guard_margins(p, tol):
     return float(low[GENERIC]), float(low[RATIO])
 
 
+def guard_hits(p, tol, ratio_tol=None):
+    """The guard table's entries at or below tolerance, `tol` in GENERIC
+    rows and `ratio_tol` (default `tol`) in RATIO rows, from one `_scan`:
+    {key: (family, sites, mags)} for each row with one, sites (k,) in an
+    O(N) row and (i, j) in a grid or pair row, so ``family.name(m, *sites)``
+    names entry m, and mags their |sinh|, in row-major order."""
+    rtol = tol if ratio_tol is None else ratio_tol
+    mags, rows, bounds = _scan(p, tol)
+    hits = {}
+    if not np.minimum.reduce(mags) > max(tol, rtol):  # a NaN min: row by row
+        for (_, f, sites), lo, hi in zip(rows, bounds, bounds[1:]):
+            v = mags[lo:hi]
+            k = (v <= (tol if f.tier == GENERIC else rtol)).nonzero()[0]
+            if k.size:
+                hits[f.key] = f, tuple(s[k] for s in sites) or (k,), v[k]
+    return hits
+
+
+def require_no_hits(p, keys, cut=None):
+    """`guard_hits` of p at the guard tolerance, after raising NearSingular
+    as evaluating its rows `keys` in this order would, at the first smallest
+    |sinh| of the first that holds an entry; ``cut[key](*sites)`` cuts a row
+    to the entries a caller divides by (a mask, or indices in its order)."""
+    tol = guard_tol_default()
+    hits = guard_hits(p, tol)
+    for f, sites, mags in (hits[key] for key in keys if key in hits):
+        k = cut[f.key](*sites) if cut and f.key in cut else slice(None)
+        sites, mags = tuple(s[k] for s in sites), mags[k]
+        if mags.size:
+            m = int(np.argmin(mags))
+            raise NearSingular(f"denominator sinh({f.name(m, *sites)}) has |sinh| = "
+                               f"{mags[m]:.3e} <= {tol:g}")
+    return hits
+
+
 def guard_violations(p, guard_tol=None, ratio_guard_tol=None, skip=()):
     """Labels of guard arguments whose |sinh| is at or below tolerance, row
-    by row in table order and by flat index within a row.
+    by row in table order and by flat index within a row (`guard_hits`).
 
     ``ratio_guard_tol`` defaults to ``guard_tol``.  ``skip`` is a collection of
     labels to ignore, for identities stated at deliberate coincidences.
     """
-    tol = guard_tol_default() if guard_tol is None else guard_tol
-    rtol = tol if ratio_guard_tol is None else ratio_guard_tol
-    mags, rows, bounds = _scan(p, tol)
-    limit = tol if rtol == tol else np.repeat(
-        [tol if f.tier == GENERIC else rtol for _, f, _ in rows], np.diff(bounds))
-    hits = (mags <= limit).nonzero()[0]
-    out = []
-    for r in sorted(range(len(rows)), key=lambda r: rows[r][0]) if hits.size else ():
-        _, f, sites = rows[r]
-        k = hits[(hits >= bounds[r]) & (hits < bounds[r + 1])] - bounds[r]
-        out += [label for label in (f.name(m, *sites) for m in k.tolist()) if label not in skip]
-    return out
+    hits = guard_hits(p, guard_tol_default() if guard_tol is None else guard_tol, ratio_guard_tol)
+    labels = [f.name(m, *hits[f.key][1]) for f in p.guard_table if f.key in hits
+              for m in range(hits[f.key][2].size)]
+    return [label for label in labels if label not in skip]
 
 
 def validate_params(p):
@@ -503,24 +530,23 @@ def fails_at_lambda(p, i, values):
     set to v, for a p that passes it, and what deciding it evaluated:
     (fails, d, sinh(theta+zeta+v) sinh(zeta+v)).  The O(1) entries that
     hold lambda_i (the O(1) rows and lambda+lambda+eta's diagonal) are read
-    at site i from the guard table over the points; the grid and pair ones
+    from the one-site table of the points and xi_i; the grid and pair ones
     are cleared as `_scan` clears them, each by its own difference, in d:
     the first four differences of `_MINUEND` and `_SUBTRAHEND`, the point's
     squares of (v+eta, v, v+eta/2) less the base's, bounded at the point's
     own |Re|.  d[2] is q_v - q_j, the pair factor or, at j < i, its
     negation; d[2:, :, i] is infinite and clears.  A point that no O(1) entry
     rejects, with an entry that no bound clears or a NaN difference, gets
-    `guard_violations` on p with lambda_i = v; a NaN entry fails nothing."""
+    `guard_hits` on p with lambda_i = v; a NaN entry fails nothing."""
     tol = guard_tol_default()
     v = np.asarray(values, dtype=complex)
     sq, _, mod, r = p.squares
     base = sq.take(_SUBTRAHEND[:4], 0)[:, None, :]
     base[2:, :, i] = np.inf
-    lam = np.where(np.arange(p.n) == i, v[:, None], p.lambdas_array())  # one instance per point
-    table = guard_families(p.eta, p.zeta, p.theta, lam, p.xis_array())
+    table = guard_families(p.eta, p.zeta, p.theta, v[:, None], p.xis_array()[i : i + 1])
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = {f.key: f.args(i) for f in table if f.key not in _CLEARED and "lambda" in f.key}
-        rows.update({f.key: f.args(i, i) for f in table if f.key == "lambda+lambda+eta"})
+        rows = {f.key: f.args().reshape(-1) for f in table if "lambda" in f.key
+                and (f.key not in _CLEARED or f.key == "lambda+lambda+eta")}
         # the O(1) entries, then the arguments of the point's three squares
         x = np.concatenate([*rows.values(), v + p.eta, v, v + p.eta / 2])
         x = x.reshape(len(rows) + 3, -1)
@@ -532,7 +558,7 @@ def fails_at_lambda(p, i, values):
         d = sq_v[_MINUEND[:4], :, None] - base
         cleared = (np.abs(d) > lim[:, :, None]).all((0, 2))
     for k in (~fails & ~cleared).nonzero()[0]:
-        fails[k] = bool(guard_violations(p.replace_lambda(i, v[k]), tol))
+        fails[k] = bool(guard_hits(p.replace_lambda(i, v[k]), tol))
     at = dict(zip(rows, s))
     return fails, d, at["theta+zeta+lambda"] * at["zeta+lambda"]
 
@@ -545,19 +571,5 @@ def require_nonsingular(label, value):
     if abs(s) <= tol:
         raise NearSingular(
             f"denominator sinh({label}) = {s:.3e} has |sinh| <= {tol:g}"
-        )
-    return s
-
-
-def require_all_nonsingular(label_fn, values):
-    """Vectorised guard: values is an ndarray, label_fn maps flat index to name.
-    Returns sinh(values), so a caller that needs them evaluates them once."""
-    tol = guard_tol_default()
-    s = np.sinh(np.asarray(values, dtype=complex))
-    mags = np.abs(s)
-    if mags.size and mags.min() <= tol:
-        k = int(np.argmin(mags.ravel()))
-        raise NearSingular(
-            f"denominator sinh({label_fn(k)}) has |sinh| = {mags.ravel()[k]:.3e} <= {tol:g}"
         )
     return s

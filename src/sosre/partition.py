@@ -38,7 +38,7 @@ from .params import (
     fails_at_lambda,
     guard_tol_default,
     prefilter_threshold,
-    require_all_nonsingular,
+    require_no_hits,
     require_nonsingular,
     site_pairs,
 )
@@ -140,15 +140,15 @@ def _m_matrix_entries(p, grid, boundary, lam=None):
 
 
 def m_matrix(p, form=PRODUCT_FORM):
-    """Full kernel matrix with guards applied: `_det_guards`' families, then
-    the grid families at the entries it moves, which are the kernel's poles.
+    """Full kernel matrix with guards applied: `_det_guards`' families, then,
+    where it moves an entry, the four grid families, the kernel's poles.
     The sum form, kept as a cross-check of the product form, evaluates its
     own sinh grids and guards sinh(theta) after the kernel's guards."""
     if form not in (SUM_FORM, PRODUCT_FORM):
         raise ValueError(f"form must be {SUM_FORM!r} or {PRODUCT_FORM!r}")
     grid, _, boundary, moved = _det_guards(p)
-    for key in FACTORS[1] + FACTORS[0] if moved.size else ():
-        _guard(p, key, *np.divmod(moved, p.n))
+    if moved.size:
+        require_no_hits(p, FACTORS[1] + FACTORS[0])
     if form == PRODUCT_FORM:
         return _m_matrix_entries(p, grid, boundary)
     theta, eta, zeta = p.theta, p.eta, p.zeta
@@ -290,12 +290,18 @@ def logdet_partial_pivot(mat, *, factors=False):
     return complex(logdet), float(min_piv)
 
 
-def _height_prefactor_log(n, theta, eta):
+def _height_prefactor_log(p):
     """Log of the scalar height factor in the determinant formula:
     (-1)^floor(n/2) times the product over m = n-1, n-3, ... (>= 0) of
-    sinh(theta - (m+1) eta) / sinh(theta + m eta), guarded in one call."""
+    sinh(theta - (m+1) eta) / sinh(theta + m eta).  A denominator at or
+    under the tolerance is named in that order of m from the guard table's
+    theta%+d*eta row, whose entry k is at m = k - n - 2 (`require_no_hits`)."""
+    n, theta, eta = p.n, p.theta, p.eta
     ms = np.arange(n - 1, -1, -2)
-    den = require_all_nonsingular(lambda k: f"theta{ms[k]:+d}*eta", theta + ms * eta)
+    den = sh(theta + ms * eta)
+    if np.abs(den).min() <= guard_tol_default():
+        require_no_hits(p, ["theta%+d*eta"],
+                        {"theta%+d*eta": lambda k: np.isin(k - n - 2, ms).nonzero()[0][::-1]})
     log = 1j * np.pi * ((n // 2) % 2)
     with np.errstate(divide="ignore"):  # a numerator at 0: its log is -inf, and Z is 0
         logs = zip(np.log(sh(theta - (ms + 1) * eta)).tolist(), np.log(den).tolist())
@@ -367,24 +373,6 @@ def _by_halves(n, task, *lengths):
                         lambda: task(*(slice(m // 2, m) for m in lengths))))
 
 
-def _under(d, lim, offset=0):
-    """Flat indices of d's entries whose modulus is not above `lim` (a NaN
-    among them), plus `offset`."""
-    mag = np.abs(d)
-    if np.minimum.reduce(mag, None, initial=np.inf) > lim:  # NaN propagates
-        return _NO_SITES
-    return (~(mag > lim)).ravel().nonzero()[0] + offset
-
-
-_NO_SITES = np.zeros(0, np.intp)
-
-
-def _guard(p, key, *sites):
-    """`require_all_nonsingular` on p's guard row `key`, in full or at `sites`."""
-    f = next(f for f in p.guard_table if f.key == key)
-    return require_all_nonsingular(lambda k: f.name(k, *sites), f.args(*sites))
-
-
 def _det_guards(p):
     """Guard the boundary denominators of the product-form kernel and the
     pair factors (`_height_prefactor_log` guards the height factor's), in
@@ -400,20 +388,18 @@ def _det_guards(p):
     of `ModelParams.squares`:
     D1 = sinh^2 lambda_i - sinh^2 xi_j = sinh(lambda_i-xi_j) sinh(lambda_i+xi_j),
     D2 the same at lambda+eta, P1 = sinh^2 xi_a - sinh^2 xi_b and
-    P2 = sinh^2(lambda_a+eta/2) - sinh^2(lambda_b+eta/2).  Every failing
-    entry of a grid or pair row has its |D| or |P| at or under
-    `params.prefilter_threshold` at that difference's own cosh bound, so
-    the two rows each difference factors (`params.FACTORS`) are evaluated
-    only at its entries under it, and not at all while none is: NearSingular
-    and the moved entries are what evaluating every row in full would give.
-    Returns D1 D2, P1 P2, sinh(theta+zeta+lambda) sinh(zeta+lambda), which
-    do not depend on which entries were evaluated, and the moved entries.
+    P2 = sinh^2(lambda_a+eta/2) - sinh^2(lambda_b+eta/2).  A failing entry
+    of those rows has its |D| or |P| at or under `params.prefilter_threshold`
+    at that difference's own cosh bound: while none is and no boundary
+    |sinh| is at or under the tolerance, the guard table is not read, and
+    else NearSingular and the moved entries come from one
+    `params.require_no_hits` call.  Returns D1 D2, P1 P2,
+    sinh(theta+zeta+lambda) sinh(zeta+lambda) and the moved entries.
 
-    The differences, their screens and products are formed by
-    `_by_halves`: grid rows [0, N/2) and the first half of the pairs on the
-    worker thread, the rest here, when it shares the work.  The guards
-    decide here, in the order above, on the screened entries of the halves
-    joined in row-major order, before anything else runs."""
+    The differences, their bounds and products are formed by `_by_halves`:
+    grid rows [0, N/2) and the first half of the pairs on the worker
+    thread, the rest here, when it shares the work.  The guards decide
+    here, in the order above, before anything else runs."""
     n = p.n
     iu, ju = site_pairs(n)
     (w_eta, w, q, y), c, mod, _ = p.squares
@@ -421,29 +407,30 @@ def _det_guards(p):
     lim = [prefilter_threshold(cg, tol, mod) for cg in c]
     grid, pairs = np.empty((n, n), complex), np.empty(len(iu), complex)
 
+    def under(d, g):  # whether an |entry| of d is not above difference g's bound (a NaN is)
+        return not np.minimum.reduce(np.abs(d), None, initial=np.inf) > lim[g]
+
     def part(rows, ks):
         # D1 and D2 at grid rows `rows`, then P1 and P2 at pairs `ks`, each
-        # screened; D1 D2 and P1 P2 into the joined arrays
+        # bounded; D1 D2 and P1 P2 into the joined arrays
         d1, d2 = w[rows, None] - y, w_eta[rows, None] - y
-        near = [_under(d1, lim[1], rows.start * n), _under(d2, lim[0], rows.start * n)]
+        near = under(d1, 1) or under(d2, 0)
         np.multiply(d1, d2, out=grid[rows])
         del d1, d2
         a, b = iu[ks], ju[ks]
         p1, p2 = y.take(a) - y.take(b), q.take(a) - q.take(b)
         np.multiply(p1, p2, out=pairs[ks])
-        return near + [_under(p1, lim[4], ks.start), _under(p2, lim[2], ks.start)]
+        return near or under(p1, 4) or under(p2, 2)
 
-    sites = _by_halves(n, part, n, len(iu))
-    d1_at, d2_at, p1_at, p2_at = sites[0] if len(sites) == 1 else map(np.concatenate, zip(*sites))
-    fams = {f.key: f for f in p.guard_table}
-    moved = [ks[np.abs(sh(fams[key].args(*np.divmod(ks, n)))) <= tol]
-             for g, ks in ((1, d1_at), (0, d2_at)) if ks.size for key in FACTORS[g]]
-    moved = np.unique(np.concatenate(moved)) if moved else _NO_SITES
-    boundary = _guard(p, "theta+zeta+lambda") * _guard(p, "zeta+lambda")
-    for g, ks in ((4, p1_at), (2, p2_at)):
-        for key in FACTORS[g] if ks.size else ():
-            _guard(p, key, iu[ks], ju[ks])
-    return grid, pairs, boundary, moved
+    near = any(_by_halves(n, part, n, len(iu)))
+    s1, s2 = (sh(t + p.lambdas_array()) for t in (p.theta + p.zeta, p.zeta))
+    hits = {}
+    if near or np.abs(s1).min() <= tol or np.abs(s2).min() <= tol:
+        hits = require_no_hits(p, ("theta+zeta+lambda", "zeta+lambda") + FACTORS[4] + FACTORS[2],
+                               {"lambda+lambda+eta": operator.lt})
+    moved = [np.ravel_multi_index(hits[key][1], (n, n)) for key in FACTORS[1] + FACTORS[0]
+             if key in hits]
+    return grid, pairs, s1 * s2, np.unique(np.concatenate(moved)) if moved else np.zeros(0, np.intp)
 
 
 def _log_sum(v, axis=None):
@@ -499,7 +486,7 @@ def z_determinant(p):
     with np.errstate(over="ignore", invalid="ignore"):  # past a double's range: inf, NaN
         n = p.n
         grid, pairs, boundary, moved = _det_guards(p)
-        log_height = _height_prefactor_log(n, p.theta, p.eta)  # guards: before the LU
+        log_height = _height_prefactor_log(p)  # guards: before the LU
         factors = grid.take(moved)
         grid.put(moved, 1.0)
         kernel = _m_matrix_entries(p, grid, boundary)
@@ -585,7 +572,7 @@ def _lemma_rows(p, i):
     those sums in this route and in z_determinant's."""
     n = p.n
     grid, pairs, boundary, moved = _det_guards(p)
-    log_height = _height_prefactor_log(n, p.theta, p.eta)
+    log_height = _height_prefactor_log(p)
     if moved.size:
         return None
     logdet, min_piv, lu = logdet_partial_pivot(_m_matrix_entries(p, grid, boundary),

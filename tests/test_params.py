@@ -17,7 +17,6 @@ from sosre.params import (
     guard_violations,
     min_guard_margins,
     rel_diff,
-    require_all_nonsingular,
     require_nonsingular,
     site_pairs,
     validate_params,
@@ -182,11 +181,6 @@ def test_require_nonsingular():
     require_nonsingular("anything", 0.5)
     with pytest.raises(NearSingular, match="2\\*lambda"):
         require_nonsingular("2*lambda", 1e-9)
-    with pytest.raises(NearSingular, match="family\\[3\\]"):
-        require_all_nonsingular(
-            lambda k: f"family[{k}]", np.array([1.0, 0.5, 0.25, 1e-12])
-        )
-    require_all_nonsingular(lambda k: "none", np.array([]))
 
 
 def test_require_nonsingular_returns_the_sinh_it_checked(monkeypatch):

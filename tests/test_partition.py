@@ -506,7 +506,7 @@ def _reference_log_z(p):
     pairs = (xi[ju] + xi[iu], xi[ju] - xi[iu], lam[ju] - lam[iu], lam[ju] + lam[iu] + p.eta)
     log_pref = (sum(np.sum(np.log(sh(a))) for a in grids)
                 - sum(np.sum(np.log(sh(a))) for a in pairs))
-    return logdet + log_pref + partition._height_prefactor_log(p.n, p.theta, p.eta)
+    return logdet + log_pref + partition._height_prefactor_log(p)
 
 
 def _gaussian(n, seed):
@@ -796,7 +796,8 @@ def _guard_cases():
     """Every determinant family at 0, 1e-9 and just below and above the
     default tolerance (in a random direction), then pairs of violations: an
     earlier family just below the tolerance with a later one at 0, and two
-    entries of one family at 0."""
+    entries of one family at 0; then, on an N = 128 draw, every family at 0
+    and just below and above the tolerance."""
     base = draw(5, np.random.default_rng(214))
     rng = np.random.default_rng(215)
     cases = []
@@ -809,6 +810,13 @@ def _guard_cases():
         cases.append(_pinned(q, first, 9.99e-7, 0, 2))
     for key in _DET_GUARD_ORDER:
         cases.append(_pinned(_pinned(base, key, 0.0, 3, 4), key, 0.0, 0, 2))
+    # at N = 128 the guard table takes its sites from the one-axis search
+    assert params._SORTED_SCAN_N <= 128
+    base = draw(128, np.random.default_rng(235))
+    for key in _DET_GUARD_ORDER:
+        for d in (0.0, 9.99e-7, 1.001e-6):
+            i, j = sorted(rng.choice(128, 2, replace=False))
+            cases.append(_pinned(base, key, d * np.exp(2j * np.pi * rng.random()), i, j))
     return cases
 
 
@@ -858,6 +866,30 @@ def test_grid_coincidences_match_contraction(n):
         assert rel_diff(zd, zb) < (1e-10 if n <= 6 else 1e-6)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_lambda_lambda_eta_diagonal_is_not_a_determinant_denominator(n):
+    # 2 lambda_i + eta = 0 fails validate_params (the guard table's
+    # lambda+lambda+eta row is an N x N grid), but the determinant divides
+    # by that row at a < b only: alone, and with a lambda-xi pin that makes
+    # it consult the table, Z agrees with contraction, and the kernel
+    # raises only at the pin, its pole
+    rng = np.random.default_rng((234, n))
+    base = draw(n, rng)
+    i, j = rng.integers(n, size=2)
+    q = base.replace_lambda(i, -base.eta / 2)
+    pinned = q.replace_lambda((i + 1) % n, q.xis[j])
+    for case, pole in ((q, None), (pinned, f"lambda[{(i + 1) % n}]-xi[{j}]")):
+        with pytest.raises(InvariantViolation, match=re.escape(f"lambda[{i}]+lambda[{i}]+eta")):
+            params.validate_params(case)
+        zd, zb = partition.z_determinant(case).value, partition.z_bruteforce(case).value
+        assert rel_diff(zd, zb) < (1e-10 if n <= 6 else 1e-6)
+        if pole is None:
+            partition.m_matrix(case)
+        else:
+            with pytest.raises(NearSingular, match=re.escape(f"denominator sinh({pole}) ")):
+                partition.m_matrix(case)
+
+
 @pytest.mark.parametrize("n", [4, 16, 50])
 def test_recursions_hold_on_the_determinant(n):
     # both recursions with the determinant on each side: at the coincidence
@@ -904,29 +936,40 @@ def test_a_zero_height_numerator_gives_zero_without_a_warning():
     assert partition.z_bruteforce(q).value == 0
 
 
+def _counting_consults(monkeypatch):
+    """Record the size of each guard table scan (`params._scan`), the
+    entries it passes to np.sinh, from here on; the determinant scans only
+    when it consults the table (`params.guard_hits`)."""
+    sizes = []
+    scan = params._scan
+
+    def counting(p, tol):
+        out = scan(p, tol)
+        sizes.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(params, "_scan", counting)
+    return sizes
+
+
 def test_log_value_does_not_depend_on_guard_tolerance(monkeypatch):
     # pins at 2e-3 pass both tolerances but fall under the prefilter's
-    # threshold at 1e-3 only, so the two runs guard different entries
+    # threshold at 1e-3 only, so the determinant consults the guard table
+    # there and not at 1e-9
     base = draw(5, np.random.default_rng(216))
     cases = [base] + [_pinned(base, key, 2e-3, 1, 3) for key in _DET_GUARD_ORDER]
-    flagged = {}
-    inner = partition.require_all_nonsingular
-
-    def counting(label_fn, values):
-        flagged[tol] += np.size(values)
-        return inner(label_fn, values)
-
-    monkeypatch.setattr(partition, "require_all_nonsingular", counting)
-    logs, guards = {}, {}
+    consults = _counting_consults(monkeypatch)
+    logs, guards, counts = {}, {}, {}
     for tol in ("1e-3", "1e-9"):
         monkeypatch.setenv("SOS_GUARD_TOL", tol)
-        flagged[tol] = 0
+        consults.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedWarning)
             logs[tol] = [partition.z_determinant(q).log_value for q in cases]
         guards[tol] = [partition._det_guards(q) for q in cases]
+        counts[tol] = len(consults)
     assert logs["1e-3"] == logs["1e-9"]
-    assert flagged["1e-3"] > flagged["1e-9"]
+    assert counts["1e-3"] > 0 and counts["1e-9"] == 0
     for escalated, fast in zip(guards["1e-3"], guards["1e-9"]):
         assert [a.tobytes() for a in escalated] == [a.tobytes() for a in fast]
 
@@ -934,42 +977,32 @@ def test_log_value_does_not_depend_on_guard_tolerance(monkeypatch):
 @pytest.mark.parametrize("n", [16, 50, 200])
 def test_generic_guards_evaluate_only_the_boundary_rows(n, monkeypatch):
     # on generic draws no grid or pair entry is under its prefilter
-    # threshold, so the guards evaluate theta+zeta+lambda and zeta+lambda
-    # only: 2N arguments
-    inner = partition.require_all_nonsingular
-    sizes = []
-
-    def counting(label_fn, values):
-        sizes.append(np.size(values))
-        return inner(label_fn, values)
-
-    monkeypatch.setattr(partition, "require_all_nonsingular", counting)
-    for seed in (1, 2, 3):
-        sizes.clear()
-        partition._det_guards(draw(n, np.random.default_rng((217, seed, n))))
-        assert sizes == [n, n]
+    # threshold and no boundary sinh under the tolerance, so the guards
+    # evaluate theta+zeta+lambda and zeta+lambda only and never consult
+    # the guard table
+    draws = [draw(n, np.random.default_rng((217, seed, n))) for seed in (1, 2, 3)]
+    consults = _counting_consults(monkeypatch)
+    for p in draws:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            partition.z_determinant(p)
+    assert consults == []
 
 
 def test_a_near_xi_pair_is_guarded_only_at_its_entries(monkeypatch):
-    # xi_1 2e-6 from xi_0 puts one P1 entry under its threshold: the guards
-    # evaluate xi[1]-xi[0] and xi[1]+xi[0] there, with the 2N boundary and
-    # N/2 height arguments, not the whole grid and pair table
+    # xi_1 2e-6 from xi_0 puts one P1 entry under its threshold: the
+    # determinant consults the guard table once, and its scan evaluates the
+    # 7N + 5 entries of the O(N) rows, the N of lambda+lambda+eta's diagonal
+    # (q_i - q_i = 0 clears none) and the xi pair's two, not the N x N grids
     n = 200
-    inner = partition.require_all_nonsingular
-    sizes = []
-
-    def counting(label_fn, values):
-        sizes.append(np.size(values))
-        return inner(label_fn, values)
-
     p = draw(n, np.random.default_rng(219))
     xis = list(p.xis)
     xis[1] = xis[0] + 2e-6
-    monkeypatch.setattr(partition, "require_all_nonsingular", counting)
+    consults = _counting_consults(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         partition.z_determinant(dataclasses.replace(p, xis=tuple(xis)))
-    assert sum(sizes) <= 2 * n + n // 2 + 4
+    assert len(consults) == 1 and 8 * n + 5 < consults[0] <= 8 * n + 5 + 8
 
 
 def _reference_det_guards(p):
@@ -1256,8 +1289,8 @@ def test_sweep_guards_default_box_points_by_their_bounds(monkeypatch):
     p = draw(16, rng)
     values = rng.uniform(-0.8, 0.8, 300) + 1j * rng.uniform(-0.8, 0.8, 300)
     calls = []
-    inner = params.guard_violations
-    monkeypatch.setattr(params, "guard_violations", lambda *a: calls.append(a) or inner(*a))
+    inner = params.guard_hits
+    monkeypatch.setattr(params, "guard_hits", lambda *a: calls.append(a) or inner(*a))
     res = partition.z_sweep(p, 5, values)
     assert not res.skipped.any() and calls == []
 
